@@ -40,7 +40,7 @@ for name, test in zip(("(intercept)", "depth"), wald_tests(fit)):
     se = float(np.sqrt(fit.beta_cov[j, j]))
     print(f"  {name:12s} {fit.beta_hat[j]:9.2f}  se {se:7.2f}  z {test.statistic:6.2f}  p {test.p_value:.4f}")
 
-gt = global_test(fit, ds)
+gt = global_test(fit)
 print(f"\nall-slopes test: chisq {gt.statistic:.2f} on {gt.dof} dof, p {gt.p_value:.4f}")
 
 q = homogeneity_test(fit, ds)

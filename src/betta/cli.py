@@ -201,7 +201,7 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
             "p_value": wald[j].p_value,
         })
     try:
-        global_payload = _test_payload(global_test(fit, dataset))
+        global_payload = _test_payload(global_test(fit))
     except NotApplicableError:
         global_payload = None
     try:

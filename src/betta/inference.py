@@ -1,10 +1,10 @@
 """Tests and diagnostics on a fitted richness regression.
 
 Wald tests compare each coefficient to its estimated standard error
-against a standard normal reference. The joint covariate test and the
-heterogeneity (dispersion) test use chi-squared references. Reference
-tail probabilities come from the in-package implementations in
-``betta.special``.
+against a standard normal reference. The joint covariate test (the Wald
+form over all slopes) and the heterogeneity (dispersion) test use
+chi-squared references. Reference tail probabilities come from the
+in-package implementations in ``betta.special``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegreesOfFreedomError, NotApplicableError, NumericalError
-from .model import BettaFit, Dataset, floored_variances
+from .model import BettaFit, Dataset
 from .special import chisq_upper_tail, normal_cdf, normal_quantile, normal_two_sided_p
 
 KIND_WALD = "wald"
@@ -63,31 +63,34 @@ def wald_tests(fit) -> list[TestResult]:
     return results
 
 
-def global_test(fit: BettaFit, dataset: Dataset) -> TestResult:
-    """Joint chi-squared test that every non-intercept coefficient is zero.
+def global_test(fit: BettaFit) -> TestResult:
+    """Joint Wald chi-squared test that every non-intercept coefficient is zero.
 
-    The statistic is the quadratic form of the non-intercept coefficients
-    in the weighted covariate Gram matrix sum_i x_i x_i^T / v_i with
-    v_i = std_error_i^2 + sigma_u_sq_hat; the intercept is excluded from
-    both the quadratic form and the p degrees of freedom.
+    The statistic is slopes^T [Cov(beta_hat)_ss]^-1 slopes, with s the
+    non-intercept block of the fit's coefficient covariance, against
+    chi-squared with one degree of freedom per slope. It uses only
+    beta_hat and beta_cov, so a grouped fit's group variance enters
+    through its covariance; with one covariate it is the squared Wald z.
     """
     _require_converged(fit)
-    if dataset.p == 0:
-        raise NotApplicableError("global test needs at least one covariate")
-    v = floored_variances(dataset, warn=False) + fit.sigma_u_sq_hat
-    xc = dataset.covariate_matrix()
-    gram = (xc / v[:, None]).T @ xc
     slopes = np.asarray(fit.beta_hat, dtype=float)[1:]
-    statistic = float(slopes @ gram @ slopes)
+    p = slopes.size
+    if p == 0:
+        raise NotApplicableError("global test needs at least one covariate")
+    cov = np.asarray(fit.beta_cov, dtype=float)[1:, 1:]
+    try:
+        statistic = float(slopes @ np.linalg.solve(cov, slopes))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("slope covariance is singular in the global test") from exc
     if statistic < 0.0:
-        # Quadratic form in a PSD matrix; tiny negatives are rounding.
+        # Quadratic form in a positive definite inverse; tiny negatives are rounding.
         if statistic < -1e-10:
             raise NumericalError(f"global statistic came out negative: {statistic}")
         statistic = 0.0
     return TestResult(
         statistic=statistic,
-        dof=dataset.p,
-        p_value=chisq_upper_tail(statistic, dataset.p),
+        dof=p,
+        p_value=chisq_upper_tail(statistic, p),
         kind=KIND_GLOBAL,
     )
 

@@ -2,36 +2,29 @@
 
 Extends the flat model with one extra variance component: observations in
 the same group (for example repeated samples from one host) share a draw
-from N(0, sigma_g_sq). Marginally,
+from N(0, sigma_g_sq). Marginally, V is block diagonal by group, with
+blocks
 
-    V = diag(std_error_i^2 + sigma_u_sq) + sigma_g_sq * Z Z^T
+    V_g = diag(std_error_i^2 + sigma_u_sq) + sigma_g_sq * 1 1^T
 
-with Z the group indicator matrix. Both variances are estimated by
-restricted maximum likelihood on [0, U] x [0, U] through two nested
-bounded scalar searches; the coefficient profile stays closed-form.
+The fit uses the same restricted log-likelihood objective as the flat
+model, of which it is the sigma_g_sq = 0 case: a per-group
+Sherman-Morrison correction, built from group sums, gives ln det V and
+the weighted normal equations in O(m p^2) per evaluation, and no m x m
+matrix is formed. Both variances are estimated on [0, U] x [0, U]
+by two nested bounded scalar searches; the coefficient profile stays
+closed-form.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfoundingError, IllConditionedWarning, NumericalError
-from .model import (
-    BRACKET_TOL_SCALE,
-    CONDITION_WARN_THRESHOLD,
-    INTERCEPT_NAME,
-    Dataset,
-    RichnessObservation,
-    _canonical_order,
-    _check_full_rank,
-    _ProfiledObjective,
-    _search_upper_bound,
-    floored_variances,
-)
+from .errors import ConfoundingError
+from .model import BettaFit, Dataset, RichnessObservation, _ProfiledObjective
 from .optimize import minimize_bounded
 
 
@@ -69,28 +62,12 @@ class GroupedDataset:
     def n_groups(self) -> int:
         return len(set(self.groups))
 
-    def indicator_matrix(self) -> np.ndarray:
-        """m x g matrix of 0/1 group membership, columns in sorted label order."""
-        levels = self.levels
-        z = np.zeros((self.base.m, len(levels)))
-        col = {label: j for j, label in enumerate(levels)}
-        for i, g in enumerate(self.groups):
-            z[i, col[g]] = 1.0
-        return z
-
 
 @dataclass(frozen=True)
-class MixedFit:
-    """Result of fit_betta_random; fields mirror BettaFit plus the group variance."""
+class MixedFit(BettaFit):
+    """Result of fit_betta_random: a BettaFit plus the group variance."""
 
-    beta_hat: np.ndarray = field(repr=False)
-    sigma_u_sq_hat: float = 0.0
     sigma_g_sq_hat: float = 0.0
-    beta_cov: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    reml_value: float = math.nan
-    fitted: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    std_residuals: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    converged: bool = True
     n_groups: int = 0
 
 
@@ -98,8 +75,8 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
     """Reject covariates that the random intercepts could absorb entirely.
 
     A non-intercept column that is constant within every group lies in the
-    column space of Z, so its coefficient and the group effects are not
-    separable.
+    span of the group indicators, so its coefficient and the group effects
+    are not separable.
     """
     if dataset.p == 0:
         return
@@ -114,50 +91,6 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
                 f"covariate {name!r} is constant within every group and therefore "
                 "confounded with the group random effect"
             )
-
-
-class _MixedObjective:
-    """Restricted log-likelihood with a dense marginal covariance."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, variances: np.ndarray, z: np.ndarray):
-        self.x = x
-        self.y = y
-        self.variances = variances
-        self.zzt = z @ z.T
-        # At sigma_g_sq = 0 the model IS the flat one; routing through the
-        # flat objective's arithmetic makes the reduction bit-exact instead
-        # of merely close, so pinned-zero fits agree with fit_betta exactly.
-        self._flat = _ProfiledObjective(x, y, variances)
-
-    def components(self, sigma_u_sq: float, sigma_g_sq: float):
-        if sigma_g_sq == 0.0:
-            value, beta, gram, _resid = self._flat.components(sigma_u_sq)
-            return value, beta, gram
-        v = np.diag(self.variances + sigma_u_sq) + sigma_g_sq * self.zzt
-        try:
-            chol = np.linalg.cholesky(v)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("marginal covariance is not positive definite") from exc
-        logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-
-        vi_x = solve(self.x)
-        vi_y = solve(self.y)
-        gram = self.x.T @ vi_x
-        gram = 0.5 * (gram + gram.T)
-        sign, logdet_gram = np.linalg.slogdet(gram)
-        if sign <= 0.0:
-            raise NumericalError("weighted design Gram matrix is singular")
-        beta = np.linalg.solve(gram, self.x.T @ vi_y)
-        resid = self.y - self.x @ beta
-        quad = float(resid @ solve(resid))
-        value = -0.5 * (logdet_v + quad + logdet_gram)
-        return value, beta, gram
-
-    def value(self, sigma_u_sq: float, sigma_g_sq: float) -> float:
-        return self.components(sigma_u_sq, sigma_g_sq)[0]
 
 
 def fit_betta_random(
@@ -181,6 +114,11 @@ def fit_betta_random(
 
     Notes
     -----
+    The objective is the flat fit's restricted log-likelihood plus a
+    correction for the group blocks diag(v_g) + sigma_g_sq * 1 1^T,
+    inverted by Sherman-Morrison from group sums of the weighted rows; an
+    evaluation costs O(m p^2). At sigma_g_sq = 0 the correction is an
+    exact zero, so a pinned-zero fit equals fit_betta bit for bit.
     The outer search runs over sigma_g_sq and, for each candidate, an
     inner search profiles sigma_u_sq; both use the same bounded
     golden-section/parabolic scheme, interval and bracket rule as the flat
@@ -189,13 +127,8 @@ def fit_betta_random(
     all-ones indicator lies in the intercept's span, and the fit reduces
     to the flat model.
     """
-    dataset = grouped.base
-    names = (INTERCEPT_NAME,) + dataset.covariate_names
-    if dataset.m < 2:
-        raise ValueError(f"fitting needs at least 2 observations, got {dataset.m}")
-    x_full = dataset.design_matrix()
-    _check_full_rank(x_full, names)
-    _check_confounding(dataset, grouped.groups)
+    objective = _ProfiledObjective(grouped.base, grouped.groups)
+    _check_confounding(grouped.base, grouped.groups)
     if grouped.n_groups == 1:
         warnings.warn(
             "only one group level: the group variance is not identified and the "
@@ -203,97 +136,35 @@ def fit_betta_random(
             UserWarning,
             stacklevel=2,
         )
-
-    order = _canonical_order(
-        Dataset(
-            observations=tuple(
-                RichnessObservation(
-                    id=o.id, estimate=o.estimate, std_error=o.std_error,
-                    covariates=o.covariates, group=g,
-                )
-                for o, g in zip(dataset.observations, grouped.groups)
-            ),
-            covariate_names=dataset.covariate_names,
-        )
-    )
-    y = dataset.estimates()[order]
-    x = x_full[order]
-    variances = floored_variances(dataset)[order]
-    z = grouped.indicator_matrix()[order]
-
-    objective = _MixedObjective(x, y, variances, z)
-    upper = _search_upper_bound(y, variances)
-    start = min(max(float(np.var(y, ddof=1)), 0.0), upper)
-    xatol = BRACKET_TOL_SCALE * (1.0 + upper)
-
-    inner_converged = True
+    converged = True
 
     def profile_u(sigma_g_sq: float) -> tuple[float, float]:
         """Maximize over sigma_u_sq at a fixed group variance."""
-        nonlocal inner_converged
-        res = minimize_bounded(
-            lambda s: -objective.value(s, sigma_g_sq),
-            0.0,
-            upper,
-            xatol=xatol,
-            x0=start if start > 0.0 else None,
+        nonlocal converged
+        best_u, best_val, ok = objective.maximize(
+            lambda s: objective.value(s, sigma_g_sq), minimize_bounded
         )
-        inner_converged = inner_converged and res.converged
-        best_u, best_val = res.x, -res.fx
-        at_zero = objective.value(0.0, sigma_g_sq)
-        if at_zero >= best_val - 1e-12 * (1.0 + abs(best_val)):
-            best_u, best_val = 0.0, at_zero
+        converged = converged and ok
         return best_u, best_val
 
     if fix_sigma_g_sq is not None:
         if fix_sigma_g_sq < 0.0:
             raise ValueError(f"fix_sigma_g_sq must be >= 0, got {fix_sigma_g_sq}")
         sigma_g_sq = float(fix_sigma_g_sq)
-        sigma_u_sq, best_val = profile_u(sigma_g_sq)
-        outer_converged = True
+        sigma_u_sq, _ = profile_u(sigma_g_sq)
     else:
         cache: dict[float, tuple[float, float]] = {}
 
-        def outer(sigma_g_sq: float) -> float:
+        def profiled(sigma_g_sq: float) -> float:
             if sigma_g_sq not in cache:
                 cache[sigma_g_sq] = profile_u(sigma_g_sq)
-            return -cache[sigma_g_sq][1]
+            return cache[sigma_g_sq][1]
 
-        res = minimize_bounded(outer, 0.0, upper, xatol=xatol, x0=start if start > 0.0 else None)
-        outer_converged = res.converged
-        sigma_g_sq, best_val = res.x, -res.fx
-        at_zero = -outer(0.0)
-        if at_zero >= best_val - 1e-12 * (1.0 + abs(best_val)):
-            sigma_g_sq, best_val = 0.0, at_zero
+        sigma_g_sq, _, ok = objective.maximize(profiled, minimize_bounded)
+        converged = converged and ok
         sigma_u_sq = cache[sigma_g_sq][0]
 
-    value, beta, gram = objective.components(sigma_u_sq, sigma_g_sq)
-    cond = float(np.linalg.cond(gram))
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
-            "coefficient covariance may be unreliable",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    beta_cov = np.linalg.inv(gram)
-    beta_cov = 0.5 * (beta_cov + beta_cov.T)
-
-    fitted_canon = x @ beta
-    std_resid_canon = (y - fitted_canon) / np.sqrt(variances)
-    fitted = np.empty(dataset.m)
-    std_residuals = np.empty(dataset.m)
-    fitted[order] = fitted_canon
-    std_residuals[order] = std_resid_canon
-
-    return MixedFit(
-        beta_hat=beta,
-        sigma_u_sq_hat=float(sigma_u_sq),
-        sigma_g_sq_hat=float(sigma_g_sq),
-        beta_cov=beta_cov,
-        reml_value=float(value),
-        fitted=fitted,
-        std_residuals=std_residuals,
-        converged=inner_converged and outer_converged,
-        n_groups=grouped.n_groups,
+    return objective.fit_result(
+        MixedFit, sigma_u_sq, sigma_g_sq, converged,
+        sigma_g_sq_hat=float(sigma_g_sq), n_groups=grouped.n_groups,
     )

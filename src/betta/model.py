@@ -11,7 +11,8 @@ component on top:
 The variance component is estimated by restricted maximum likelihood with
 the boundary constraint sigma_u_sq >= 0. For a fixed sigma_u_sq the
 coefficient vector has a closed weighted-least-squares form, so the fit
-reduces to a one-dimensional bounded search over sigma_u_sq.
+reduces to a one-dimensional bounded search over sigma_u_sq. The same
+objective serves the grouped model in ``betta.mixed``.
 """
 
 from __future__ import annotations
@@ -166,30 +167,30 @@ def _check_full_rank(x: np.ndarray, names: tuple[str, ...]) -> None:
     )
 
 
-def _canonical_order(dataset: Dataset) -> np.ndarray:
+def _canonical_order(dataset: Dataset, groups: tuple[str, ...] | None = None) -> np.ndarray:
     """A total order on observations that does not depend on input order.
 
     Fitting in this canonical order makes every floating-point reduction
     identical for any permutation of the same rows, so permuting a dataset
-    cannot change the fit.
+    cannot change the fit. ``groups`` overrides the observations' own
+    group labels in the sort key.
     """
+    if groups is None:
+        groups = tuple(o.group or "" for o in dataset.observations)
     keys = [
-        (o.estimate, o.std_error, o.covariates, o.group or "", o.id)
-        for o in dataset.observations
+        (o.estimate, o.std_error, o.covariates, g, o.id)
+        for o, g in zip(dataset.observations, groups)
     ]
     return np.array(sorted(range(dataset.m), key=keys.__getitem__), dtype=int)
 
 
-def _weighted_normal_equations(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
-    """Solve the weighted normal equations; return (beta, gram, log det gram)."""
-    xw = x * weights[:, None]
-    gram = xw.T @ x
+def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
+    """Solve gram @ beta = rhs by Cholesky; return (beta, symmetrized gram, log det gram)."""
     gram = 0.5 * (gram + gram.T)
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("weighted design Gram matrix is not positive definite") from exc
-    rhs = xw.T @ y
     beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return beta, gram, logdet
@@ -206,9 +207,8 @@ def gls_coefficients(dataset: Dataset, sigma_u_sq: float) -> np.ndarray:
         raise ValueError(f"sigma_u_sq must be >= 0, got {sigma_u_sq}")
     x = dataset.design_matrix()
     _check_full_rank(x, (INTERCEPT_NAME,) + dataset.covariate_names)
-    v = floored_variances(dataset) + sigma_u_sq
-    beta, _, _ = _weighted_normal_equations(x, dataset.estimates(), 1.0 / v)
-    return beta
+    xw = x * (1.0 / (floored_variances(dataset) + sigma_u_sq))[:, None]
+    return _solve_normal_equations(xw.T @ x, xw.T @ dataset.estimates())[0]
 
 
 def restricted_log_likelihood(dataset: Dataset, beta: np.ndarray, sigma_u_sq: float) -> float:
@@ -258,23 +258,123 @@ def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
 
 
 class _ProfiledObjective:
-    """Profiled restricted log-likelihood over sigma_u_sq with cached arrays."""
+    """Profiled restricted log-likelihood of one dataset, in canonical order.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, variances: np.ndarray):
-        self.x = x
-        self.y = y
-        self.variances = variances
+    Building it runs the checks and set-up both fits share; ``maximize``
+    is their bounded variance search and ``fit_result`` their post-fit
+    block. The marginal covariance is block diagonal by group, each block
+    diag(v) + sigma_g_sq * 1 1^T with v_i = std_error_i^2 + sigma_u_sq.
+    The flat model's weighted least squares is computed first. With groups,
+    Sherman-Morrison per block, with
+    c_g = sigma_g_sq / (1 + sigma_g_sq * sum_g 1/v_i), corrects ln det V,
+    X^T V^-1 X, X^T V^-1 y and r^T V^-1 r by group sums of the weighted
+    rows, so an evaluation costs O(m p^2) and no m x m matrix is formed.
+    At sigma_g_sq = 0 every correction is an exact floating-point zero,
+    so the result is bit for bit the flat model's.
+    """
 
-    def components(self, sigma_u_sq: float):
+    def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
+        if dataset.m < 2:
+            raise ValueError(f"fitting needs at least 2 observations, got {dataset.m}")
+        if np.all(dataset.std_errors() == 0.0) and dataset.m <= dataset.p + 1:
+            raise UnidentifiableError(
+                "all standard errors are zero and there are no residual degrees of freedom; "
+                "the variance component cannot be identified"
+            )
+        x_full = dataset.design_matrix()
+        _check_full_rank(x_full, (INTERCEPT_NAME,) + dataset.covariate_names)
+        if dataset.m <= dataset.p + 1:
+            warnings.warn(
+                f"only {dataset.m} observations for {dataset.p + 1} coefficients; "
+                "the heterogeneity test is undefined and the fit is fragile",
+                UserWarning,
+                stacklevel=3,
+            )
+
+        self.order = _canonical_order(dataset, groups)
+        self.x = x_full[self.order]
+        self.y = dataset.estimates()[self.order]
+        self.variances = floored_variances(dataset)[self.order]
+        self.codes = None
+        if groups is not None:
+            levels, codes = np.unique(np.asarray(groups)[self.order], return_inverse=True)
+            self.codes, self.n_groups = codes, len(levels)
+
+        self.upper = _search_upper_bound(self.y, self.variances)
+        start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
+        self.x0 = start if start > 0.0 else None
+        self.xatol = BRACKET_TOL_SCALE * (1.0 + self.upper)
+
+    def _group_sums(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.codes, weights=values, minlength=self.n_groups)
+
+    def components(self, sigma_u_sq: float, sigma_g_sq: float = 0.0):
         v = self.variances + sigma_u_sq
         w = 1.0 / v
-        beta, gram, logdet = _weighted_normal_equations(self.x, self.y, w)
+        xw = self.x * w[:, None]
+        gram = xw.T @ self.x
+        rhs = xw.T @ self.y
+        grouped = self.codes is not None
+        if grouped:
+            w_sums = self._group_sums(w)
+            c = sigma_g_sq / (1.0 + sigma_g_sq * w_sums)
+            xw_sums = np.column_stack([self._group_sums(col) for col in xw.T])
+            gram = gram - (xw_sums.T * c) @ xw_sums
+            rhs = rhs - xw_sums.T @ (c * self._group_sums(w * self.y))
+        beta, gram, logdet = _solve_normal_equations(gram, rhs)
         resid = self.y - self.x @ beta
-        value = -0.5 * (float(np.sum(np.log(v) + resid * resid * w)) + logdet)
-        return value, beta, gram, resid
+        total = float(np.sum(np.log(v) + resid * resid * w)) + logdet
+        if grouped:
+            wr_sums = self._group_sums(w * resid)
+            total += float(np.sum(np.log1p(sigma_g_sq * w_sums))) - float(c @ (wr_sums * wr_sums))
+        return -0.5 * total, beta, gram, resid
 
-    def value(self, sigma_u_sq: float) -> float:
-        return self.components(sigma_u_sq)[0]
+    def value(self, sigma_u_sq: float, sigma_g_sq: float = 0.0) -> float:
+        return self.components(sigma_u_sq, sigma_g_sq)[0]
+
+    def maximize(self, f, minimize) -> tuple[float, float, bool]:
+        """Maximize f over [0, U]; return (argmax, maximum, converged).
+
+        ``minimize`` is the bounded scalar minimizer to call. The
+        optimizer never lands exactly on the closed end of the interval,
+        so zero is probed as well and wins ties: a boundary optimum is
+        reported as exactly zero.
+        """
+        result = minimize(lambda s: -f(s), 0.0, self.upper, xatol=self.xatol, x0=self.x0)
+        arg, best = result.x, -result.fx
+        at_zero = f(0.0)
+        if at_zero >= best - 1e-12 * (1.0 + abs(best)):
+            arg, best = 0.0, at_zero
+        return arg, best, result.converged
+
+    def fit_result(self, cls, sigma_u_sq: float, sigma_g_sq: float, converged: bool, **extra):
+        """Build a ``cls`` (BettaFit or a subclass) at the fitted variances."""
+        value, beta, gram, resid = self.components(sigma_u_sq, sigma_g_sq)
+        cond = float(np.linalg.cond(gram))
+        if cond > CONDITION_WARN_THRESHOLD:
+            warnings.warn(
+                f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
+                "coefficient covariance may be unreliable",
+                IllConditionedWarning,
+                stacklevel=3,
+            )
+        beta_cov = np.linalg.inv(gram)
+        beta_cov = 0.5 * (beta_cov + beta_cov.T)
+
+        fitted = np.empty(len(self.y))
+        std_residuals = np.empty(len(self.y))
+        fitted[self.order] = self.x @ beta
+        std_residuals[self.order] = resid / np.sqrt(self.variances)
+        return cls(
+            beta_hat=beta,
+            sigma_u_sq_hat=float(sigma_u_sq),
+            beta_cov=beta_cov,
+            reml_value=float(value),
+            fitted=fitted,
+            std_residuals=std_residuals,
+            converged=converged,
+            **extra,
+        )
 
 
 def fit_betta(dataset: Dataset) -> BettaFit:
@@ -304,72 +404,6 @@ def fit_betta(dataset: Dataset) -> BettaFit:
     evaluated explicitly and wins ties, so homogeneous data come back with
     exactly zero.
     """
-    names = (INTERCEPT_NAME,) + dataset.covariate_names
-    if dataset.m < 2:
-        raise ValueError(f"fitting needs at least 2 observations, got {dataset.m}")
-    if np.all(dataset.std_errors() == 0.0) and dataset.m <= dataset.p + 1:
-        raise UnidentifiableError(
-            "all standard errors are zero and there are no residual degrees of freedom; "
-            "the variance component cannot be identified"
-        )
-    order = _canonical_order(dataset)
-    x_full = dataset.design_matrix()
-    _check_full_rank(x_full, names)
-
-    y = dataset.estimates()[order]
-    x = x_full[order]
-    variances = floored_variances(dataset)[order]
-
-    if dataset.m <= dataset.p + 1:
-        warnings.warn(
-            f"only {dataset.m} observations for {dataset.p + 1} coefficients; "
-            "the heterogeneity test is undefined and the fit is fragile",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    objective = _ProfiledObjective(x, y, variances)
-    upper = _search_upper_bound(y, variances)
-    start = min(max(float(np.var(y, ddof=1)), 0.0), upper)
-    xatol = BRACKET_TOL_SCALE * (1.0 + upper)
-
-    result = minimize_bounded(
-        lambda s: -objective.value(s), 0.0, upper, xatol=xatol, x0=start if start > 0.0 else None
-    )
-    sigma_u_sq = result.x
-    best = -result.fx
-
-    # The optimizer never lands exactly on the closed end of the interval;
-    # probe it so a boundary optimum is reported as exactly zero.
-    at_zero = objective.value(0.0)
-    if at_zero >= best - 1e-12 * (1.0 + abs(best)):
-        sigma_u_sq, best = 0.0, at_zero
-
-    value, beta, gram, resid = objective.components(sigma_u_sq)
-    cond = float(np.linalg.cond(gram))
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
-            "coefficient covariance may be unreliable",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    beta_cov = np.linalg.inv(gram)
-    beta_cov = 0.5 * (beta_cov + beta_cov.T)
-
-    fitted_canon = x @ beta
-    std_resid_canon = resid / np.sqrt(variances)
-    fitted = np.empty(dataset.m)
-    std_residuals = np.empty(dataset.m)
-    fitted[order] = fitted_canon
-    std_residuals[order] = std_resid_canon
-
-    return BettaFit(
-        beta_hat=beta,
-        sigma_u_sq_hat=float(sigma_u_sq),
-        beta_cov=beta_cov,
-        reml_value=float(value),
-        fitted=fitted,
-        std_residuals=std_residuals,
-        converged=result.converged,
-    )
+    objective = _ProfiledObjective(dataset)
+    sigma_u_sq, _, converged = objective.maximize(objective.value, minimize_bounded)
+    return objective.fit_result(BettaFit, sigma_u_sq, 0.0, converged)

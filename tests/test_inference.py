@@ -98,42 +98,40 @@ class TestGlobal:
             names=("x",),
         )
         fit = fit_betta(ds)
-        res = global_test(fit, ds)
+        res = global_test(fit)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.dof == 1
         assert res.kind == KIND_GLOBAL
 
-    def test_matches_reference_quadratic_form(self, rng_dataset):
-        # The statistic is the slope vector in the weighted covariate Gram
-        # metric; recompute it from scratch.
-        ds = rng_dataset(7, m=9, with_covariate=True)
-        fit = fit_betta(ds)
-        res = global_test(fit, ds)
-        xc = ds.covariate_matrix()
-        v = ds.std_errors() ** 2 + fit.sigma_u_sq_hat
-        gram = (xc / v[:, None]).T @ xc
-        slopes = fit.beta_hat[1:]
-        assert res.statistic == pytest.approx(float(slopes @ gram @ slopes), rel=1e-10)
-        assert res.p_value == pytest.approx(chisq_upper_tail(res.statistic, ds.p), rel=1e-14)
-
-    def test_frozen_two_covariate_case(self):
-        # Pinned from a five-row, two-covariate dataset fit once and frozen.
+    def test_matches_wald_quadratic_form(self):
+        # slopes^T [Cov(beta_hat)_ss]^-1 slopes, recomputed with an explicit
+        # inverse of the slope block of the coefficient covariance.
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 2))
         se = rng.uniform(2.0, 8.0, 5)
         y = 30.0 + x @ np.array([5.0, -3.0]) + rng.normal(0.0, se)
         ds = make_dataset(y, se, x=x, names=("a", "b"))
         fit = fit_betta(ds)
-        res = global_test(fit, ds)
-        assert res.statistic == pytest.approx(5.15255438617986, rel=1e-12)
+        res = global_test(fit)
+        slopes = fit.beta_hat[1:]
+        reference = float(slopes @ np.linalg.inv(fit.beta_cov[1:, 1:]) @ slopes)
+        assert res.statistic == pytest.approx(reference, rel=1e-10)
         assert res.dof == 2
-        assert res.p_value == pytest.approx(0.07605662174782844, rel=1e-12)
+        assert res.p_value == pytest.approx(chisq_upper_tail(res.statistic, 2), rel=1e-14)
+
+    def test_hand_value_from_covariance(self):
+        # Slopes (2, -1) with variances 4 and 1 and no correlation give
+        # 2^2/4 + 1^2/1 = 2 on 2 dof, whose upper tail is exp(-1).
+        res = global_test(fake_fit([7.0, 2.0, -1.0], np.diag([9.0, 4.0, 1.0])))
+        assert res.statistic == 2.0
+        assert res.dof == 2
+        assert res.p_value == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_needs_a_covariate(self, rng_dataset):
         ds = rng_dataset(3)
         with pytest.raises(NotApplicableError):
-            global_test(fit_betta(ds), ds)
+            global_test(fit_betta(ds))
 
 
 class TestHomogeneity:

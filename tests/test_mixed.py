@@ -8,8 +8,10 @@ import pytest
 
 from betta import Dataset, RichnessObservation, fit_betta
 from betta.errors import ConfoundingError
-from betta.inference import wald_tests
+from betta.inference import global_test, wald_tests
 from betta.mixed import GroupedDataset, fit_betta_random
+from betta.model import _ProfiledObjective
+from betta.optimize import minimize_bounded
 from conftest import make_dataset
 
 
@@ -40,13 +42,6 @@ class TestContainer:
         g = GroupedDataset(base=ds, groups=("b", "a", "b"))
         assert g.levels == ("a", "b")
         assert g.n_groups == 2
-
-    def test_indicator_matrix_is_membership(self):
-        ds = make_dataset([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        g = GroupedDataset(base=ds, groups=("b", "a", "b"))
-        z = g.indicator_matrix()
-        assert z.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        assert np.all(z.sum(axis=1) == 1.0)
 
     def test_label_count_must_match(self):
         ds = make_dataset([1.0, 2.0], [1.0, 1.0])
@@ -87,7 +82,7 @@ class TestVarianceRecovery:
         # Truth 4900; the empirical variance of the drawn effects is 4693.6.
         emp = float(np.var(effects, ddof=1))
         assert fit.sigma_g_sq_hat == pytest.approx(emp, rel=0.25)
-        assert fit.sigma_g_sq_hat == pytest.approx(4762.895229325551, rel=1e-8)
+        assert fit.sigma_g_sq_hat == pytest.approx(4762.894979951652, rel=1e-8)
         assert fit.reml_value == pytest.approx(-304.12989884189744, rel=1e-12)
         assert fit.n_groups == 20
 
@@ -107,18 +102,26 @@ class TestVarianceRecovery:
 
 class TestReductions:
     def test_pinned_zero_equals_flat_fit_bitwise(self):
-        # sigma_g_sq = 0 must route through the flat model's arithmetic.
+        # sigma_g_sq = 0 must run the flat model's arithmetic exactly.
         rng = np.random.default_rng(0)
         se = rng.uniform(5.0, 15.0, 12)
         y = 100.0 + rng.normal(0.0, se)
-        ds = make_dataset(y, se)
-        flat = fit_betta(ds)
-        grouped = GroupedDataset(base=ds, groups=tuple(f"h{i % 3}" for i in range(12)))
-        fixed = fit_betta_random(grouped, fix_sigma_g_sq=0.0)
-        assert np.array_equal(fixed.beta_hat, flat.beta_hat)
-        assert fixed.sigma_u_sq_hat == flat.sigma_u_sq_hat
-        assert fixed.reml_value == flat.reml_value
-        assert np.array_equal(fixed.fitted, flat.fitted)
+        x = rng.normal(size=(15, 2))
+        se2 = rng.uniform(5.0, 15.0, 15)
+        y2 = 100.0 + x @ np.array([3.0, -2.0]) + rng.normal(0.0, 8.0, 15) + rng.normal(0.0, se2)
+        inputs = [
+            (make_dataset(y, se), tuple(f"h{i % 3}" for i in range(12))),
+            (make_dataset(y2, se2, x=x, names=("a", "b")), tuple(f"h{i % 4}" for i in range(15))),
+        ]
+        for ds, groups in inputs:
+            flat = fit_betta(ds)
+            fixed = fit_betta_random(GroupedDataset(base=ds, groups=groups), fix_sigma_g_sq=0.0)
+            assert np.array_equal(fixed.beta_hat, flat.beta_hat)
+            assert fixed.sigma_u_sq_hat == flat.sigma_u_sq_hat
+            assert fixed.reml_value == flat.reml_value
+            assert np.array_equal(fixed.fitted, flat.fitted)
+            assert np.array_equal(fixed.beta_cov, flat.beta_cov)
+            assert np.array_equal(fixed.std_residuals, flat.std_residuals)
 
     def test_single_group_warns_and_reduces(self):
         rng = np.random.default_rng(0)
@@ -184,7 +187,102 @@ class TestInvariancesAndErrors:
         assert len(results) == 1
         assert 0.0 <= results[0].p_value <= 1.0
 
+    def test_global_test_uses_the_group_variance(self):
+        # The joint test reads the fit's own covariance, which carries
+        # sigma_g_sq; with one covariate it is the squared Wald z.
+        grouped, _ = scenario_grouped()
+        x = np.random.default_rng(5).normal(size=grouped.base.m)
+        base = make_dataset(grouped.base.estimates(), grouped.base.std_errors(),
+                            x=x[:, None], names=("x",))
+        fit = fit_betta_random(GroupedDataset(base=base, groups=grouped.groups))
+        assert fit.sigma_g_sq_hat > 0.0
+        z = wald_tests(fit)[1].statistic
+        assert global_test(fit).statistic == pytest.approx(z * z, rel=1e-12)
+
     def test_two_rows_minimum(self):
         ds = make_dataset([1.0], [1.0])
         with pytest.raises(ValueError, match="at least 2"):
             fit_betta_random(GroupedDataset(base=ds, groups=("a",)))
+
+
+def dense_reml(objective, sigma_u_sq, sigma_g_sq):
+    """Reference restricted log-likelihood with the marginal covariance V
+    built as a dense m x m matrix and Cholesky-factored; returns
+    (value, beta) on the objective's canonical-order arrays."""
+    x, y = objective.x, objective.y
+    same_group = objective.codes[:, None] == objective.codes[None, :]
+    v = np.diag(objective.variances + sigma_u_sq) + sigma_g_sq * same_group
+    chol = np.linalg.cholesky(v)
+
+    def solve(rhs):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+    gram = x.T @ solve(x)
+    gram = 0.5 * (gram + gram.T)
+    beta = np.linalg.solve(gram, x.T @ solve(y))
+    resid = y - x @ beta
+    logdet_v = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    value = -0.5 * (logdet_v + float(resid @ solve(resid)) + np.linalg.slogdet(gram)[1])
+    return value, beta
+
+
+def dense_oracle_fit(objective):
+    """The nested sigma_g_sq-over-sigma_u_sq search run on dense_reml;
+    returns the maximized restricted log-likelihood."""
+    cache = {}
+
+    def profiled(sigma_g_sq):
+        if sigma_g_sq not in cache:
+            cache[sigma_g_sq] = objective.maximize(
+                lambda s: dense_reml(objective, s, sigma_g_sq)[0], minimize_bounded
+            )[1]
+        return cache[sigma_g_sq]
+
+    return objective.maximize(profiled, minimize_bounded)[1]
+
+
+def random_grouped_problem(seed):
+    """Up to 40 rows in groups of unequal size, at least one a singleton,
+    with 0-2 covariates that vary within groups."""
+    rng = np.random.default_rng(seed)
+    sizes = [1] + list(rng.integers(1, 8, size=12))
+    m = min(sum(sizes), int(rng.integers(12, 41)))
+    codes = np.repeat(np.arange(len(sizes)), sizes)[:m]
+    p = int(rng.integers(0, 3))
+    x = rng.normal(size=(m, p))
+    se = rng.uniform(5.0, 50.0, m)
+    effects = rng.normal(0.0, rng.uniform(0.0, 80.0), len(sizes))
+    y = 150.0 + x @ rng.normal(0.0, 10.0, p) + effects[codes] + rng.normal(0.0, se)
+    ds = make_dataset(y, se, x=x if p else None, names=tuple(f"x{j}" for j in range(p)))
+    return GroupedDataset(base=ds, groups=tuple(f"g{c:02d}" for c in codes))
+
+
+class TestDenseOracle:
+    """The structured Sherman-Morrison objective against the dense-V oracle."""
+
+    SEEDS = range(300, 310)
+
+    def test_objective_matches_dense_covariance(self):
+        worst_value = worst_beta = 0.0
+        for seed in self.SEEDS:
+            grouped = random_grouped_problem(seed)
+            objective = _ProfiledObjective(grouped.base, grouped.groups)
+            for sigma_u_sq in (0.0, 1.0, 300.0, 1e4):
+                for sigma_g_sq in (1e-3, 1.0, 100.0, 1e4, 1e6):
+                    value, beta, _, _ = objective.components(sigma_u_sq, sigma_g_sq)
+                    ref_value, ref_beta = dense_reml(objective, sigma_u_sq, sigma_g_sq)
+                    worst_value = max(worst_value, abs(value - ref_value) / abs(ref_value))
+                    scale = 1.0 + float(np.max(np.abs(ref_beta)))
+                    worst_beta = max(worst_beta, float(np.max(np.abs(beta - ref_beta))) / scale)
+        assert worst_value < 1e-9
+        assert worst_beta < 1e-8
+
+    def test_fitted_likelihood_matches_dense_nested_fit(self):
+        # The likelihood, not the variances, is compared: the surface is
+        # flat at the optimum, so sigma_g_sq_hat may move by about the
+        # search's bracket width between two equally good answers.
+        for seed in self.SEEDS:
+            grouped = random_grouped_problem(seed)
+            fit = fit_betta_random(grouped)
+            oracle = dense_oracle_fit(_ProfiledObjective(grouped.base, grouped.groups))
+            assert fit.reml_value == pytest.approx(oracle, rel=1e-10)
