@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Is the chao1 standard error honest for this table? Ask the bootstrap."""
 
+import io
+
 from betta.simulate import parametric_bootstrap_se
 from betta.tables import chao1, read_frequency_table
 
@@ -17,7 +19,7 @@ abundance,count
 17,1
 """
 
-table = read_frequency_table(TABLE)
+table = read_frequency_table(io.StringIO(TABLE))
 est = chao1(table)
 print(f"observed richness: {table.observed_richness}")
 print(f"chao1 estimate:    {est.estimate:.1f} +- {est.std_error:.1f}")

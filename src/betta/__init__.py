@@ -44,7 +44,7 @@ from .inference import (
     residual_diagnostics,
     wald_tests,
 )
-from .mixed import GroupedDataset, MixedFit, fit_betta_random
+from .mixed import MixedFit, fit_betta_random
 from .model import (
     INTERCEPT_NAME,
     BettaFit,
@@ -113,7 +113,7 @@ __all__ = [
     "TestResult", "wald_tests", "global_test", "homogeneity_test",
     "residual_diagnostics", "ResidualDiagnostics", "DiagnosticRow",
     # grouped variant
-    "GroupedDataset", "MixedFit", "fit_betta_random",
+    "MixedFit", "fit_betta_random",
     # tables and estimators
     "FrequencyCountTable", "RichnessEstimate", "chao1",
     "read_frequency_table", "write_frequency_table",

@@ -50,7 +50,7 @@ from .inference import (
     residual_diagnostics,
     wald_tests,
 )
-from .mixed import GroupedDataset, fit_betta_random
+from .mixed import fit_betta_random
 from .model import INTERCEPT_NAME, Dataset, fit_betta
 from .simulate import (
     CONTINUOUS_GRID,
@@ -250,19 +250,14 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
-    dataset = loaded.base
-    fit = fit_betta(dataset)
-    return _write_fit_bundle(args, "fit", "betta", dataset, fit, loaded.n_dropped, {})
+    fit = fit_betta(loaded.dataset)
+    return _write_fit_bundle(args, "fit", "betta", loaded.dataset, fit, loaded.n_dropped, {})
 
 def _cmd_fit_random(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
-    if not isinstance(loaded.dataset, GroupedDataset):
-        raise ParseError(
-            "fit-random requires a group column; name one with --group or add a 'group' column"
-        )
     fit = fit_betta_random(loaded.dataset)
     extra = {"sigma_g_sq": fit.sigma_g_sq_hat, "n_groups": fit.n_groups}
-    return _write_fit_bundle(args, "fit-random", "betta_random", loaded.base, fit,
+    return _write_fit_bundle(args, "fit-random", "betta_random", loaded.dataset, fit,
                              loaded.n_dropped, extra)
 
 

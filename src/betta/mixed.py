@@ -2,8 +2,9 @@
 
 Extends the flat model with one extra variance component: observations in
 the same group (for example repeated samples from one host) share a draw
-from N(0, sigma_g_sq). Marginally, V is block diagonal by group, with
-blocks
+from N(0, sigma_g_sq). The input is a plain ``Dataset`` whose rows carry
+group labels (``RichnessObservation.group``). Marginally, V is block
+diagonal by group, with blocks
 
     V_g = diag(std_error_i^2 + sigma_u_sq) + sigma_g_sq * 1 1^T
 
@@ -24,43 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfoundingError
-from .model import BettaFit, Dataset, RichnessObservation, _ProfiledObjective
+from .model import BettaFit, Dataset, _ProfiledObjective
 from .optimize import minimize_bounded
-
-
-@dataclass(frozen=True)
-class GroupedDataset:
-    """A dataset plus one grouping label per observation."""
-
-    base: Dataset
-    groups: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.groups) != self.base.m:
-            raise ValueError(
-                f"got {len(self.groups)} group labels for {self.base.m} observations"
-            )
-        if any(not g for g in self.groups):
-            raise ValueError("group labels must be non-empty strings")
-
-    @classmethod
-    def from_observations(
-        cls, observations: tuple[RichnessObservation, ...], covariate_names: tuple[str, ...] = ()
-    ) -> "GroupedDataset":
-        """Build from observations that carry their own group labels."""
-        missing = [o.id for o in observations if o.group is None]
-        if missing:
-            raise ValueError(f"observations without a group label: {missing}")
-        base = Dataset(observations=observations, covariate_names=covariate_names)
-        return cls(base=base, groups=tuple(o.group for o in observations))  # type: ignore[misc]
-
-    @property
-    def levels(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.groups)))
-
-    @property
-    def n_groups(self) -> int:
-        return len(set(self.groups))
 
 
 @dataclass(frozen=True)
@@ -94,14 +60,15 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
 
 
 def fit_betta_random(
-    grouped: GroupedDataset, *, fix_sigma_g_sq: float | None = None
+    dataset: Dataset, *, fix_sigma_g_sq: float | None = None
 ) -> MixedFit:
     """Fit the grouped richness regression by restricted maximum likelihood.
 
     Parameters
     ----------
-    grouped : GroupedDataset
-        Observations plus a group label per observation.
+    dataset : Dataset
+        Observations that all carry a group label; a dataset without
+        labels raises ValueError.
     fix_sigma_g_sq : float, optional
         Pin the group variance instead of estimating it; useful for
         reductions and profiling.
@@ -127,9 +94,15 @@ def fit_betta_random(
     all-ones indicator lies in the intercept's span, and the fit reduces
     to the flat model.
     """
-    objective = _ProfiledObjective(grouped.base, grouped.groups)
-    _check_confounding(grouped.base, grouped.groups)
-    if grouped.n_groups == 1:
+    groups = dataset.groups()
+    if groups is None:
+        raise ValueError(
+            "the grouped model needs a group label on every observation and none has one "
+            "(an estimates table supplies them in a 'group' column)"
+        )
+    objective = _ProfiledObjective(dataset, groups)
+    _check_confounding(dataset, groups)
+    if objective.n_groups == 1:
         warnings.warn(
             "only one group level: the group variance is not identified and the "
             "fit reduces to the ungrouped model",
@@ -166,5 +139,5 @@ def fit_betta_random(
 
     return objective.fit_result(
         MixedFit, sigma_u_sq, sigma_g_sq, converged,
-        sigma_g_sq_hat=float(sigma_g_sq), n_groups=grouped.n_groups,
+        sigma_g_sq_hat=float(sigma_g_sq), n_groups=objective.n_groups,
     )

@@ -58,11 +58,16 @@ class RichnessObservation:
             )
         if any(not math.isfinite(v) for v in self.covariates):
             raise ValueError(f"observation {self.id!r}: covariates must be finite")
+        if self.group == "":
+            raise ValueError(f"observation {self.id!r}: a group label must be a non-empty string")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of observations sharing one covariate layout."""
+    """An ordered collection of observations sharing one covariate layout.
+
+    Either every observation carries a group label or none does.
+    """
 
     observations: tuple[RichnessObservation, ...]
     covariate_names: tuple[str, ...] = ()
@@ -78,6 +83,9 @@ class Dataset:
                 raise ValueError(
                     f"observation {obs.id!r} has {len(obs.covariates)} covariates, expected {p}"
                 )
+        unlabelled = [o.id for o in self.observations if o.group is None]
+        if unlabelled and len(unlabelled) < len(self.observations):
+            raise ValueError(f"observations without a group label: {unlabelled}")
 
     @property
     def m(self) -> int:
@@ -102,6 +110,12 @@ class Dataset:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(o.id for o in self.observations)
+
+    def groups(self) -> tuple[str, ...] | None:
+        """The group label of every observation, or None for an ungrouped dataset."""
+        if self.observations[0].group is None:
+            return None
+        return tuple(o.group for o in self.observations)  # type: ignore[misc]
 
 
 @dataclass(frozen=True)
@@ -167,19 +181,15 @@ def _check_full_rank(x: np.ndarray, names: tuple[str, ...]) -> None:
     )
 
 
-def _canonical_order(dataset: Dataset, groups: tuple[str, ...] | None = None) -> np.ndarray:
+def _canonical_order(dataset: Dataset) -> np.ndarray:
     """A total order on observations that does not depend on input order.
 
     Fitting in this canonical order makes every floating-point reduction
     identical for any permutation of the same rows, so permuting a dataset
-    cannot change the fit. ``groups`` overrides the observations' own
-    group labels in the sort key.
+    cannot change the fit.
     """
-    if groups is None:
-        groups = tuple(o.group or "" for o in dataset.observations)
     keys = [
-        (o.estimate, o.std_error, o.covariates, g, o.id)
-        for o, g in zip(dataset.observations, groups)
+        (o.estimate, o.std_error, o.covariates, o.group or "", o.id) for o in dataset.observations
     ]
     return np.array(sorted(range(dataset.m), key=keys.__getitem__), dtype=int)
 
@@ -270,7 +280,9 @@ class _ProfiledObjective:
     X^T V^-1 X, X^T V^-1 y and r^T V^-1 r by group sums of the weighted
     rows, so an evaluation costs O(m p^2) and no m x m matrix is formed.
     At sigma_g_sq = 0 every correction is an exact floating-point zero,
-    so the result is bit for bit the flat model's.
+    so the result is bit for bit the flat model's. ``groups`` holds one
+    label per row (``dataset.groups()``) for the grouped model and is None
+    for the flat one.
     """
 
     def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
@@ -291,7 +303,7 @@ class _ProfiledObjective:
                 stacklevel=3,
             )
 
-        self.order = _canonical_order(dataset, groups)
+        self.order = _canonical_order(dataset)
         self.x = x_full[self.order]
         self.y = dataset.estimates()[self.order]
         self.variances = floored_variances(dataset)[self.order]

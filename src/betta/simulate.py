@@ -38,7 +38,7 @@ from .estimators import EstimatorFn, resolve_estimator
 from .inference import homogeneity_test, wald_tests
 from .model import Dataset, RichnessObservation, fit_betta
 from .special import student_t_two_sided_p
-from .tables import FrequencyCountTable
+from .tables import FrequencyCountTable, _read_source, _write_target
 
 CONTINUOUS_GRID = "continuous-grid"
 TWO_CATEGORY = "two-category"
@@ -265,28 +265,13 @@ def write_report(report: ExperimentReport, target: Union[str, Path, IO, None] = 
         lines.append(
             f"{row.method},{row.alpha!r},{row.rate!r},{row.mc_se!r},{report.n_datasets},{report.seed}"
         )
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
-    return text
+    return _write_target("\n".join(lines) + "\n", target)
 
 
 def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
-    """Parse a serialized report back (p_values are not round-tripped)."""
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        text = str(source)
-        if "\n" not in text:
-            # No newline: this is a path, not inline report text.
-            path = Path(text)
-            if path.exists():
-                text = path.read_text(encoding="utf-8")
+    """Parse a serialized report back from a path or a stream (p_values are
+    not round-tripped)."""
+    text = _read_source(source)
     kind = "unknown"
     config_echo: dict = {}
     failures = 0
@@ -358,7 +343,6 @@ def resample_dataset(
 class _Payload:
     """Everything a worker needs to reproduce a dataset range."""
 
-    mode: str                               # "covariate" | "homogeneity"
     probs_by_percent: dict
     percents: tuple[float, ...]             # per replicate
     covariate: tuple[float, ...] | None     # per replicate, None for homogeneity
@@ -415,35 +399,27 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
         std_errors.append(est.std_error)
         observed.append(float(table.observed_richness))
 
-    if payload.mode == "homogeneity":
-        observations = tuple(
-            RichnessObservation(id=f"d{d}r{r}", estimate=estimates[r], std_error=std_errors[r])
+    covariate = payload.covariate
+    dataset = Dataset(
+        observations=tuple(
+            RichnessObservation(
+                id=f"d{d}r{r}", estimate=estimates[r], std_error=std_errors[r],
+                covariates=() if covariate is None else (float(covariate[r]),),
+            )
             for r in range(config.replicates_per_dataset)
-        )
-        dataset = Dataset(observations=observations)
-        with warnings.catch_warnings():
-            # Degenerate redraws (zero claimed SEs, wild weights) are routine
-            # in a Monte Carlo loop; per-fit advisories are just noise here.
-            warnings.simplefilter("ignore", StdErrorFlooredWarning)
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            fit = fit_betta(dataset)
-            p_q = homogeneity_test(fit, dataset).p_value
-        return {METHOD_HOMOGENEITY: p_q}, failures
-
-    x = np.asarray(payload.covariate, dtype=float)
-    observations = tuple(
-        RichnessObservation(
-            id=f"d{d}r{r}", estimate=estimates[r], std_error=std_errors[r], covariates=(float(x[r]),)
-        )
-        for r in range(config.replicates_per_dataset)
+        ),
+        covariate_names=() if covariate is None else ("x",),
     )
-    dataset = Dataset(observations=observations, covariate_names=("x",))
     with warnings.catch_warnings():
+        # Degenerate redraws (zero claimed SEs, wild weights) are routine
+        # in a Monte Carlo loop; per-fit advisories are just noise here.
         warnings.simplefilter("ignore", StdErrorFlooredWarning)
         warnings.simplefilter("ignore", IllConditionedWarning)
         fit = fit_betta(dataset)
+        if covariate is None:
+            return {METHOD_HOMOGENEITY: homogeneity_test(fit, dataset).p_value}, failures
         p_betta = wald_tests(fit)[1].p_value
-    p_reg = _ols_slope_p_value(x, np.asarray(observed))
+    p_reg = _ols_slope_p_value(np.asarray(covariate, dtype=float), np.asarray(observed))
     return {METHOD_BETTA: p_betta, METHOD_REGRESSION: p_reg}, failures
 
 
@@ -551,7 +527,6 @@ def run_size_experiment(
     covariate = _covariate_values(config)
     percents = (0.0,) * config.replicates_per_dataset
     payload = _Payload(
-        mode="covariate",
         probs_by_percent=_injected_probabilities(pop, percents),
         percents=percents,
         covariate=covariate,
@@ -593,7 +568,6 @@ def run_power_experiment(
         n_a = (r + 1) // 2
         percents = (0.0,) * n_a + (float(gradient),) * (r - n_a)  # type: ignore[arg-type]
     payload = _Payload(
-        mode="covariate",
         probs_by_percent=_injected_probabilities(pop, percents),
         percents=percents,
         covariate=covariate,
@@ -635,7 +609,6 @@ def run_homogeneity_experiment(
         n_a = (r + 1) // 2
         percents = (0.0,) * n_a + (float(gradient),) * (r - n_a)
     payload = _Payload(
-        mode="homogeneity",
         probs_by_percent=_injected_probabilities(pop, percents),
         percents=percents,
         covariate=None,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import EmptyTableError, ParseError
 from .model import Dataset, RichnessObservation
-from .mixed import GroupedDataset
 
 Source = Union[str, Path, IO]
 
@@ -89,33 +88,46 @@ class FrequencyCountTable:
         return math.inf if f1 > 0 else math.nan
 
 
-def _open_lines(source: Source):
-    """Yield (line_number, raw_line) from a path, text, or stream."""
+def _read_source(source: Source) -> str:
+    """The text of an input: a str or Path is a file path, anything with .read() a stream."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        text = data
-    elif isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        path = Path(source)
-        if path.exists():
-            text = path.read_text(encoding="utf-8")
-        elif isinstance(source, str) and ("," in source or "\t" in source):
-            text = source
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    if not isinstance(source, (str, Path)):
+        raise TypeError(f"expected a file path or a readable stream, got {type(source).__name__}")
+    path = Path(source)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {source}")
+    return path.read_text(encoding="utf-8")
+
+
+def _write_target(text: str, target: Union[str, Path, IO, None]) -> str:
+    """Write text to a path or a stream (nothing for None); return the text."""
+    if target is not None:
+        if hasattr(target, "write"):
+            target.write(text)
         else:
-            raise FileNotFoundError(f"no such file: {source}")
-    for number, raw in enumerate(text.splitlines(), start=1):
-        yield number, raw
+            Path(target).write_text(text, encoding="utf-8")
+    return text
 
 
-def _detect_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
+def _records(source: Source):
+    """Yield (line_number, fields) for every non-blank, non-comment line.
+
+    The delimiter is a tab if the first such line has one, else a comma.
+    """
+    delimiter: str | None = None
+    for number, raw in enumerate(_read_source(source).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if delimiter is None:
+            delimiter = "\t" if "\t" in line else ","
+        yield number, [f.strip() for f in line.split(delimiter)]
 
 
 def read_frequency_table(source: Source) -> FrequencyCountTable:
-    """Parse a two-column (abundance, count) table.
+    """Parse a two-column (abundance, count) table from a path or a stream.
 
     Comma-delimited with tab auto-detection, '#' comment lines, optional
     single header line. Duplicate abundances and nonpositive or
@@ -124,15 +136,8 @@ def read_frequency_table(source: Source) -> FrequencyCountTable:
     """
     rows: dict[int, int] = {}
     first_line: dict[int, int] = {}
-    delimiter: str | None = None
     saw_content = False
-    for number, raw in _open_lines(source):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
-        fields = [f.strip() for f in line.split(delimiter)]
+    for number, fields in _records(source):
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", number)
         try:
@@ -161,13 +166,7 @@ def write_frequency_table(table: FrequencyCountTable, target: Union[str, Path, I
     """Serialize a table in the same two-column format; returns the text."""
     lines = ["abundance,count"]
     lines += [f"{j},{f}" for j, f in table.entries]
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
-    return text
+    return _write_target("\n".join(lines) + "\n", target)
 
 
 @dataclass(frozen=True)
@@ -222,12 +221,8 @@ def chao1(table: FrequencyCountTable) -> RichnessEstimate:
 class LoadedEstimates:
     """read_estimates output: the dataset plus ingestion bookkeeping."""
 
-    dataset: Union[Dataset, GroupedDataset]
+    dataset: Dataset
     n_dropped: int
-
-    @property
-    def base(self) -> Dataset:
-        return self.dataset.base if isinstance(self.dataset, GroupedDataset) else self.dataset
 
 
 def _is_missing(token: str) -> bool:
@@ -246,14 +241,15 @@ def read_estimates(
     covariates: tuple[str, ...] | list[str] | None = None,
     group: str | None = None,
 ) -> LoadedEstimates:
-    """Parse an estimates table into a Dataset (or GroupedDataset).
+    """Parse an estimates table into a Dataset.
 
-    The header names the columns: id, estimate and std_error are
-    mandatory; remaining columns are covariates unless one is named
-    'group' (or selected by the group argument), which supplies group
-    labels. Missing cells are "NA" or empty. Rows with a missing or
-    non-finite estimate, std_error, selected covariate, or group label
-    are dropped and counted.
+    The source is a file path (str or Path) or a readable stream. The
+    header names the columns: id, estimate and std_error are mandatory;
+    remaining columns are covariates unless one is named 'group' (or
+    selected by the group argument), which supplies every row's group
+    label (RichnessObservation.group). Missing cells are "NA" or empty.
+    Rows with a missing or non-finite estimate, std_error, selected
+    covariate, or group label are dropped and counted.
 
     A covariate column whose non-missing values all parse as numbers is
     numeric; any other column is categorical and expands to one 0/1
@@ -261,16 +257,9 @@ def read_estimates(
     first level in sorted order. Indicator columns are named
     '<column>=<level>'.
     """
-    delimiter: str | None = None
     header: list[str] | None = None
     raw_rows: list[tuple[int, list[str]]] = []
-    for number, raw in _open_lines(source):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if delimiter is None:
-            delimiter = _detect_delimiter(line)
-        fields = [f.strip() for f in line.split(delimiter)]
+    for number, fields in _records(source):
         if header is None:
             header = fields
             continue
@@ -354,41 +343,30 @@ def read_estimates(
             )
         )
 
-    if group_col is not None:
-        dataset: Union[Dataset, GroupedDataset] = GroupedDataset.from_observations(
-            tuple(observations), covariate_names=tuple(out_names)
-        )
-    else:
-        dataset = Dataset(observations=tuple(observations), covariate_names=tuple(out_names))
+    dataset = Dataset(observations=tuple(observations), covariate_names=tuple(out_names))
     return LoadedEstimates(dataset=dataset, n_dropped=n_dropped)
 
 
-def write_estimates(data: Union[Dataset, GroupedDataset], target: Union[str, Path, IO, None] = None) -> str:
+def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) -> str:
     """Serialize a dataset back to the estimates-table format.
 
     Numeric fields use repr, so a write -> read round trip reproduces
     every float bit-for-bit. Categorical covariates that were expanded on
-    read are written as their numeric indicator columns.
+    read are written as their numeric indicator columns; group labels,
+    when the rows carry them, go in a trailing 'group' column.
     """
-    grouped = isinstance(data, GroupedDataset)
-    base = data.base if grouped else data
-    header = ["id", "estimate", "std_error", *base.covariate_names]
+    grouped = data.groups() is not None
+    header = ["id", "estimate", "std_error", *data.covariate_names]
     if grouped:
         header.append(GROUP_COLUMN)
     lines = [",".join(header)]
-    for i, obs in enumerate(base.observations):
+    for obs in data.observations:
         fields = [obs.id, repr(obs.estimate), repr(obs.std_error)]
         fields += [repr(v) for v in obs.covariates]
         if grouped:
-            fields.append(data.groups[i])  # type: ignore[union-attr]
+            fields.append(obs.group)  # type: ignore[arg-type]
         lines.append(",".join(fields))
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
-    return text
+    return _write_target("\n".join(lines) + "\n", target)
 
 
 def table_to_stream(table: FrequencyCountTable) -> io.BytesIO:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,16 @@ def make_dataset(y, se, x=None, names=(), ids=None, groups=None):
             )
         )
     return Dataset(observations=tuple(obs), covariate_names=tuple(names))
+
+
+def with_groups(dataset, groups):
+    """The same rows as dataset, labelled with one group per observation."""
+    return Dataset(
+        observations=tuple(
+            dataclasses.replace(o, group=g) for o, g in zip(dataset.observations, groups, strict=True)
+        ),
+        covariate_names=dataset.covariate_names,
+    )
 
 
 @pytest.fixture

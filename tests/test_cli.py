@@ -124,9 +124,11 @@ class TestFit:
         assert "b" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
-        code = main(["fit", "--input", "/no/such.csv", "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        # A path that looks like a CSV row is still a path, not data.
+        for path in ("/no/such.csv", "no_such,file.csv"):
+            code = main(["fit", "--input", path, "--out", str(tmp_path / "o")])
+            assert code == EXIT_USAGE
+            assert f"error: no such file: {path}" in capsys.readouterr().err
 
     def test_too_few_usable_rows(self, tmp_path, capsys):
         table = tmp_path / "thin.csv"
@@ -356,6 +358,11 @@ class TestEstimate:
         code = main(["estimate", "--input", FREQ, "--estimator", "cmd:exit 7"])
         assert code == EXIT_ESTIMATOR
         assert "status 7" in capsys.readouterr().err
+
+    def test_path_that_looks_like_data_is_still_a_path(self, capsys):
+        code = main(["estimate", "--input", "no_such,file.csv"])
+        assert code == EXIT_USAGE
+        assert "no such file: no_such,file.csv" in capsys.readouterr().err
 
     def test_unknown_estimator_name(self, capsys):
         code = main(["estimate", "--input", FREQ, "--estimator", "jackknife"])

@@ -9,10 +9,10 @@ import pytest
 from betta import Dataset, RichnessObservation, fit_betta
 from betta.errors import ConfoundingError
 from betta.inference import global_test, wald_tests
-from betta.mixed import GroupedDataset, fit_betta_random
+from betta.mixed import fit_betta_random
 from betta.model import _ProfiledObjective
 from betta.optimize import minimize_bounded
-from conftest import make_dataset
+from conftest import make_dataset, with_groups
 
 
 def scenario_flat():
@@ -22,7 +22,7 @@ def scenario_flat():
     se = rng.uniform(5.0, 15.0, m)
     y = 100.0 + rng.normal(0.0, se)
     groups = tuple(f"g{i // 10}" for i in range(m))
-    return GroupedDataset(base=make_dataset(y, se), groups=groups)
+    return make_dataset(y, se, groups=groups)
 
 
 def scenario_grouped():
@@ -33,36 +33,52 @@ def scenario_grouped():
     effects = rng.normal(0.0, 70.0, 20)
     groups = tuple(f"p{i // 5:02d}" for i in range(m))
     y = 150.0 + np.array([effects[i // 5] for i in range(m)]) + rng.normal(0.0, se)
-    return GroupedDataset(base=make_dataset(y, se), groups=groups), effects
+    return make_dataset(y, se, groups=groups), effects
 
 
 class TestContainer:
-    def test_levels_are_sorted_and_counted(self):
-        ds = make_dataset([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        g = GroupedDataset(base=ds, groups=("b", "a", "b"))
-        assert g.levels == ("a", "b")
-        assert g.n_groups == 2
-
-    def test_label_count_must_match(self):
-        ds = make_dataset([1.0, 2.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="group labels"):
-            GroupedDataset(base=ds, groups=("a",))
-
     def test_empty_labels_rejected(self):
-        ds = make_dataset([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="non-empty"):
-            GroupedDataset(base=ds, groups=("a", ""))
+            RichnessObservation(id="a", estimate=1.0, std_error=1.0, group="")
 
-    def test_from_observations_requires_labels(self):
+    def test_partial_labelling_rejected_naming_unlabelled_ids(self):
         obs = (
             RichnessObservation(id="a", estimate=1.0, std_error=1.0, group="x"),
             RichnessObservation(id="b", estimate=2.0, std_error=1.0),
+            RichnessObservation(id="c", estimate=3.0, std_error=1.0, group="y"),
+            RichnessObservation(id="d", estimate=4.0, std_error=1.0),
         )
-        with pytest.raises(ValueError, match="without a group label"):
-            GroupedDataset.from_observations(obs)
-        both = (obs[0], RichnessObservation(id="b", estimate=2.0, std_error=1.0, group="y"))
-        g = GroupedDataset.from_observations(both)
-        assert g.groups == ("x", "y")
+        with pytest.raises(ValueError, match=r"without a group label: \['b', 'd'\]"):
+            Dataset(observations=obs)
+
+    def test_groups_are_the_row_labels_or_none(self):
+        ds = make_dataset([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert ds.groups() is None
+        assert with_groups(ds, ("b", "a", "b")).groups() == ("b", "a", "b")
+
+    def test_unlabelled_dataset_rejected_by_the_grouped_fit(self):
+        ds = make_dataset([1.0, 2.0, 3.0, 4.0], [1.0] * 4)
+        with pytest.raises(ValueError, match="group label"):
+            fit_betta_random(ds)
+
+    def test_labels_never_change_the_flat_fit(self):
+        # The last five rows repeat the first five under another label, so
+        # the labels also reorder tied rows in the canonical sort.
+        grouped, _ = scenario_grouped()
+        y = np.concatenate([grouped.estimates(), grouped.estimates()[:5]])
+        se = np.concatenate([grouped.std_errors(), grouped.std_errors()[:5]])
+        x = np.random.default_rng(3).normal(size=(grouped.m, 2))
+        x = np.vstack([x, x[:5]])
+        labels = grouped.groups() + ("a",) * 5
+        labelled = make_dataset(y, se, x=x, names=("a", "b"), groups=labels)
+        plain = make_dataset(y, se, x=x, names=("a", "b"))
+        a, b = fit_betta(labelled), fit_betta(plain)
+        assert np.array_equal(a.beta_hat, b.beta_hat)
+        assert a.sigma_u_sq_hat == b.sigma_u_sq_hat
+        assert a.reml_value == b.reml_value
+        assert np.array_equal(a.beta_cov, b.beta_cov)
+        assert np.array_equal(a.fitted, b.fitted)
+        assert np.array_equal(a.std_residuals, b.std_residuals)
 
 
 class TestVarianceRecovery:
@@ -115,7 +131,7 @@ class TestReductions:
         ]
         for ds, groups in inputs:
             flat = fit_betta(ds)
-            fixed = fit_betta_random(GroupedDataset(base=ds, groups=groups), fix_sigma_g_sq=0.0)
+            fixed = fit_betta_random(with_groups(ds, groups), fix_sigma_g_sq=0.0)
             assert np.array_equal(fixed.beta_hat, flat.beta_hat)
             assert fixed.sigma_u_sq_hat == flat.sigma_u_sq_hat
             assert fixed.reml_value == flat.reml_value
@@ -130,7 +146,7 @@ class TestReductions:
         ds = make_dataset(y, se)
         flat = fit_betta(ds)
         with pytest.warns(UserWarning, match="one group"):
-            fit = fit_betta_random(GroupedDataset(base=ds, groups=("only",) * 12))
+            fit = fit_betta_random(with_groups(ds, ("only",) * 12))
         # The all-ones indicator sits inside the intercept span, so the
         # restricted likelihood is flat in the group variance and the
         # boundary zero wins.
@@ -143,13 +159,10 @@ class TestReductions:
 class TestInvariancesAndErrors:
     def test_permutation_invariance_is_bitwise(self):
         grouped, _ = scenario_grouped()
-        perm = np.random.default_rng(17).permutation(grouped.base.m)
-        shuffled = GroupedDataset(
-            base=Dataset(
-                observations=tuple(grouped.base.observations[i] for i in perm),
-                covariate_names=grouped.base.covariate_names,
-            ),
-            groups=tuple(grouped.groups[i] for i in perm),
+        perm = np.random.default_rng(17).permutation(grouped.m)
+        shuffled = Dataset(
+            observations=tuple(grouped.observations[i] for i in perm),
+            covariate_names=grouped.covariate_names,
         )
         a, b = fit_betta_random(grouped), fit_betta_random(shuffled)
         assert np.array_equal(a.beta_hat, b.beta_hat)
@@ -166,7 +179,7 @@ class TestInvariancesAndErrors:
             x=[[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]],
             names=("dose",),
         )
-        grouped = GroupedDataset(base=ds, groups=("a", "a", "b", "b", "c", "c"))
+        grouped = with_groups(ds, ("a", "a", "b", "b", "c", "c"))
         with pytest.raises(ConfoundingError, match="dose"):
             fit_betta_random(grouped)
 
@@ -177,7 +190,7 @@ class TestInvariancesAndErrors:
             x=[[0.0], [0.5], [1.0], [1.0], [2.0], [2.5]],
             names=("dose",),
         )
-        grouped = GroupedDataset(base=ds, groups=("a", "a", "b", "b", "c", "c"))
+        grouped = with_groups(ds, ("a", "a", "b", "b", "c", "c"))
         fit = fit_betta_random(grouped)
         assert fit.converged
 
@@ -191,10 +204,9 @@ class TestInvariancesAndErrors:
         # The joint test reads the fit's own covariance, which carries
         # sigma_g_sq; with one covariate it is the squared Wald z.
         grouped, _ = scenario_grouped()
-        x = np.random.default_rng(5).normal(size=grouped.base.m)
-        base = make_dataset(grouped.base.estimates(), grouped.base.std_errors(),
-                            x=x[:, None], names=("x",))
-        fit = fit_betta_random(GroupedDataset(base=base, groups=grouped.groups))
+        x = np.random.default_rng(5).normal(size=grouped.m)
+        fit = fit_betta_random(make_dataset(grouped.estimates(), grouped.std_errors(),
+                                            x=x[:, None], names=("x",), groups=grouped.groups()))
         assert fit.sigma_g_sq_hat > 0.0
         z = wald_tests(fit)[1].statistic
         assert global_test(fit).statistic == pytest.approx(z * z, rel=1e-12)
@@ -202,7 +214,7 @@ class TestInvariancesAndErrors:
     def test_two_rows_minimum(self):
         ds = make_dataset([1.0], [1.0])
         with pytest.raises(ValueError, match="at least 2"):
-            fit_betta_random(GroupedDataset(base=ds, groups=("a",)))
+            fit_betta_random(with_groups(ds, ("a",)))
 
 
 def dense_reml(objective, sigma_u_sq, sigma_g_sq):
@@ -253,8 +265,8 @@ def random_grouped_problem(seed):
     se = rng.uniform(5.0, 50.0, m)
     effects = rng.normal(0.0, rng.uniform(0.0, 80.0), len(sizes))
     y = 150.0 + x @ rng.normal(0.0, 10.0, p) + effects[codes] + rng.normal(0.0, se)
-    ds = make_dataset(y, se, x=x if p else None, names=tuple(f"x{j}" for j in range(p)))
-    return GroupedDataset(base=ds, groups=tuple(f"g{c:02d}" for c in codes))
+    return make_dataset(y, se, x=x if p else None, names=tuple(f"x{j}" for j in range(p)),
+                        groups=tuple(f"g{c:02d}" for c in codes))
 
 
 class TestDenseOracle:
@@ -266,7 +278,7 @@ class TestDenseOracle:
         worst_value = worst_beta = 0.0
         for seed in self.SEEDS:
             grouped = random_grouped_problem(seed)
-            objective = _ProfiledObjective(grouped.base, grouped.groups)
+            objective = _ProfiledObjective(grouped, grouped.groups())
             for sigma_u_sq in (0.0, 1.0, 300.0, 1e4):
                 for sigma_g_sq in (1e-3, 1.0, 100.0, 1e4, 1e6):
                     value, beta, _, _ = objective.components(sigma_u_sq, sigma_g_sq)
@@ -284,5 +296,5 @@ class TestDenseOracle:
         for seed in self.SEEDS:
             grouped = random_grouped_problem(seed)
             fit = fit_betta_random(grouped)
-            oracle = dense_oracle_fit(_ProfiledObjective(grouped.base, grouped.groups))
+            oracle = dense_oracle_fit(_ProfiledObjective(grouped, grouped.groups()))
             assert fit.reml_value == pytest.approx(oracle, rel=1e-10)

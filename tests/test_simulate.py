@@ -7,6 +7,7 @@ runs live in the acceptance module. Rates from those tiny runs are frozen
 as regression pins because the draw paths are part of the seed contract.
 """
 
+import io
 import math
 
 import numpy as np
@@ -46,7 +47,7 @@ TOY_TABLE_TEXT = "1,20\n2,10\n5,3"
 
 
 def toy_population():
-    return population_from_table(read_frequency_table(TOY_TABLE_TEXT), label="toy")
+    return population_from_table(read_frequency_table(io.StringIO(TOY_TABLE_TEXT)), label="toy")
 
 
 def toy_config(**overrides):
@@ -94,7 +95,7 @@ class TestPopulations:
         assert pop.singleton_weight == pytest.approx(1.0 / 55.0, rel=1e-15)
 
     def test_two_equal_categories(self):
-        pop = population_from_table(read_frequency_table("2,2"))
+        pop = population_from_table(read_frequency_table(io.StringIO("2,2")))
         assert pop.probabilities.tolist() == [0.5, 0.5]
         assert pop.singleton_weight is None
 
@@ -134,7 +135,7 @@ class TestGradientInjection:
         assert after == pytest.approx(before, rel=1e-12)
 
     def test_undefined_without_singletons(self):
-        pop = population_from_table(read_frequency_table("2,10\n5,3"))
+        pop = population_from_table(read_frequency_table(io.StringIO("2,10\n5,3")))
         with pytest.raises(GradientUndefinedError):
             inject_richness_gradient(pop, 5.0)
 
@@ -352,7 +353,7 @@ class TestReportIO:
     def test_round_trip(self):
         report = run_size_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=8))
         text = write_report(report)
-        back = read_report(text)
+        back = read_report(io.StringIO(text))
         assert back.rows == report.rows
         assert back.kind == report.kind
         assert back.n_datasets == report.n_datasets
@@ -368,6 +369,12 @@ class TestReportIO:
         assert p.read_text() == text
         assert read_report(p).rows == report.rows
         assert read_report(str(p)).rows == report.rows
+
+    def test_missing_file_is_an_error_not_an_empty_report(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no such file"):
+            read_report(tmp_path / "missing.csv")
+        with pytest.raises(FileNotFoundError, match="no such file"):
+            read_report("missing.csv")
 
     def test_unknown_row_lookup_raises(self):
         report = ExperimentReport(

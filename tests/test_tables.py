@@ -22,7 +22,6 @@ from betta.estimators import (
     observed_richness_estimator,
     resolve_estimator,
 )
-from betta.mixed import GroupedDataset
 from betta.tables import (
     FrequencyCountTable,
     chao1,
@@ -32,6 +31,7 @@ from betta.tables import (
     write_estimates,
     write_frequency_table,
 )
+from conftest import with_groups
 
 
 class TestFrequencyCountTable:
@@ -81,39 +81,39 @@ class TestFrequencyCountTable:
 
 class TestFrequencyTableParsing:
     def test_inline_text(self):
-        t = read_frequency_table("1,20\n2,10\n5,3")
+        t = read_frequency_table(io.StringIO("1,20\n2,10\n5,3"))
         assert t.observed_richness == 33
         assert t.total_reads == 55
 
     def test_header_comments_and_blank_lines(self):
         text = "# sample 7\nabundance,count\n\n1,20\n2,10\n"
-        t = read_frequency_table(text)
+        t = read_frequency_table(io.StringIO(text))
         assert t.entries == ((1, 20), (2, 10))
 
     def test_tab_delimited(self):
-        assert read_frequency_table("1\t20\n2\t10").entries == ((1, 20), (2, 10))
+        assert read_frequency_table(io.StringIO("1\t20\n2\t10")).entries == ((1, 20), (2, 10))
 
     def test_rows_are_stored_ascending(self):
-        assert read_frequency_table("5,3\n1,20\n2,10").entries == ((1, 20), (2, 10), (5, 3))
+        assert read_frequency_table(io.StringIO("5,3\n1,20\n2,10")).entries == ((1, 20), (2, 10), (5, 3))
 
     def test_duplicate_abundance_names_both_lines(self):
         with pytest.raises(ParseError, match="line 3.*duplicate abundance 1.*line 1") as e:
-            read_frequency_table("1,20\n2,10\n1,5")
+            read_frequency_table(io.StringIO("1,20\n2,10\n1,5"))
         assert e.value.line_number == 3
 
     def test_field_count_and_numeric_errors(self):
         with pytest.raises(ParseError, match="expected 2 fields"):
-            read_frequency_table("1,2,3")
+            read_frequency_table(io.StringIO("1,2,3"))
         with pytest.raises(ParseError, match="non-integer"):
-            read_frequency_table("1,20\nx,10")
+            read_frequency_table(io.StringIO("1,20\nx,10"))
         with pytest.raises(ParseError, match=">= 1"):
-            read_frequency_table("0,5")
+            read_frequency_table(io.StringIO("0,5"))
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyTableError):
-            read_frequency_table("# nothing\n\n")
+            read_frequency_table(io.StringIO("# nothing\n\n"))
         with pytest.raises(EmptyTableError):
-            read_frequency_table("abundance,count\n")
+            read_frequency_table(io.StringIO("abundance,count\n"))
 
     def test_path_and_stream_sources(self, tmp_path):
         p = tmp_path / "freq.csv"
@@ -123,14 +123,22 @@ class TestFrequencyTableParsing:
         assert read_frequency_table(io.StringIO("1,4\n2,2\n")).entries == ((1, 4), (2, 2))
 
     def test_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            read_frequency_table("/no/such/file.csv")
+        # A string is always a file name, even one that looks like table rows.
+        for path in ("/no/such/file.csv", "no_such,file.csv", "1,20\n2,10\n", "1\t20"):
+            with pytest.raises(FileNotFoundError, match="no such file"):
+                read_frequency_table(path)
+            with pytest.raises(FileNotFoundError, match="no such file"):
+                read_estimates(path)
+
+    def test_other_sources_rejected(self):
+        with pytest.raises(TypeError, match="file path or a readable stream"):
+            read_frequency_table(["1,20", "2,10"])
 
     def test_write_read_round_trip(self):
         t = FrequencyCountTable(entries=((1, 30), (2, 12), (20, 1)))
         text = write_frequency_table(t)
         assert text.startswith("abundance,count\n")
-        assert read_frequency_table(text).entries == t.entries
+        assert read_frequency_table(io.StringIO(text)).entries == t.entries
 
     def test_stream_serialization(self):
         t = FrequencyCountTable(entries=((1, 2), (3, 1)))
@@ -199,7 +207,7 @@ s3,143.25,15.0,3.5
 
 class TestReadEstimates:
     def test_numeric_covariates(self):
-        loaded = read_estimates(ESTIMATES_CSV)
+        loaded = read_estimates(io.StringIO(ESTIMATES_CSV))
         ds = loaded.dataset
         assert loaded.n_dropped == 0
         assert ds.covariate_names == ("depth",)
@@ -209,7 +217,7 @@ class TestReadEstimates:
 
     def test_missing_rows_are_dropped_and_counted(self):
         text = "id,estimate,std_error\na,1.0,0.5\nb,NA,0.5\nc,2.0,0.5\n"
-        loaded = read_estimates(text)
+        loaded = read_estimates(io.StringIO(text))
         assert loaded.n_dropped == 1
         assert loaded.dataset.m == 2
         assert loaded.dataset.ids() == ("a", "c")
@@ -217,11 +225,11 @@ class TestReadEstimates:
     def test_too_few_usable_rows(self):
         text = "id,estimate,std_error\na,1.0,0.5\nb,NA,0.5\n"
         with pytest.raises(EmptyTableError, match="fewer than 2"):
-            read_estimates(text)
+            read_estimates(io.StringIO(text))
 
     def test_categorical_expansion_sorted_reference(self):
         text = "id,estimate,std_error,trt\na,1.0,0.5,B\nb,2.0,0.5,A\nc,3.0,0.5,B\n"
-        ds = read_estimates(text).dataset
+        ds = read_estimates(io.StringIO(text)).dataset
         assert ds.covariate_names == ("trt=B",)
         assert ds.covariate_matrix()[:, 0].tolist() == [1.0, 0.0, 1.0]
 
@@ -229,7 +237,7 @@ class TestReadEstimates:
         rows = ["id,estimate,std_error,site"]
         for i, site in enumerate(["c", "a", "b", "a", "c"]):
             rows.append(f"s{i},{10.0 + i},1.0,{site}")
-        ds = read_estimates("\n".join(rows) + "\n").dataset
+        ds = read_estimates(io.StringIO("\n".join(rows) + "\n")).dataset
         assert ds.covariate_names == ("site=b", "site=c")
         assert ds.covariate_matrix().tolist() == [
             [0.0, 1.0],
@@ -241,54 +249,54 @@ class TestReadEstimates:
 
     def test_group_column_autodetected(self):
         text = "id,estimate,std_error,group\na,1.0,0.5,g1\nb,2.0,0.5,g2\n"
-        loaded = read_estimates(text)
-        assert isinstance(loaded.dataset, GroupedDataset)
-        assert loaded.dataset.groups == ("g1", "g2")
-        assert loaded.base.m == 2
+        loaded = read_estimates(io.StringIO(text))
+        assert loaded.dataset.groups() == ("g1", "g2")
+        assert loaded.dataset.covariate_names == ()
+        assert loaded.dataset.m == 2
 
     def test_group_column_by_name(self):
         text = "id,estimate,std_error,patient\na,1.0,0.5,p1\nb,2.0,0.5,p2\n"
-        loaded = read_estimates(text, group="patient")
-        assert isinstance(loaded.dataset, GroupedDataset)
-        assert loaded.dataset.groups == ("p1", "p2")
+        loaded = read_estimates(io.StringIO(text), group="patient")
+        assert loaded.dataset.groups() == ("p1", "p2")
         # Without the selection the same column is a categorical covariate.
-        plain = read_estimates(text).dataset
+        plain = read_estimates(io.StringIO(text)).dataset
         assert plain.covariate_names == ("patient=p2",)
+        assert plain.groups() is None
 
     def test_missing_group_label_drops_row(self):
         text = "id,estimate,std_error,group\na,1.0,0.5,g1\nb,2.0,0.5,NA\nc,3.0,0.5,g2\n"
-        loaded = read_estimates(text)
+        loaded = read_estimates(io.StringIO(text))
         assert loaded.n_dropped == 1
-        assert loaded.dataset.groups == ("g1", "g2")
+        assert loaded.dataset.groups() == ("g1", "g2")
 
     def test_header_errors(self):
         with pytest.raises(ParseError, match="std_error"):
-            read_estimates("id,estimate\na,1.0\nb,2.0\n")
+            read_estimates(io.StringIO("id,estimate\na,1.0\nb,2.0\n"))
         with pytest.raises(ParseError, match="duplicate column"):
-            read_estimates("id,estimate,std_error,x,x\na,1,1,2,3\nb,1,1,2,3\n")
+            read_estimates(io.StringIO("id,estimate,std_error,x,x\na,1,1,2,3\nb,1,1,2,3\n"))
         with pytest.raises(ParseError, match="covariate column 'y'"):
-            read_estimates(ESTIMATES_CSV, covariates=("y",))
+            read_estimates(io.StringIO(ESTIMATES_CSV), covariates=("y",))
         with pytest.raises(ParseError, match="group column"):
-            read_estimates(ESTIMATES_CSV, group="patient")
+            read_estimates(io.StringIO(ESTIMATES_CSV), group="patient")
         with pytest.raises(EmptyTableError):
-            read_estimates("\n# empty\n")
+            read_estimates(io.StringIO("\n# empty\n"))
 
     def test_row_width_mismatch_carries_line_number(self):
         text = "id,estimate,std_error\na,1.0,0.5\nb,2.0\n"
         with pytest.raises(ParseError, match="line 3") as e:
-            read_estimates(text)
+            read_estimates(io.StringIO(text))
         assert e.value.line_number == 3
 
     def test_covariate_subset_selection(self):
         text = "id,estimate,std_error,x,y\na,1.0,0.5,1,9\nb,2.0,0.5,2,8\nc,3.0,0.5,3,7\n"
-        ds = read_estimates(text, covariates=("y",)).dataset
+        ds = read_estimates(io.StringIO(text), covariates=("y",)).dataset
         assert ds.covariate_names == ("y",)
         assert ds.covariate_matrix()[:, 0].tolist() == [9.0, 8.0, 7.0]
 
     def test_round_trip_is_bit_exact(self, rng_dataset):
         ds = rng_dataset(41, m=8, with_covariate=True)
         text = write_estimates(ds)
-        back = read_estimates(text).dataset
+        back = read_estimates(io.StringIO(text)).dataset
         assert back.ids() == ds.ids()
         assert back.covariate_names == ds.covariate_names
         assert back.estimates().tolist() == ds.estimates().tolist()
@@ -296,13 +304,11 @@ class TestReadEstimates:
         assert back.covariate_matrix().tolist() == ds.covariate_matrix().tolist()
 
     def test_grouped_round_trip(self, rng_dataset):
-        base = rng_dataset(42, m=6)
-        grouped = GroupedDataset(base=base, groups=("u", "v", "u", "w", "v", "w"))
+        grouped = with_groups(rng_dataset(42, m=6), ("u", "v", "u", "w", "v", "w"))
         text = write_estimates(grouped)
-        back = read_estimates(text).dataset
-        assert isinstance(back, GroupedDataset)
-        assert back.groups == grouped.groups
-        assert back.base.estimates().tolist() == base.estimates().tolist()
+        assert text.splitlines()[0] == "id,estimate,std_error,group"
+        back = read_estimates(io.StringIO(text)).dataset
+        assert back == grouped
 
     def test_write_to_path_and_stream(self, tmp_path, rng_dataset):
         ds = rng_dataset(43, m=4)
