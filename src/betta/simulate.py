@@ -313,12 +313,21 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
 # resampling core
 # ----------------------------------------------------------------------------
 
-def _draw_table(
-    probabilities: np.ndarray, sizes: SampleSizeDistribution, rng: np.random.Generator
+def _draw_replicate(
+    probabilities: np.ndarray,
+    sizes: SampleSizeDistribution,
+    stream: RngStream,
+    r: int,
+    attempt: int = 0,
 ) -> FrequencyCountTable:
+    """The table of replicate r, attempt a: drawn from stream.child(r, a) alone.
+
+    The sample size is drawn uniformly (with replacement) from the observed
+    sizes, then the category counts as one multinomial vector of that size.
+    """
+    rng = stream.child(r, attempt).generator()
     size = sizes.draw(rng)
-    counts = rng.multinomial(size, probabilities)
-    return FrequencyCountTable.from_counts(counts)
+    return FrequencyCountTable.from_counts(rng.multinomial(size, probabilities))
 
 
 def resample_dataset(
@@ -329,12 +338,11 @@ def resample_dataset(
 ) -> list[FrequencyCountTable]:
     """Redraw one synthetic dataset: one table per replicate.
 
-    Replicate r uses the generator keyed by stream.child(r, 0); its sample
-    size is drawn uniformly (with replacement) from the observed sizes and
-    the category counts are one multinomial vector of that size.
+    Replicate r is the first attempt, keyed by stream.child(r, 0): the
+    table the experiments use unless the estimator declines it.
     """
     return [
-        _draw_table(pop.probabilities, sizes, stream.child(r, 0).generator())
+        _draw_replicate(pop.probabilities, sizes, stream, r)
         for r in range(config.replicates_per_dataset)
     ]
 
@@ -382,8 +390,7 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
         probs = payload.probs_by_percent[payload.percents[r]]
         attempt = 0
         while True:
-            rng = stream.child(r, attempt).generator()
-            table = _draw_table(probs, payload.sizes, rng)
+            table = _draw_replicate(probs, payload.sizes, stream, r, attempt)
             try:
                 est = estimator(table)
                 break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -28,14 +28,23 @@ _RESERVED = ("id", "estimate", "std_error")
 
 @dataclass(frozen=True)
 class FrequencyCountTable:
-    """Entries (j, f_j): f_j taxa were observed exactly j times, j >= 1."""
+    """Entries (j, f_j): f_j taxa were observed exactly j times, j >= 1.
+
+    The summaries are computed once, in the pass that checks the entries:
+    observed_richness c (taxa seen at least once, sum of f_j), total_reads
+    n (sum of j * f_j), singletons f1 and doubletons f2.
+    """
 
     entries: tuple[tuple[int, int], ...]
+    observed_richness: int = field(init=False, repr=False, compare=False)
+    total_reads: int = field(init=False, repr=False, compare=False)
+    singletons: int = field(init=False, repr=False, compare=False)
+    doubletons: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise EmptyTableError("frequency table has no entries")
-        last = 0
+        last = richness = reads = 0
         for j, f in self.entries:
             if not (isinstance(j, int) and isinstance(f, int)):
                 raise ValueError(f"entries must be integer pairs, got ({j!r}, {f!r})")
@@ -44,40 +53,44 @@ class FrequencyCountTable:
             if f < 1:
                 raise ValueError(f"count for abundance {j} must be >= 1, got {f}")
             last = j
+            richness += f
+            reads += j * f
+        # With j strictly increasing from 1, abundances 1 and 2 can only
+        # sit in the first two entries.
+        head = dict(self.entries[:2])
+        object.__setattr__(self, "observed_richness", richness)
+        object.__setattr__(self, "total_reads", reads)
+        object.__setattr__(self, "singletons", head.get(1, 0))
+        object.__setattr__(self, "doubletons", head.get(2, 0))
 
     @classmethod
-    def from_counts(cls, counts: Iterable[int]) -> "FrequencyCountTable":
-        """Collapse per-taxon abundances (zeros ignored) into a table."""
-        arr = np.asarray(list(counts), dtype=int)
-        arr = arr[arr > 0]
-        if arr.size == 0:
-            raise EmptyTableError("no taxa with positive abundance")
+    def from_counts(cls, counts: np.ndarray | Iterable[int]) -> "FrequencyCountTable":
+        """Collapse per-taxon abundances into a table; zeros and negatives are ignored.
+
+        counts is a 1-d integer array (taken as it is) or any iterable of
+        integers. Anything that is not 1-d, or not of an integer dtype
+        (floats, booleans, objects), is a ValueError rather than being
+        truncated or flattened.
+        """
+        arr = np.asarray(counts if isinstance(counts, np.ndarray) else list(counts))
+        if arr.ndim != 1:
+            raise ValueError(f"counts must be 1-d, got an array of shape {arr.shape}")
+        # An empty input has no dtype to check: np.asarray([]) is float.
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
         values, freqs = np.unique(arr, return_counts=True)
-        return cls(entries=tuple((int(j), int(f)) for j, f in zip(values, freqs)))
-
-    @property
-    def observed_richness(self) -> int:
-        """c: number of distinct taxa seen at least once."""
-        return sum(f for _, f in self.entries)
-
-    @property
-    def total_reads(self) -> int:
-        """n: total number of individuals (sum of j * f_j)."""
-        return sum(j * f for j, f in self.entries)
+        # values ascend, so zeros and negatives are a prefix; dropping them
+        # here costs less than masking the whole array before the sort.
+        first = int(np.searchsorted(values, 0, side="right"))
+        if first == values.size:
+            raise EmptyTableError("no taxa with positive abundance")
+        return cls(entries=tuple(zip(values[first:].tolist(), freqs[first:].tolist())))
 
     def count_for(self, j: int) -> int:
         for jj, f in self.entries:
             if jj == j:
                 return f
         return 0
-
-    @property
-    def singletons(self) -> int:
-        return self.count_for(1)
-
-    @property
-    def doubletons(self) -> int:
-        return self.count_for(2)
 
     @property
     def singleton_doubleton_ratio(self) -> float:

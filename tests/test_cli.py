@@ -9,6 +9,7 @@ real shell commands through the estimator hook itself.
 import json
 import math
 import warnings
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
@@ -38,6 +39,14 @@ DATA = Path(__file__).parent / "data"
 EST = str(DATA / "est.csv")
 GRP = str(DATA / "grp.csv")
 FREQ = str(DATA / "freq.csv")
+
+
+def _power_law_table_text(taxa: int = 6000, reads: int = 40_000, exponent: float = 0.75) -> str:
+    """A frequency-count table of `taxa` taxa whose abundances follow k^-exponent."""
+    weights = [k ** -exponent for k in range(1, taxa + 1)]
+    total = sum(weights)
+    freqs = Counter(max(1, int(reads * w / total)) for w in weights)
+    return "abundance,count\n" + "".join(f"{j},{f}\n" for j, f in sorted(freqs.items()))
 
 
 def result_of(out) -> dict:
@@ -271,6 +280,32 @@ class TestSimulate:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert "homogeneity_q" in (out / REPORT_FILE).read_text()
+
+    # sha256 of report.csv and pvalues.csv, taken with the code as it was
+    # before the frequency-table collapse became array-native (it round-tripped
+    # every count array through a Python list); any change to the draw order,
+    # the collapse, chao1 or the fit arithmetic moves them.
+    LARGE_TABLE_DIGESTS = {
+        "power": ("3527cb8c9daf746bd0a1ebbdf78d904ffbc3bd21651fa285bd1f210ca8e529a2",
+                  "b96f4fe509c8c9dcd9c20597deeb9c55bc64d9125a9848b3b4babbb7c24b759b"),
+        "homogeneity": ("08e669cf970214876bbe727c670b782039961ca932df3168591ceac7c0c744ba",
+                        "8c654a1ae63101af3dd36e476cd2310775871c63fb679116a109a1b7eb2d28bf"),
+    }
+
+    @pytest.mark.parametrize("experiment", ["power", "homogeneity"])
+    def test_large_table_output_bytes_are_pinned(self, tmp_path, experiment):
+        table = tmp_path / "powerlaw.csv"
+        table.write_text(_power_law_table_text(), encoding="utf-8")
+        design = ["--two-category", "--percent", "10"] if experiment == "power" else []
+        out = tmp_path / "o"
+        code = main(["simulate", experiment, "--input", str(table), *design,
+                     "--replicates", "10", "--datasets", "12",
+                     "--sample-sizes", "9500,10000,10500", "--seed", "17",
+                     "--dump-pvalues", "--out", str(out)])
+        assert code == EXIT_OK
+        digests = tuple(sha256((out / name).read_bytes()).hexdigest()
+                        for name in (REPORT_FILE, PVALUES_FILE))
+        assert digests == self.LARGE_TABLE_DIGESTS[experiment]
 
     def test_external_estimator_failure_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "size", "--input", FREQ, *SIM_COMMON,

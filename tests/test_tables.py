@@ -3,7 +3,9 @@ estimator registry (built-ins plus the external-command hook)."""
 
 import io
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,33 @@ from betta.tables import (
     write_frequency_table,
 )
 from conftest import with_groups
+
+
+def _count_arrays(dtype, low: int, high: int):
+    # Mostly small values, so singletons and doubletons occur, plus a wide tail.
+    values = st.one_of(st.integers(low, 4), st.integers(low, high))
+    return st.lists(values, min_size=1, max_size=60).map(lambda v: np.array(v, dtype=dtype))
+
+
+_COUNTS = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=60),
+    _count_arrays(np.int64, -5, 2**40),
+    _count_arrays(np.int32, -5, 2**31 - 1),
+    _count_arrays(np.uint16, 0, 2**16 - 1),
+)
+
+# Valid tables: strictly increasing abundances from 1 up, each count >= 1.
+_ENTRIES = st.dictionaries(
+    st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=10**6),
+    min_size=1, max_size=30,
+).map(lambda d: tuple(sorted(d.items())))
+
+
+def assert_summaries_are_sums_over_entries(table):
+    assert table.observed_richness == sum(f for _, f in table.entries)
+    assert table.total_reads == sum(j * f for j, f in table.entries)
+    assert table.singletons == sum(f for j, f in table.entries if j == 1)
+    assert table.doubletons == sum(f for j, f in table.entries if j == 2)
 
 
 class TestFrequencyCountTable:
@@ -64,19 +93,49 @@ class TestFrequencyCountTable:
     def test_from_counts_collapses_and_drops_zeros(self):
         t = FrequencyCountTable.from_counts([3, 1, 1, 2, 0, 1])
         assert t.entries == ((1, 3), (2, 1), (3, 1))
-        with pytest.raises(EmptyTableError):
-            FrequencyCountTable.from_counts([0, 0])
+        for nothing in ([0, 0], [], np.array([-2, 0, -1])):
+            with pytest.raises(EmptyTableError):
+                FrequencyCountTable.from_counts(nothing)
 
-    @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=60))
+    def test_from_counts_rejects_input_it_would_have_to_coerce(self):
+        # Coercing would truncate [1.5, 2.0] to [1, 2] and flatten a 2-d array.
+        for floats in ([1.5, 2.0], np.array([1.0, 2.0]), [True, False]):
+            with pytest.raises(ValueError, match="must be integers"):
+                FrequencyCountTable.from_counts(floats)
+        with pytest.raises(ValueError, match="must be 1-d"):
+            FrequencyCountTable.from_counts(np.array([[1, 2], [0, 3]]))
+        with pytest.raises(ValueError, match="must be 1-d"):
+            FrequencyCountTable.from_counts(np.array(4))
+
+    def test_from_counts_takes_unsigned_arrays_and_iterators(self):
+        t = FrequencyCountTable.from_counts(np.array([3, 0, 1, 1], dtype=np.uint8))
+        assert t.entries == ((1, 2), (3, 1))
+        assert FrequencyCountTable.from_counts(iter([2, 0, 2])).entries == ((2, 2),)
+
+    @given(_COUNTS)
     def test_from_counts_preserves_totals(self, counts):
-        positive = [c for c in counts if c > 0]
+        positive = [int(c) for c in counts if c > 0]
         if not positive:
             with pytest.raises(EmptyTableError):
                 FrequencyCountTable.from_counts(counts)
             return
         t = FrequencyCountTable.from_counts(counts)
+        expected = tuple(sorted(Counter(positive).items()))
+        assert t.entries == expected
+        assert all(type(j) is int and type(f) is int for j, f in t.entries)
+        assert t == FrequencyCountTable(entries=expected)
         assert t.observed_richness == len(positive)
         assert t.total_reads == sum(positive)
+        assert_summaries_are_sums_over_entries(t)
+
+    @given(_ENTRIES)
+    def test_constructed_and_parsed_summaries(self, entries):
+        built = FrequencyCountTable(entries=entries)
+        assert_summaries_are_sums_over_entries(built)
+        text = "".join(f"{j},{f}\n" for j, f in reversed(entries))
+        parsed = read_frequency_table(io.StringIO(text))
+        assert parsed == built
+        assert_summaries_are_sums_over_entries(parsed)
 
 
 class TestFrequencyTableParsing:
