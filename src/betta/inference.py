@@ -157,22 +157,13 @@ def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics
     quantile_of = np.empty(m)
     quantile_of[order] = quantiles_sorted
 
-    rows = []
-    for i, obs in enumerate(dataset.observations):
-        rows.append(
-            DiagnosticRow(
-                id=obs.id,
-                estimate=obs.estimate,
-                std_error=obs.std_error,
-                lower=obs.estimate - 2.0 * obs.std_error,
-                upper=obs.estimate + 2.0 * obs.std_error,
-                fitted=float(fit.fitted[i]),
-                std_residual=float(std_resid[i]),
-                normal_quantile=float(quantile_of[i]),
-            )
-        )
+    y, se = dataset.estimates(), dataset.std_errors()
+    values = np.column_stack([y, se, y - 2.0 * se, y + 2.0 * se, fit.fitted, std_resid, quantile_of])
+    # tolist() gives each row's fields as Python floats, which repr without a
+    # NumPy wrapper and sit together in memory for the writer that reads them.
+    rows = tuple(DiagnosticRow(i, *row) for i, row in zip(dataset.ids(), values.tolist()))
     return ResidualDiagnostics(
-        rows=tuple(rows),
+        rows=rows,
         sorted_std_residuals=std_resid[order],
         normal_quantiles=quantiles_sorted,
     )

@@ -3,7 +3,7 @@
 Extends the flat model with one extra variance component: observations in
 the same group (for example repeated samples from one host) share a draw
 from N(0, sigma_g_sq). The input is a plain ``Dataset`` whose rows carry
-group labels (``RichnessObservation.group``). Marginally, V is block
+group labels (``Dataset.groups()``). Marginally, V is block
 diagonal by group, with blocks
 
     V_g = diag(std_error_i^2 + sigma_u_sq) + sigma_g_sq * 1 1^T
@@ -47,12 +47,12 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
     if dataset.p == 0:
         return
     xc = dataset.covariate_matrix()
-    labels = np.asarray(groups)
-    for j, name in enumerate(dataset.covariate_names):
-        constant_within_all = all(
-            np.ptp(xc[labels == g, j]) == 0.0 for g in set(groups)
-        )
-        if constant_within_all:
+    labels = np.array(groups, dtype=object)
+    _, first, codes = np.unique(labels, return_index=True, return_inverse=True)
+    # A column is constant within every group when each row equals its group's first row.
+    constant_within_all = np.all(xc == xc[first][codes], axis=0)
+    for name, confounded in zip(dataset.covariate_names, constant_within_all.tolist()):
+        if confounded:
             raise ConfoundingError(
                 f"covariate {name!r} is constant within every group and therefore "
                 "confounded with the group random effect"

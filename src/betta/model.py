@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -62,60 +63,182 @@ class RichnessObservation:
             raise ValueError(f"observation {self.id!r}: a group label must be a non-empty string")
 
 
-@dataclass(frozen=True)
+def _covariate_block(covariates, ids: tuple[str, ...], p: int) -> np.ndarray:
+    """The covariate rows as an (m, p) float array.
+
+    A row of another width is a ValueError naming its observation, both
+    for ragged rows and for rows that all share a wrong width.
+    """
+    try:
+        x = np.array(covariates, dtype=float)
+    except ValueError:  # ragged rows, or cells that are not numbers
+        x = None
+    if x is not None and x.shape == (len(ids), p):
+        return x
+    for obs_id, row in zip(ids, covariates):
+        if len(row) != p:
+            raise ValueError(f"observation {obs_id!r} has {len(row)} covariates, expected {p}")
+    raise ValueError(f"covariates must be {len(ids)} rows of {p} numbers")
+
+
+def _column(values, m: int, name: str) -> np.ndarray:
+    column = np.array(values, dtype=float)
+    if column.shape != (m,):
+        raise ValueError(f"{name} must hold one value per id ({m}), got shape {column.shape}")
+    return column
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """An ordered collection of observations sharing one covariate layout.
 
-    Either every observation carries a group label or none does.
+    The data are held as columns, each built and checked once: ids, the
+    estimates and standard errors (float arrays of shape (m,)), the
+    covariates (shape (m, p), stored behind an intercept column as the
+    design matrix) and the group labels, a tuple or None. The arrays are
+    read-only, so the accessors hand them out without copying. Either
+    every observation carries a group label or none does.
+
+    ``Dataset(observations=rows, covariate_names=names)`` builds one from
+    RichnessObservation rows and ``Dataset.from_columns`` from columns;
+    ``observations`` is the row view, built on each access.
     """
 
-    observations: tuple[RichnessObservation, ...]
-    covariate_names: tuple[str, ...] = ()
+    covariate_names: tuple[str, ...]
+    _ids: tuple[str, ...]
+    _estimates: np.ndarray
+    _std_errors: np.ndarray
+    _design: np.ndarray
+    _groups: tuple[str, ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, observations: Sequence[RichnessObservation], covariate_names: Sequence[str] = ()
+    ) -> None:
+        rows = tuple(observations)
+        self._store(
+            ids=[o.id for o in rows],
+            estimates=[o.estimate for o in rows],
+            std_errors=[o.std_error for o in rows],
+            covariates=[o.covariates for o in rows],
+            covariate_names=covariate_names,
+            groups=[o.group for o in rows],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[str],
+        estimates,
+        std_errors,
+        covariates=None,
+        covariate_names: Sequence[str] = (),
+        groups: Sequence[str | None] | None = None,
+    ) -> "Dataset":
+        """Build a dataset from columns; the arrays are copied.
+
+        covariates is (m, p) array-like, p = len(covariate_names), or None
+        when p = 0. groups holds one label per row, or is None; labels that
+        are all None mean an ungrouped dataset. Invalid input raises the
+        same ValueError a RichnessObservation or the row constructor would.
+        """
+        dataset = cls.__new__(cls)
+        dataset._store(ids, estimates, std_errors, covariates, covariate_names, groups)
+        return dataset
+
+    def _store(self, ids, estimates, std_errors, covariates, covariate_names, groups) -> None:
+        ids = tuple(ids)
+        names = tuple(covariate_names)
+        m = len(ids)
         # m >= 2 is a fit-time requirement, not a construction-time one: the
         # restricted likelihood itself is well defined for a single row.
-        if not self.observations:
+        if m == 0:
             raise ValueError("a dataset needs at least one observation")
-        p = len(self.covariate_names)
-        for obs in self.observations:
-            if len(obs.covariates) != p:
-                raise ValueError(
-                    f"observation {obs.id!r} has {len(obs.covariates)} covariates, expected {p}"
-                )
-        unlabelled = [o.id for o in self.observations if o.group is None]
-        if unlabelled and len(unlabelled) < len(self.observations):
-            raise ValueError(f"observations without a group label: {unlabelled}")
+        y = _column(estimates, m, "estimates")
+        se = _column(std_errors, m, "std_errors")
+        if covariates is None:
+            covariates = np.empty((m, 0))
+        x = _covariate_block(covariates, ids, len(names))
+        labels = None if groups is None else tuple(groups)
+
+        faulty = ~(np.isfinite(y) & np.isfinite(se) & (se >= 0.0) & np.isfinite(x).all(axis=1))
+        first = int(np.argmax(faulty)) if faulty.any() else m
+        if labels is not None and "" in labels:
+            first = min(first, labels.index(""))
+        if first < m:
+            # The first faulty row, built as a row, raises its own error.
+            RichnessObservation(
+                id=ids[first], estimate=float(y[first]), std_error=float(se[first]),
+                covariates=tuple(x[first].tolist()),
+                group=None if labels is None else labels[first],
+            )
+        if labels is not None:
+            n_unlabelled = labels.count(None)
+            if n_unlabelled == m:
+                labels = None
+            elif n_unlabelled:
+                unlabelled = [i for i, g in zip(ids, labels) if g is None]
+                raise ValueError(f"observations without a group label: {unlabelled}")
+
+        design = np.column_stack([np.ones(m), x])
+        for array in (y, se, design):
+            array.flags.writeable = False
+        for name, value in (("covariate_names", names), ("_ids", ids), ("_estimates", y),
+                            ("_std_errors", se), ("_design", design), ("_groups", labels)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
-        return len(self.observations)
+        return len(self._ids)
 
     @property
     def p(self) -> int:
         return len(self.covariate_names)
 
     def estimates(self) -> np.ndarray:
-        return np.array([o.estimate for o in self.observations], dtype=float)
+        return self._estimates
 
     def std_errors(self) -> np.ndarray:
-        return np.array([o.std_error for o in self.observations], dtype=float)
+        return self._std_errors
 
     def covariate_matrix(self) -> np.ndarray:
-        return np.array([o.covariates for o in self.observations], dtype=float).reshape(self.m, self.p)
+        return self._design[:, 1:]
 
     def design_matrix(self) -> np.ndarray:
         """Covariates with a leading all-ones intercept column, shape (m, p+1)."""
-        return np.column_stack([np.ones(self.m), self.covariate_matrix()])
+        return self._design
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(o.id for o in self.observations)
+        return self._ids
 
     def groups(self) -> tuple[str, ...] | None:
         """The group label of every observation, or None for an ungrouped dataset."""
-        if self.observations[0].group is None:
-            return None
-        return tuple(o.group for o in self.observations)  # type: ignore[misc]
+        return self._groups
+
+    @property
+    def observations(self) -> tuple[RichnessObservation, ...]:
+        """The rows as RichnessObservation objects, built on each access."""
+        return tuple(
+            RichnessObservation(id=i, estimate=y, std_error=se, covariates=tuple(x), group=g)
+            for i, y, se, x, g in zip(
+                self._ids, self._estimates.tolist(), self._std_errors.tolist(),
+                self.covariate_matrix().tolist(), self._groups or (None,) * self.m,
+            )
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.covariate_names == other.covariate_names
+            and self._ids == other._ids
+            and self._groups == other._groups
+            and np.array_equal(self._estimates, other._estimates)
+            and np.array_equal(self._std_errors, other._std_errors)
+            and np.array_equal(self._design, other._design)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.covariate_names, self._ids, self._groups))
 
 
 @dataclass(frozen=True)
@@ -184,14 +307,21 @@ def _check_full_rank(x: np.ndarray, names: tuple[str, ...]) -> None:
 def _canonical_order(dataset: Dataset) -> np.ndarray:
     """A total order on observations that does not depend on input order.
 
-    Fitting in this canonical order makes every floating-point reduction
-    identical for any permutation of the same rows, so permuting a dataset
-    cannot change the fit.
+    Rows are sorted by estimate, then standard error, then each covariate
+    in turn, then group label, then id; a stable sort keeps rows that tie
+    on all of them in input order. Fitting in this canonical order makes
+    every floating-point reduction identical for any permutation of the
+    same rows, so permuting a dataset cannot change the fit.
     """
-    keys = [
-        (o.estimate, o.std_error, o.covariates, o.group or "", o.id) for o in dataset.observations
-    ]
-    return np.array(sorted(range(dataset.m), key=keys.__getitem__), dtype=int)
+    # lexsort's last key is the primary one. Object arrays compare labels
+    # and ids as Python strings.
+    keys = [np.array(dataset.ids(), dtype=object)]
+    if dataset.groups() is not None:
+        keys.append(np.array(dataset.groups(), dtype=object))
+    x = dataset.covariate_matrix()
+    keys += [x[:, j] for j in reversed(range(dataset.p))]
+    keys += [dataset.std_errors(), dataset.estimates()]
+    return np.lexsort(keys)
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
@@ -309,7 +439,10 @@ class _ProfiledObjective:
         self.variances = floored_variances(dataset)[self.order]
         self.codes = None
         if groups is not None:
-            levels, codes = np.unique(np.asarray(groups)[self.order], return_inverse=True)
+            # Object arrays keep labels as Python strings; fixed-width NumPy
+            # strings would drop trailing NULs and merge labels.
+            labels = np.array(groups, dtype=object)[self.order]
+            levels, codes = np.unique(labels, return_inverse=True)
             self.codes, self.n_groups = codes, len(levels)
 
         self.upper = _search_upper_bound(self.y, self.variances)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .estimators import EstimatorFn, resolve_estimator
 from .inference import homogeneity_test, wald_tests
-from .model import Dataset, RichnessObservation, fit_betta
+from .model import Dataset, fit_betta
 from .special import student_t_two_sided_p
 from .tables import FrequencyCountTable, _read_source, _write_target
 
@@ -407,14 +407,11 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
         observed.append(float(table.observed_richness))
 
     covariate = payload.covariate
-    dataset = Dataset(
-        observations=tuple(
-            RichnessObservation(
-                id=f"d{d}r{r}", estimate=estimates[r], std_error=std_errors[r],
-                covariates=() if covariate is None else (float(covariate[r]),),
-            )
-            for r in range(config.replicates_per_dataset)
-        ),
+    dataset = Dataset.from_columns(
+        ids=[f"d{d}r{r}" for r in range(config.replicates_per_dataset)],
+        estimates=estimates,
+        std_errors=std_errors,
+        covariates=None if covariate is None else np.asarray(covariate, dtype=float)[:, None],
         covariate_names=() if covariate is None else ("x",),
     )
     with warnings.catch_warnings():

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Union
 import numpy as np
 
 from .errors import EmptyTableError, ParseError
-from .model import Dataset, RichnessObservation
+from .model import Dataset
 
 Source = Union[str, Path, IO]
 
@@ -139,12 +139,28 @@ def _records(source: Source):
         yield number, [f.strip() for f in line.split(delimiter)]
 
 
+def _parse_number(token: str, kind=float):
+    """token as kind (int or float), or None when it is not a plain ASCII numeral.
+
+    int() and float() also accept '_' between digits and non-ASCII digits
+    (such as full-width ones); both are refused here, so a mistyped cell
+    is not read as a different number.
+    """
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return kind(token)
+    except ValueError:
+        return None
+
+
 def read_frequency_table(source: Source) -> FrequencyCountTable:
     """Parse a two-column (abundance, count) table from a path or a stream.
 
     Comma-delimited with tab auto-detection, '#' comment lines, optional
     single header line. Duplicate abundances and nonpositive or
-    non-integer values are parse errors carrying the 1-based line number.
+    non-integer values (anything but a plain ASCII integer) are parse
+    errors carrying the 1-based line number.
     Rows may arrive in any order; the table is stored ascending.
     """
     rows: dict[int, int] = {}
@@ -153,14 +169,13 @@ def read_frequency_table(source: Source) -> FrequencyCountTable:
     for number, fields in _records(source):
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", number)
-        try:
-            j, f = int(fields[0]), int(fields[1])
-        except ValueError:
+        j, f = _parse_number(fields[0], int), _parse_number(fields[1], int)
+        if j is None or f is None:
             if not saw_content:
                 # A single leading non-numeric line is a header.
                 saw_content = True
                 continue
-            raise ParseError(f"non-integer fields {fields[0]!r}, {fields[1]!r}", number) from None
+            raise ParseError(f"non-integer fields {fields[0]!r}, {fields[1]!r}", number)
         saw_content = True
         if j < 1 or f < 1:
             raise ParseError(f"abundance and count must be >= 1, got ({j}, {f})", number)
@@ -238,17 +253,6 @@ class LoadedEstimates:
     n_dropped: int
 
 
-def _is_missing(token: str) -> bool:
-    return token in MISSING_TOKENS
-
-
-def _parse_float(token: str) -> float | None:
-    try:
-        return float(token)
-    except ValueError:
-        return None
-
-
 def read_estimates(
     source: Source,
     covariates: tuple[str, ...] | list[str] | None = None,
@@ -260,25 +264,26 @@ def read_estimates(
     header names the columns: id, estimate and std_error are mandatory;
     remaining columns are covariates unless one is named 'group' (or
     selected by the group argument), which supplies every row's group
-    label (RichnessObservation.group). Missing cells are "NA" or empty.
-    Rows with a missing or non-finite estimate, std_error, selected
-    covariate, or group label are dropped and counted.
+    label. Missing cells are "NA" or empty. Rows with a missing or
+    non-finite estimate, std_error, selected covariate, or group label are
+    dropped and counted; so are rows whose estimate or std_error is not a
+    plain ASCII numeral.
 
-    A covariate column whose non-missing values all parse as numbers is
-    numeric; any other column is categorical and expands to one 0/1
+    A covariate column whose non-missing values are all plain ASCII
+    numerals is numeric; any other column is categorical and expands to one 0/1
     indicator per level beyond the reference, the reference being the
     first level in sorted order. Indicator columns are named
     '<column>=<level>'.
     """
     header: list[str] | None = None
-    raw_rows: list[tuple[int, list[str]]] = []
+    rows: list[list[str]] = []
     for number, fields in _records(source):
         if header is None:
             header = fields
             continue
         if len(fields) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(fields)}", number)
-        raw_rows.append((number, fields))
+        rows.append(fields)
     if header is None:
         raise EmptyTableError("estimates table input is empty")
     for required in _RESERVED:
@@ -302,61 +307,46 @@ def read_estimates(
             if c not in header:
                 raise ParseError(f"covariate column {c!r} not in header")
 
-    kept: list[tuple[str, float, float, list[str], str | None]] = []
-    n_dropped = 0
-    for _number, fields in raw_rows:
-        est = _parse_float(fields[col["estimate"]]) if not _is_missing(fields[col["estimate"]]) else None
-        se = _parse_float(fields[col["std_error"]]) if not _is_missing(fields[col["std_error"]]) else None
-        label = None
-        if group_col is not None:
-            token = fields[col[group_col]]
-            label = None if _is_missing(token) else token
-        cov_tokens = [fields[col[c]] for c in cov_cols]
-        usable = (
-            est is not None and math.isfinite(est)
-            and se is not None and math.isfinite(se) and se >= 0.0
-            and not any(_is_missing(t) for t in cov_tokens)
-            and (group_col is None or label is not None)
-        )
-        if not usable:
-            n_dropped += 1
-            continue
-        kept.append((fields[col["id"]], est, se, cov_tokens, label))
+    def column(name: str) -> list[str]:
+        k = col[name]
+        return [fields[k] for fields in rows]
 
-    if len(kept) < 2:
+    # A missing or non-numeral cell parses to None, which becomes NaN here.
+    y = np.array([_parse_number(t) for t in column("estimate")], dtype=float)
+    se = np.array([_parse_number(t) for t in column("std_error")], dtype=float)
+    usable = np.isfinite(y) & np.isfinite(se) & (se >= 0.0)
+    cov_tokens = [column(c) for c in cov_cols]
+    labels = None if group_col is None else column(group_col)
+    for tokens in cov_tokens if labels is None else [*cov_tokens, labels]:
+        usable &= [t not in MISSING_TOKENS for t in tokens]
+    keep = np.flatnonzero(usable).tolist()
+    n_dropped = len(rows) - len(keep)
+    if len(keep) < 2:
         raise EmptyTableError(f"fewer than 2 usable rows after dropping {n_dropped}")
 
     # Classify covariate columns on the surviving rows.
-    numeric: list[bool] = []
-    for k in range(len(cov_cols)):
-        numeric.append(all(_parse_float(row[3][k]) is not None for row in kept))
-
     out_names: list[str] = []
-    encoders: list = []  # per input column: None (numeric) or sorted levels
-    for k, name in enumerate(cov_cols):
-        if numeric[k]:
+    out_columns: list[np.ndarray] = []
+    for name, all_tokens in zip(cov_cols, cov_tokens):
+        tokens = [all_tokens[i] for i in keep]
+        values = [_parse_number(t) for t in tokens]
+        if None not in values:
             out_names.append(name)
-            encoders.append(None)
-        else:
-            levels = sorted({row[3][k] for row in kept})
-            encoders.append(levels)
-            out_names.extend(f"{name}={level}" for level in levels[1:])
+            out_columns.append(np.array(values, dtype=float))
+            continue
+        for level in sorted(set(tokens))[1:]:
+            out_names.append(f"{name}={level}")
+            out_columns.append(np.array([t == level for t in tokens], dtype=float))
 
-    observations = []
-    for obs_id, est, se, cov_tokens, label in kept:
-        values: list[float] = []
-        for k in range(len(cov_cols)):
-            if encoders[k] is None:
-                values.append(float(cov_tokens[k]))
-            else:
-                values.extend(1.0 if cov_tokens[k] == level else 0.0 for level in encoders[k][1:])
-        observations.append(
-            RichnessObservation(
-                id=obs_id, estimate=est, std_error=se, covariates=tuple(values), group=label
-            )
-        )
-
-    dataset = Dataset(observations=tuple(observations), covariate_names=tuple(out_names))
+    ids = column("id")
+    dataset = Dataset.from_columns(
+        ids=[ids[i] for i in keep],
+        estimates=y[keep],
+        std_errors=se[keep],
+        covariates=np.column_stack(out_columns) if out_columns else None,
+        covariate_names=out_names,
+        groups=None if labels is None else [labels[i] for i in keep],
+    )
     return LoadedEstimates(dataset=dataset, n_dropped=n_dropped)
 
 
@@ -368,17 +358,16 @@ def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) ->
     read are written as their numeric indicator columns; group labels,
     when the rows carry them, go in a trailing 'group' column.
     """
-    grouped = data.groups() is not None
+    labels = data.groups()
     header = ["id", "estimate", "std_error", *data.covariate_names]
-    if grouped:
+    if labels is not None:
         header.append(GROUP_COLUMN)
-    lines = [",".join(header)]
-    for obs in data.observations:
-        fields = [obs.id, repr(obs.estimate), repr(obs.std_error)]
-        fields += [repr(v) for v in obs.covariates]
-        if grouped:
-            fields.append(obs.group)  # type: ignore[arg-type]
-        lines.append(",".join(fields))
+    numbers = (data.estimates(), data.std_errors(), *data.covariate_matrix().T)
+    # tolist() gives Python floats, whose repr is the plain round-tripping form.
+    columns = [data.ids(), *([repr(v) for v in c.tolist()] for c in numbers)]
+    if labels is not None:
+        columns.append(labels)
+    lines = [",".join(header), *(",".join(fields) for fields in zip(*columns))]
     return _write_target("\n".join(lines) + "\n", target)
 
 

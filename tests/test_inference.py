@@ -209,6 +209,8 @@ class TestDiagnostics:
         assert (row.lower, row.upper) == (80.0, 120.0)
         assert diag.rows[1].lower == 40.0
         assert diag.rows[2].upper == 80.0
+        # Plain floats, so a written row reprs as a number, not as np.float64(...).
+        assert {type(v) for r in diag.rows for v in vars(r).values()} == {str, float}
 
     def test_qq_quantiles_for_three_points(self):
         # Ranks map to (k + 0.5) / 3, i.e. 1/6, 1/2, 5/6.

@@ -56,6 +56,17 @@ class TestContainer:
         assert ds.groups() is None
         assert with_groups(ds, ("b", "a", "b")).groups() == ("b", "a", "b")
 
+    def test_labels_differing_by_a_trailing_nul_are_distinct_groups(self):
+        # Fixed-width NumPy strings drop trailing NULs, which would merge g and g\0.
+        labels = ("g", "g\x00", "g", "g\x00", "h", "h")
+        ds = make_dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.5], [1.0] * 6, groups=labels)
+        assert fit_betta_random(ds).n_groups == 3
+        # x is constant within each of the three groups, not within g and g\0 merged.
+        x = [[0.0], [1.0], [0.0], [1.0], [2.0], [2.0]]
+        confounded = make_dataset(ds.estimates(), ds.std_errors(), x=x, names=("x",), groups=labels)
+        with pytest.raises(ConfoundingError):
+            fit_betta_random(confounded)
+
     def test_unlabelled_dataset_rejected_by_the_grouped_fit(self):
         ds = make_dataset([1.0, 2.0, 3.0, 4.0], [1.0] * 4)
         with pytest.raises(ValueError, match="group label"):
@@ -181,6 +192,16 @@ class TestInvariancesAndErrors:
         )
         grouped = with_groups(ds, ("a", "a", "b", "b", "c", "c"))
         with pytest.raises(ConfoundingError, match="dose"):
+            fit_betta_random(grouped)
+        # Interleaved groups; only the second column is constant within each.
+        ds = make_dataset(
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5],
+            [1.0] * 7,
+            x=[[0.1, 0.0], [0.2, 1.0], [0.4, 0.0], [0.3, 1.0], [0.9, 0.0], [0.5, 2.0], [0.6, 2.0]],
+            names=("time", "arm"),
+        )
+        grouped = with_groups(ds, ("a", "b", "a", "b", "a", "c", "c"))
+        with pytest.raises(ConfoundingError, match="'arm'"):
             fit_betta_random(grouped)
 
     def test_within_group_variation_is_not_confounded(self):

@@ -23,12 +23,13 @@ from betta.errors import (
     UnidentifiableError,
 )
 from betta.model import (
+    _canonical_order,
     _search_upper_bound,
     floored_variances,
     gls_coefficients,
     restricted_log_likelihood,
 )
-from conftest import make_dataset
+from conftest import make_dataset, with_groups
 
 
 def reference_reml(dataset, beta, sigma_u_sq):
@@ -165,18 +166,27 @@ class TestInvariances:
         assert fit.beta_hat == pytest.approx(ols, rel=1e-10)
 
     def test_permutation_invariance_is_bitwise(self, rng_dataset):
-        ds = rng_dataset(21, m=16, with_covariate=True)
-        perm = np.random.default_rng(99).permutation(ds.m)
-        shuffled = Dataset(
-            observations=tuple(ds.observations[i] for i in perm),
-            covariate_names=ds.covariate_names,
+        # The second input ties rows on estimate and SE, on -0.0 vs 0.0,
+        # and on every value but the id, so the later sort keys decide.
+        tied = make_dataset(
+            [5.0, 5.0, 9.0, 5.0, 9.0, 1.0, 5.0, 1.0, 9.0],
+            [2.0, 2.0, 1.0, 2.0, 1.0, 3.0, 0.5, 3.0, 1.0],
+            x=[[0.0], [-0.0], [1.0], [2.0], [1.0], [0.5], [0.0], [-1.0], [3.0]],
+            names=("x",),
+            ids=["a", "b", "c", "d", "e", "f", "g", "h", "c"],
         )
-        a, b = fit_betta(ds), fit_betta(shuffled)
-        assert np.array_equal(a.beta_hat, b.beta_hat)
-        assert a.sigma_u_sq_hat == b.sigma_u_sq_hat
-        assert a.reml_value == b.reml_value
-        assert np.array_equal(a.fitted[perm], b.fitted)
-        assert np.array_equal(a.std_residuals[perm], b.std_residuals)
+        for ds in (rng_dataset(21, m=16, with_covariate=True), tied):
+            perm = np.random.default_rng(99).permutation(ds.m)
+            shuffled = Dataset(
+                observations=tuple(ds.observations[i] for i in perm),
+                covariate_names=ds.covariate_names,
+            )
+            a, b = fit_betta(ds), fit_betta(shuffled)
+            assert np.array_equal(a.beta_hat, b.beta_hat)
+            assert a.sigma_u_sq_hat == b.sigma_u_sq_hat
+            assert a.reml_value == b.reml_value
+            assert np.array_equal(a.fitted[perm], b.fitted)
+            assert np.array_equal(a.std_residuals[perm], b.std_residuals)
 
     def test_scale_equivariance(self, rng_dataset):
         ds = rng_dataset(33)
@@ -302,3 +312,112 @@ def test_fit_is_a_local_maximum(data, m):
     assert fit.reml_value >= profile(fit.sigma_u_sq_hat + step) - slack
     if fit.sigma_u_sq_hat > step:
         assert fit.reml_value >= profile(fit.sigma_u_sq_hat - step) - slack
+
+
+def tuple_sort_order(dataset):
+    """The canonical order as a Python sort on per-row key tuples (the reference)."""
+    keys = [
+        (o.estimate, o.std_error, o.covariates, o.group or "", o.id) for o in dataset.observations
+    ]
+    return np.array(sorted(range(dataset.m), key=keys.__getitem__), dtype=int)
+
+
+# Few distinct values, so rows tie on leading keys; ids and labels include a
+# trailing NUL, which fixed-width NumPy strings would drop.
+_TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0])
+_NAMES = st.sampled_from(["a", "b", "a\x00", "\u00e9", "B"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(min_value=1, max_value=12),
+    p=st.integers(min_value=0, max_value=3),
+)
+def test_canonical_order_matches_the_tuple_sort(data, m, p):
+    y = data.draw(st.lists(_TIE_VALUES, min_size=m, max_size=m))
+    se = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=m, max_size=m))
+    x = data.draw(st.lists(st.lists(_TIE_VALUES, min_size=p, max_size=p), min_size=m, max_size=m))
+    ids = data.draw(st.lists(_NAMES, min_size=m, max_size=m))
+    names = [f"x{j}" for j in range(p)]
+    ds = make_dataset(y, se, x=np.array(x).reshape(m, p), names=names, ids=ids)
+    if data.draw(st.booleans()):
+        ds = with_groups(ds, data.draw(st.lists(_NAMES, min_size=m, max_size=m)))
+    assert _canonical_order(ds).tolist() == tuple_sort_order(ds).tolist()
+
+
+def _rows(spec):
+    return tuple(RichnessObservation(**row) for row in spec)
+
+
+def _columns(spec, names):
+    return Dataset.from_columns(
+        ids=[row["id"] for row in spec],
+        estimates=[row["estimate"] for row in spec],
+        std_errors=[row["std_error"] for row in spec],
+        covariates=[row.get("covariates", ()) for row in spec],
+        covariate_names=names,
+        groups=[row.get("group") for row in spec],
+    )
+
+
+def _row(obs_id, estimate=1.0, std_error=1.0, covariates=(), group=None):
+    return {"id": obs_id, "estimate": estimate, "std_error": std_error,
+            "covariates": covariates, "group": group}
+
+
+class TestConstructors:
+    @pytest.mark.parametrize(
+        "spec,names",
+        [
+            ([_row("a"), _row("b", estimate=math.nan)], ()),
+            ([_row("a"), _row("b", estimate=-math.inf)], ()),
+            ([_row("a"), _row("b", std_error=-2.0)], ()),
+            ([_row("a"), _row("b", std_error=math.inf)], ()),
+            ([_row("a", covariates=(1.0,)), _row("b", covariates=(math.nan,))], ("x",)),
+            ([_row("a", covariates=(1.0,)), _row("b")], ("x",)),
+            ([_row("a", covariates=(1.0, 2.0)), _row("b", covariates=(3.0, 4.0))], ("x",)),
+            ([_row("a", group="g"), _row("b", group="")], ()),
+            ([_row("a", group="x"), _row("b"), _row("c", group="y"), _row("d")], ()),
+            ([], ()),
+        ],
+        ids=["nan-estimate", "inf-estimate", "negative-se", "inf-se", "nan-covariate",
+             "ragged-width", "wrong-width", "empty-label", "mixed-labels", "empty"],
+    )
+    def test_row_and_column_paths_raise_the_same_error(self, spec, names):
+        errors = []
+        for build in (lambda: Dataset(observations=_rows(spec), covariate_names=names),
+                      lambda: _columns(spec, names)):
+            with pytest.raises(ValueError) as e:
+                build()
+            errors.append((type(e.value), str(e.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("groups", [None, ["g1", "g2", "g1"]])
+    def test_row_and_column_paths_build_equal_datasets(self, groups):
+        spec = [
+            _row(f"s{i}", estimate=-0.0 if i == 0 else 10.0 * i, std_error=0.5 + i,
+                 covariates=(i, -0.0), group=None if groups is None else groups[i])
+            for i in range(3)
+        ]
+        by_rows = Dataset(observations=_rows(spec), covariate_names=("u", "v"))
+        by_columns = _columns(spec, ("u", "v"))
+        assert by_rows == by_columns
+        assert by_rows.observations == by_columns.observations == _rows(spec)
+        assert by_columns.groups() == (None if groups is None else tuple(groups))
+        assert by_rows != _columns(spec, ("u", "w"))
+
+    def test_columns_are_stored_once_and_read_only(self):
+        ds = make_dataset([1.0, 2.0, 3.0], [0.5, 0.5, 1.0], x=[[1.0], [2.0], [4.0]], names=("x",))
+        for array in (ds.estimates(), ds.std_errors(), ds.covariate_matrix(), ds.design_matrix()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert ds.estimates() is ds.estimates()
+        assert ds.design_matrix() is ds.design_matrix()
+
+    def test_column_input_is_copied(self):
+        y = np.array([1.0, 2.0])
+        ds = Dataset.from_columns(ids=["a", "b"], estimates=y, std_errors=[1.0, 1.0])
+        y[0] = 99.0
+        assert ds.estimates().tolist() == [1.0, 2.0]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from betta import Dataset
 from betta.errors import (
     EmptyTableError,
     EstimatorFailure,
@@ -167,6 +168,17 @@ class TestFrequencyTableParsing:
             read_frequency_table(io.StringIO("1,20\nx,10"))
         with pytest.raises(ParseError, match=">= 1"):
             read_frequency_table(io.StringIO("0,5"))
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff15", "\u0665"])
+    def test_only_plain_ascii_integers_are_numbers(self, cell):
+        # int() takes '_' between digits and non-ASCII digits (full-width,
+        # Arabic-Indic); on a data line either is a parse error naming the line.
+        for line in (f"{cell},5", f"5,{cell}"):
+            with pytest.raises(ParseError, match="non-integer") as e:
+                read_frequency_table(io.StringIO(f"2,3\n{line}\n"))
+            assert e.value.line_number == 2
+        # The first line may still be a header, whatever it holds.
+        assert read_frequency_table(io.StringIO(f"{cell},5\n2,3\n")).entries == ((2, 3),)
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyTableError):
@@ -328,6 +340,21 @@ class TestReadEstimates:
         assert loaded.n_dropped == 1
         assert loaded.dataset.groups() == ("g1", "g2")
 
+    @pytest.mark.parametrize("cell", ["1_000.5", "\uff11.5", "1e1_0"])
+    def test_estimate_or_se_that_is_not_a_plain_numeral_drops_the_row(self, cell):
+        for row in (f"b,{cell},0.5", f"b,2.0,{cell}"):
+            text = f"id,estimate,std_error\na,1.0,0.5\n{row}\nc,3.0,0.5\n"
+            loaded = read_estimates(io.StringIO(text))
+            assert loaded.n_dropped == 1
+            assert loaded.dataset.ids() == ("a", "c")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff10"])
+    def test_covariate_that_is_not_a_plain_numeral_is_categorical(self, cell):
+        text = f"id,estimate,std_error,x\na,1.0,0.5,1\nb,2.0,0.5,{cell}\nc,3.0,0.5,2\n"
+        ds = read_estimates(io.StringIO(text)).dataset
+        assert ds.covariate_names == tuple(f"x={level}" for level in sorted(["1", cell, "2"])[1:])
+        assert sorted(ds.covariate_matrix().sum(axis=0).tolist()) == [1.0, 1.0]
+
     def test_header_errors(self):
         with pytest.raises(ParseError, match="std_error"):
             read_estimates(io.StringIO("id,estimate\na,1.0\nb,2.0\n"))
@@ -368,6 +395,23 @@ class TestReadEstimates:
         assert text.splitlines()[0] == "id,estimate,std_error,group"
         back = read_estimates(io.StringIO(text)).dataset
         assert back == grouped
+
+    @pytest.mark.parametrize("groups", [None, ("g1", "g2", "g1", "g3")])
+    def test_round_trip_keeps_every_column_bit_for_bit(self, groups):
+        # Signed zeros, a subnormal, huge and awkward decimals: equal bits, not just ==.
+        ds = Dataset.from_columns(
+            ids=["a", "b", "c", "d"],
+            estimates=[-0.0, 5e-324, 1e300, 0.1 + 0.2],
+            std_errors=[0.0, 1.0 / 3.0, 2.5e-8, 7.0],
+            covariates=[[-0.0, 1.0], [0.0, -2.0 / 3.0], [1e-310, 3.0], [math.pi, -1e15]],
+            covariate_names=("x", "y"),
+            groups=groups,
+        )
+        back = read_estimates(io.StringIO(write_estimates(ds))).dataset
+        assert back == ds
+        for column in ("estimates", "std_errors", "covariate_matrix"):
+            a, b = getattr(back, column)(), getattr(ds, column)()
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes(), column
 
     def test_write_to_path_and_stream(self, tmp_path, rng_dataset):
         ds = rng_dataset(43, m=4)
