@@ -43,7 +43,7 @@ for name, test in zip(("(intercept)", "depth"), wald_tests(fit)):
 gt = global_test(fit)
 print(f"\nall-slopes test: chisq {gt.statistic:.2f} on {gt.dof} dof, p {gt.p_value:.4f}")
 
-q = homogeneity_test(fit, ds)
+q = homogeneity_test(ds)  # Cochran's Q: reads the data, not the fit
 print(f"homogeneity:     Q {q.statistic:.2f} on {q.dof} dof, p {q.p_value:.4f}")
 # small p here means the claimed standard errors cannot explain the spread
 

@@ -4,8 +4,8 @@ Every run that writes files writes them into --out together with
 manifest.json (resolved configuration, sha256 digests of the inputs, tool
 version, timestamp). Timestamps live only in the manifest, so the data
 files themselves are bit-identical across reruns with the same inputs and
-seed. Exit code 0 means every requested output was written and parsed
-back successfully; nonzero codes classify the failure:
+seed. Exit code 0 means every requested output was checked, then
+written; nonzero codes classify the failure:
 
     2  input parsing or configuration validation
     3  design matrix rank deficiency or group confounding
@@ -17,6 +17,7 @@ back successfully; nonzero codes classify the failure:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -41,6 +42,7 @@ from .errors import (
     NotApplicableError,
     NumericalError,
     ParseError,
+    StdErrorFlooredWarning,
     UnidentifiableError,
 )
 from .estimators import CHAO1, resolve_estimator
@@ -66,7 +68,7 @@ from .simulate import (
     run_size_experiment,
     write_report,
 )
-from .tables import read_estimates, read_frequency_table
+from .tables import _parse_number, read_estimates, read_frequency_table
 
 RESULT_FILE = "result.json"
 DIAGNOSTICS_FILE = "diagnostics.csv"
@@ -88,11 +90,24 @@ EXIT_BOOTSTRAP = 6
 # argument helpers
 # ----------------------------------------------------------------------------
 
+def _number(kind, text: str):
+    # The one numeric argparse type: a plain ASCII numeral, as in the tables.
+    value = _parse_number(text.strip(), kind)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a plain {kind.__name__} numeral: {text!r}")
+    return value
+
+def _int_arg(text: str) -> int:
+    return _number(int, text)
+
+def _float_arg(text: str) -> float:
+    return _number(float, text)
+
 def _floats_arg(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip() != "")
+    return tuple(_float_arg(t) for t in text.split(",") if t.strip() != "")
 
 def _ints_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
+    return tuple(_int_arg(t) for t in text.split(",") if t.strip() != "")
 
 def _columns_arg(text: str) -> tuple[str, ...]:
     # 'none' (or an empty value) requests an intercept-only model.
@@ -132,13 +147,12 @@ def _write_manifest(out: Path, subcommand: str, args: argparse.Namespace,
         "outputs": outputs,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    path = out / MANIFEST_FILE
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    json.loads(path.read_text(encoding="utf-8"))
+    _write_json(out / MANIFEST_FILE, manifest)
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    json.loads(path.read_text(encoding="utf-8"))
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    json.loads(text)
+    path.write_text(text, encoding="utf-8")
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
@@ -205,7 +219,10 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
     except NotApplicableError:
         global_payload = None
     try:
-        homogeneity_payload = _test_payload(homogeneity_test(fit, dataset))
+        with warnings.catch_warnings():
+            # The fit has already warned about the same floored errors.
+            warnings.simplefilter("ignore", StdErrorFlooredWarning)
+            homogeneity_payload = _test_payload(homogeneity_test(dataset))
     except DegreesOfFreedomError:
         homogeneity_payload = None
     diagnostics = residual_diagnostics(fit, dataset)
@@ -235,10 +252,10 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
             f"{row.fitted!r},{row.std_residual!r},{row.normal_quantile!r}"
         )
     diag_text = "\n".join(rows) + "\n"
-    (out / DIAGNOSTICS_FILE).write_text(diag_text, encoding="utf-8")
-    reread = (out / DIAGNOSTICS_FILE).read_text(encoding="utf-8").splitlines()
-    if len(reread) != dataset.m + 1 or reread[0] != header:
+    lines = diag_text.splitlines()
+    if len(lines) != dataset.m + 1 or lines[0] != header:
         raise BettaError(f"diagnostics file failed validation: {out / DIAGNOSTICS_FILE}")
+    (out / DIAGNOSTICS_FILE).write_text(diag_text, encoding="utf-8")
 
     summary = _summary_text(model, dataset, result)
     (out / SUMMARY_FILE).write_text(summary, encoding="utf-8")
@@ -314,7 +331,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report = run_homogeneity_experiment(pop, sizes, config, args.percent, workers=args.workers)
 
     out = _out_dir(args)
-    text = write_report(report, out / REPORT_FILE)
+    text = write_report(report)
+    parsed = read_report(io.StringIO(text))
+    if parsed.rows != report.rows or parsed.seed != report.seed:
+        raise BettaError(f"report file failed round-trip validation: {out / REPORT_FILE}")
+    (out / REPORT_FILE).write_text(text, encoding="utf-8")
     outputs = [REPORT_FILE]
     if args.dump_pvalues:
         lines = ["method,dataset,p_value"]
@@ -322,10 +343,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             lines.extend(f"{method},{d},{p!r}" for d, p in enumerate(values))
         (out / PVALUES_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
         outputs.append(PVALUES_FILE)
-
-    parsed = read_report(out / REPORT_FILE)
-    if parsed.rows != report.rows or parsed.seed != report.seed:
-        raise BettaError(f"report file failed round-trip validation: {out / REPORT_FILE}")
     _write_manifest(out, f"simulate {args.mode}", args, [Path(args.input)], outputs)
     sys.stdout.write(text)
     return EXIT_OK
@@ -377,10 +394,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = _out_dir(args)
         path = out / ESTIMATE_FILE
-        path.write_text("id,estimate,std_error\n" + row + "\n", encoding="utf-8")
-        fields = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        text = "id,estimate,std_error\n" + row + "\n"
+        fields = text.splitlines()[1].split(",")
         if len(fields) != 3 or not math.isfinite(float(fields[1])):
             raise BettaError(f"estimate file failed validation: {path}")
+        path.write_text(text, encoding="utf-8")
         _write_manifest(out, "estimate", args, [Path(args.input)], [ESTIMATE_FILE])
     return EXIT_OK
 
@@ -417,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--sample-sizes", type=_ints_arg, default=None,
                         help="comma-separated sizes redraws are drawn from "
                              "(default: the input table's total reads)")
-    shared.add_argument("--replicates", type=int, required=True, help="replicates per dataset")
-    shared.add_argument("--datasets", type=int, required=True, help="number of synthetic datasets")
+    shared.add_argument("--replicates", type=_int_arg, required=True, help="replicates per dataset")
+    shared.add_argument("--datasets", type=_int_arg, required=True, help="number of synthetic datasets")
     shared.add_argument("--alphas", type=_floats_arg, default=(0.01, 0.05, 0.10))
-    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--seed", type=_int_arg, default=0)
     shared.add_argument("--estimator", default=CHAO1, help="chao1 | observed | cmd:<command>")
-    shared.add_argument("--workers", type=int, default=1,
+    shared.add_argument("--workers", type=_int_arg, default=1,
                         help="parallel workers (never changes the results)")
     shared.add_argument("--dump-pvalues", action="store_true",
                         help="also write per-dataset p-values")
@@ -437,22 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="type-I error of the covariate tests").set_defaults(func=_cmd_simulate)
     power = sim_sub.add_parser("power", parents=[shared, covariate],
                                help="power against injected rare-taxon gradients")
-    power.add_argument("--percent", type=float, default=None,
+    power.add_argument("--percent", type=_float_arg, default=None,
                        help="two-category contrast: percent extra taxa in the second category")
     power.add_argument("--percents", type=_floats_arg, default=None,
                        help="grid design: percent extra taxa per replicate")
     power.set_defaults(func=_cmd_simulate)
     hom = sim_sub.add_parser("homogeneity", parents=[shared],
                              help="size/power of the dispersion test (intercept-only)")
-    hom.add_argument("--percent", type=float, default=None,
+    hom.add_argument("--percent", type=_float_arg, default=None,
                      help="optional: percent extra taxa in half the replicates")
     hom.set_defaults(func=_cmd_simulate)
 
     boot = sub.add_parser("bootstrap-se", help="parametric-bootstrap check of a reported SE")
     boot.add_argument("--input", required=True, help="frequency-count table")
     boot.add_argument("--estimator", default=CHAO1)
-    boot.add_argument("-b", "--resamples", type=int, default=200, help="bootstrap resamples (>= 50)")
-    boot.add_argument("--seed", type=int, default=0)
+    boot.add_argument("-b", "--resamples", type=_int_arg, default=200, help="bootstrap resamples (>= 50)")
+    boot.add_argument("--seed", type=_int_arg, default=0)
     boot.add_argument("--out", required=True, help="output directory")
     boot.set_defaults(func=_cmd_bootstrap_se)
 

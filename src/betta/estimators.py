@@ -4,8 +4,8 @@ An estimator is any callable FrequencyCountTable -> RichnessEstimate that
 raises EstimatorFailure when it declines a table. Besides the built-ins
 (chao1, observed richness) an arbitrary external command can be wrapped:
 it receives the frequency table on standard input in the two-column
-format and must print one line "estimate,std_error"; a nonzero exit
-status means failure for that table.
+format and must print one line "estimate,std_error" of plain ASCII
+numerals; a nonzero exit status means failure for that table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EstimatorFailure, EstimatorProtocolError
-from .tables import FrequencyCountTable, RichnessEstimate, chao1, write_frequency_table
+from .tables import (
+    FrequencyCountTable,
+    RichnessEstimate,
+    _parse_number,
+    chao1,
+    write_frequency_table,
+)
 
 EstimatorFn = Callable[[FrequencyCountTable], RichnessEstimate]
 
@@ -64,12 +70,11 @@ class ExternalCommandEstimator:
             raise EstimatorProtocolError(
                 f"external estimator must print 'estimate,std_error', got {line!r}"
             )
-        try:
-            estimate, std_error = float(fields[0]), float(fields[1])
-        except ValueError:
+        estimate, std_error = _parse_number(fields[0]), _parse_number(fields[1])
+        if estimate is None or std_error is None:
             raise EstimatorProtocolError(
-                f"external estimator printed non-numeric fields: {line!r}"
-            ) from None
+                f"external estimator printed fields that are not plain numerals: {line!r}"
+            )
         if not (math.isfinite(estimate) and math.isfinite(std_error) and std_error >= 0.0):
             raise EstimatorProtocolError(
                 f"external estimator printed out-of-range values: {line!r}"

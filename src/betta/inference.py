@@ -3,7 +3,8 @@
 Wald tests compare each coefficient to its estimated standard error
 against a standard normal reference. The joint covariate test (the Wald
 form over all slopes) and the heterogeneity (dispersion) test use
-chi-squared references. Reference tail probabilities come from the
+chi-squared references; the dispersion test is Cochran's Q and reads the
+dataset, not a fit. Reference tail probabilities come from the
 in-package implementations in ``betta.special``.
 """
 
@@ -15,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegreesOfFreedomError, NotApplicableError, NumericalError
-from .model import BettaFit, Dataset
+from .model import (
+    INTERCEPT_NAME,
+    BettaFit,
+    Dataset,
+    _check_full_rank,
+    _weighted_least_squares,
+    floored_variances,
+)
 from .special import chisq_upper_tail, normal_cdf, normal_quantile, normal_two_sided_p
 
 KIND_WALD = "wald"
@@ -95,23 +103,27 @@ def global_test(fit: BettaFit) -> TestResult:
     )
 
 
-def homogeneity_test(fit: BettaFit, dataset: Dataset) -> TestResult:
-    """Dispersion test of the fitted mean structure.
+def homogeneity_test(dataset: Dataset) -> TestResult:
+    """Cochran's Q: can the reported standard errors alone carry the scatter?
 
-    Q = sum_i (estimate_i - fitted_i)^2 / std_error_i^2 against
-    chi-squared with m - p - 1 degrees of freedom. Only the reported
-    standard errors enter the denominator; the fitted between-observation
-    variance does not, so Q asks whether the reported errors alone can
-    carry the scatter.
+    Q = sum_i (estimate_i - x_i . beta~)^2 / std_error_i^2 against
+    chi-squared with m - p - 1 degrees of freedom, where beta~ is the
+    fixed-effect weighted least squares, with weights 1 / std_error_i^2
+    (gls_coefficients at sigma_u_sq = 0). beta~ minimizes that sum, so Q is
+    exactly chi-squared under the known-SE normal null, and it reads the
+    dataset alone: no fit, no variance search, the same Q for labelled and
+    unlabelled rows. Zero standard errors are floored as in the fit.
     """
-    _require_converged(fit)
     dof = dataset.m - dataset.p - 1
     if dof < 1:
         raise DegreesOfFreedomError(
             f"homogeneity test undefined: m - p - 1 = {dof} degrees of freedom"
         )
-    std_resid = np.asarray(fit.std_residuals, dtype=float)
-    statistic = float(np.sum(std_resid * std_resid))
+    x, y = dataset.design_matrix(), dataset.estimates()
+    _check_full_rank(x, (INTERCEPT_NAME,) + dataset.covariate_names)
+    variances = floored_variances(dataset)
+    resid = y - x @ _weighted_least_squares(x, y, variances)
+    statistic = float(np.sum(resid * resid / variances))
     return TestResult(
         statistic=statistic,
         dof=dof,

@@ -347,8 +347,13 @@ def gls_coefficients(dataset: Dataset, sigma_u_sq: float) -> np.ndarray:
         raise ValueError(f"sigma_u_sq must be >= 0, got {sigma_u_sq}")
     x = dataset.design_matrix()
     _check_full_rank(x, (INTERCEPT_NAME,) + dataset.covariate_names)
-    xw = x * (1.0 / (floored_variances(dataset) + sigma_u_sq))[:, None]
-    return _solve_normal_equations(xw.T @ x, xw.T @ dataset.estimates())[0]
+    return _weighted_least_squares(x, dataset.estimates(), floored_variances(dataset) + sigma_u_sq)
+
+
+def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """The beta minimizing sum_i (y_i - x_i . beta)^2 / variances_i."""
+    xw = x * (1.0 / variances)[:, None]
+    return _solve_normal_equations(xw.T @ x, xw.T @ y)[0]
 
 
 def restricted_log_likelihood(dataset: Dataset, beta: np.ndarray, sigma_u_sq: float) -> float:

@@ -6,8 +6,9 @@ injected along a covariate gradient). Each synthetic dataset redraws
 every replicate as a multinomial sample whose size is drawn uniformly
 from an observed list of sample sizes; a richness estimator turns each
 redraw into an (estimate, std_error) pair; the richness regression and a
-plain least-squares regression on observed richness are fitted; and
-rejections of the relevant null are tallied per significance level.
+plain least-squares regression on observed richness are fitted (the
+homogeneity experiment fits nothing: its Cochran's Q reads the dataset);
+and rejections of the relevant null are tallied per significance level.
 
 Randomness is fully keyed: the generator for dataset d, replicate r,
 attempt a is seeded from (seed, d, r, a) alone, so results do not depend
@@ -32,13 +33,14 @@ from .errors import (
     EstimatorFailure,
     GradientUndefinedError,
     IllConditionedWarning,
+    ParseError,
     StdErrorFlooredWarning,
 )
 from .estimators import EstimatorFn, resolve_estimator
 from .inference import homogeneity_test, wald_tests
 from .model import Dataset, fit_betta
 from .special import student_t_two_sided_p
-from .tables import FrequencyCountTable, _read_source, _write_target
+from .tables import FrequencyCountTable, _parse_number, _read_source, _write_target
 
 CONTINUOUS_GRID = "continuous-grid"
 TWO_CATEGORY = "two-category"
@@ -268,9 +270,20 @@ def write_report(report: ExperimentReport, target: Union[str, Path, IO, None] = 
     return _write_target("\n".join(lines) + "\n", target)
 
 
+def _report_number(token: str, kind, line_number: int):
+    value = _parse_number(token.strip(), kind)
+    if value is None:
+        raise ParseError(f"not a plain {kind.__name__} numeral: {token!r}", line_number)
+    return value
+
+
 def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
     """Parse a serialized report back from a path or a stream (p_values are
-    not round-tripped)."""
+    not round-tripped).
+
+    Counts and rates are plain ASCII numerals; anything else, or a row
+    without exactly six fields, is a ParseError naming its line.
+    """
     text = _read_source(source)
     kind = "unknown"
     config_echo: dict = {}
@@ -279,7 +292,7 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
     n_datasets = 0
     seed = 0
     saw_header = False
-    for raw in text.splitlines():
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -290,15 +303,19 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
             elif body.startswith("config:"):
                 config_echo = json.loads(body[len("config:"):].strip())
             elif body.startswith("estimator_failures:"):
-                failures = int(body[len("estimator_failures:"):].strip())
+                failures = _report_number(body[len("estimator_failures:"):], int, line_number)
             continue
         if not saw_header:
             saw_header = True
             continue
-        method, alpha, rate, mc_se, nd, sd = line.split(",")
-        rows.append(ReportRow(method=method, alpha=float(alpha), rate=float(rate), mc_se=float(mc_se)))
-        n_datasets = int(nd)
-        seed = int(sd)
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}", line_number)
+        method, alpha, rate, mc_se, nd, sd = fields
+        alpha, rate, mc_se = (_report_number(t, float, line_number) for t in (alpha, rate, mc_se))
+        rows.append(ReportRow(method=method, alpha=alpha, rate=rate, mc_se=mc_se))
+        n_datasets = _report_number(nd, int, line_number)
+        seed = _report_number(sd, int, line_number)
     return ExperimentReport(
         kind=kind,
         rows=tuple(rows),
@@ -419,10 +436,9 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
         # in a Monte Carlo loop; per-fit advisories are just noise here.
         warnings.simplefilter("ignore", StdErrorFlooredWarning)
         warnings.simplefilter("ignore", IllConditionedWarning)
-        fit = fit_betta(dataset)
         if covariate is None:
-            return {METHOD_HOMOGENEITY: homogeneity_test(fit, dataset).p_value}, failures
-        p_betta = wald_tests(fit)[1].p_value
+            return {METHOD_HOMOGENEITY: homogeneity_test(dataset).p_value}, failures
+        p_betta = wald_tests(fit_betta(dataset))[1].p_value
     p_reg = _ols_slope_p_value(np.asarray(covariate, dtype=float), np.asarray(observed))
     return {METHOD_BETTA: p_betta, METHOD_REGRESSION: p_reg}, failures
 
@@ -591,17 +607,17 @@ def run_homogeneity_experiment(
     workers: int = 1,
     estimator_override: EstimatorFn | None = None,
 ) -> ExperimentReport:
-    """Dispersion-test study on intercept-only fits.
+    """Dispersion-test study: Cochran's Q on intercept-only datasets.
 
     With gradient None every replicate redraws the same population (the
     null: the test's size). With a percent value, half the replicates
     come from the baseline population and half from the injected one (its
-    power). Covariates are rejected outright: this experiment fits
-    intercept-only models.
+    power). Covariates are rejected outright: Q is taken about the
+    weighted mean, and no regression is fitted.
     """
     if config.covariate_kind != NO_COVARIATE:
         raise ValueError(
-            "homogeneity experiments fit intercept-only models; "
+            "homogeneity experiments test intercept-only datasets; "
             f"covariate_kind must be {NO_COVARIATE!r}, got {config.covariate_kind!r}"
         )
     r = config.replicates_per_dataset

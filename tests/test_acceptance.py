@@ -73,7 +73,7 @@ def test_criterion_01_exact_reduction():
         x = rng.normal(size=(m, p)) if p else None
         ds = make_dataset(np.zeros(m), se, x=x, names=tuple(f"x{j}" for j in range(p)))
         fit = fit_betta(ds)
-        q = homogeneity_test(fit, ds)
+        q = homogeneity_test(ds)
         ok &= fit.sigma_u_sq_hat == 0.0
         ok &= q.statistic == 0.0 and q.p_value == 1.0
         ok &= all(t.p_value == 1.0 for t in wald_tests(fit))
@@ -148,7 +148,9 @@ def test_criterion_03_q_null_calibration():
     """Under a truthful normal null (known heterogeneous errors, no excess
     dispersion, m=15) the dispersion statistic must track its chi-square
     reference: KS below the asymptotic 1% critical value over 2000
-    replicates, and empirical sizes inside 3-sigma binomial bands.
+    replicates, and empirical sizes inside 3-sigma binomial bands. The
+    statistic is Cochran's Q, which needs no fit; measured sizes
+    0.0125/0.054/0.0985.
 
     The reference CDF comes from chisq_upper_tail, which criterion 9 pins
     against an integration oracle independently.
@@ -159,9 +161,7 @@ def test_criterion_03_q_null_calibration():
     stats, pvals = [], []
     for r in range(n):
         y = 200.0 + np.random.default_rng(50_000 + r).normal(0.0, se)
-        ds = make_dataset(y, se)
-        fit = fit_betta(ds)
-        t = homogeneity_test(fit, ds)
+        t = homogeneity_test(make_dataset(y, se))
         stats.append(t.statistic)
         pvals.append(t.p_value)
     stats = np.sort(stats)

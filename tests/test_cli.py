@@ -284,12 +284,14 @@ class TestSimulate:
     # sha256 of report.csv and pvalues.csv, taken with the code as it was
     # before the frequency-table collapse became array-native (it round-tripped
     # every count array through a Python list); any change to the draw order,
-    # the collapse, chao1 or the fit arithmetic moves them.
+    # the collapse, chao1 or the fit arithmetic moves them. The homogeneity
+    # p-values were re-pinned when the statistic became Cochran's Q (the
+    # fixed-effect residuals, not the REML ones); its report rates held.
     LARGE_TABLE_DIGESTS = {
         "power": ("3527cb8c9daf746bd0a1ebbdf78d904ffbc3bd21651fa285bd1f210ca8e529a2",
                   "b96f4fe509c8c9dcd9c20597deeb9c55bc64d9125a9848b3b4babbb7c24b759b"),
         "homogeneity": ("08e669cf970214876bbe727c670b782039961ca932df3168591ceac7c0c744ba",
-                        "8c654a1ae63101af3dd36e476cd2310775871c63fb679116a109a1b7eb2d28bf"),
+                        "b9dbf22b3cc8dd240b00e27256a97f54f133c3eab0f9c4cd004e6b61c2cea0c9"),
     }
 
     @pytest.mark.parametrize("experiment", ["power", "homogeneity"])
@@ -406,6 +408,27 @@ class TestEstimate:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "option, value, kind",
+        [
+            ("--sample-sizes", "9_500", "int"),
+            ("--grid", "1_0,2,3,4,5", "float"),
+            ("--percent", "1_0", "float"),
+            ("--replicates", "1_0", "int"),
+            ("--seed", "1_2", "int"),
+        ],
+    )
+    def test_numeric_options_take_plain_numerals_only(self, tmp_path, capsys, option, value, kind):
+        args = {"--sample-sizes": "100", "--grid": "1,2,3,4,5", "--percent": "10",
+                "--replicates": "5", "--seed": "3", option: value}
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "power", "--input", FREQ, "--datasets", "4",
+                  *(token for pair in args.items() for token in pair),
+                  "--out", str(tmp_path / "o")])
+        assert e.value.code == 2
+        assert f"not a plain {kind} numeral: '{value.split(',')[0]}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--version"])

@@ -10,11 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betta import Dataset, fit_betta
 from betta.errors import (
     ConvergenceError,
     DegreesOfFreedomError,
+    DesignMatrixError,
     NotApplicableError,
     NumericalError,
 )
@@ -30,7 +33,7 @@ from betta.inference import (
 )
 from betta.model import BettaFit
 from betta.special import chisq_upper_tail, normal_two_sided_p
-from conftest import make_dataset
+from conftest import make_dataset, with_groups
 
 
 def fake_fit(beta, cov, converged=True):
@@ -134,28 +137,45 @@ class TestGlobal:
             global_test(fit_betta(ds))
 
 
+def old_homogeneity_statistic(ds):
+    """The statistic before Cochran's Q: squared standardized residuals at the
+    REML coefficients, kept here as the reference Q is compared with."""
+    return float(np.sum(fit_betta(ds).std_residuals ** 2))
+
+
+def close(a, b, rel):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
 class TestHomogeneity:
     def test_symmetric_three_point_hand_value(self):
         # Equal errors make the intercept the plain mean (zero here), so the
         # standardized residuals are -2, 0, 2 and Q = 8 with 2 dof. The
         # chi-squared upper tail at 8 with 2 dof is exp(-4).
         ds = make_dataset([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
-        fit = fit_betta(ds)
-        res = homogeneity_test(fit, ds)
+        res = homogeneity_test(ds)
         assert res.statistic == 8.0
         assert res.dof == 2
         assert res.p_value == pytest.approx(math.exp(-4.0), rel=1e-14)
         assert res.kind == KIND_HOMOGENEITY
 
-    def test_matches_reference_sum(self, rng_dataset):
-        ds = rng_dataset(19, m=11, with_covariate=True)
-        fit = fit_betta(ds)
-        res = homogeneity_test(fit, ds)
-        resid = ds.estimates() - fit.fitted
-        assert res.statistic == pytest.approx(
-            float(np.sum((resid / ds.std_errors()) ** 2)), rel=1e-10
+    def test_matches_hand_computed_cochran_value(self):
+        # Weights w = 1/se^2 = (1, 1, 1/4, 1/4, 1). The weighted sums are
+        # sum w = 7/2, sum wx = 25/4, sum wx^2 = 81/4, sum wy = 23/2,
+        # sum wxy = 24 and sum wy^2 = 52, so the normal equations give the
+        # intercept 1326/509 and the slope 194/509, and
+        # Q = sum wy^2 - b0 sum wy - b1 sum wxy = 6563/509 on 5 - 1 - 1 dof.
+        ds = make_dataset(
+            [1.0, 5.0, 2.0, 8.0, 3.0], [1.0, 1.0, 2.0, 2.0, 1.0],
+            x=[[0.0], [1.0], [2.0], [3.0], [4.0]], names=("x",),
         )
-        assert res.dof == ds.m - ds.p - 1
+        res = homogeneity_test(ds)
+        assert res.statistic == pytest.approx(6563.0 / 509.0, rel=1e-14)
+        assert res.dof == 3
+        assert res.p_value == pytest.approx(chisq_upper_tail(6563.0 / 509.0, 3), rel=1e-14)
+        # The REML fit puts sigma_u_sq above zero here, so the same sum at
+        # its coefficients is larger (13.53).
+        assert old_homogeneity_statistic(ds) > res.statistic * (1.0 + 1e-3)
 
     def test_reported_errors_only_in_denominator(self):
         # Data with real extra scatter: sigma_u_sq_hat > 0, and Q must be
@@ -165,7 +185,7 @@ class TestHomogeneity:
         ds = make_dataset(y, [2.0] * 12)
         fit = fit_betta(ds)
         assert fit.sigma_u_sq_hat > 0.0
-        res = homogeneity_test(fit, ds)
+        res = homogeneity_test(ds)
         resid = ds.estimates() - fit.fitted
         deflated = float(np.sum(resid**2 / (4.0 + fit.sigma_u_sq_hat)))
         assert res.statistic > deflated
@@ -175,17 +195,81 @@ class TestHomogeneity:
         # standardized residuals, hence Q, unchanged.
         ds = rng_dataset(23)
         shifted = make_dataset(3.0 + 2.0 * ds.estimates(), 2.0 * ds.std_errors())
-        qa = homogeneity_test(fit_betta(ds), ds)
-        qb = homogeneity_test(fit_betta(shifted), shifted)
+        qa = homogeneity_test(ds)
+        qb = homogeneity_test(shifted)
         assert qa.statistic == pytest.approx(qb.statistic, rel=1e-10)
         assert qa.p_value == pytest.approx(qb.p_value, rel=1e-10)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(4, 20),
+        p=st.integers(0, 2),
+        log10_scale=st.floats(-6.0, 6.0),
+        shift=st.floats(-1e3, 1e3),
+        data=st.data(),
+    )
+    def test_permutation_scale_and_shift_invariance(self, seed, m, p, log10_scale, shift, data):
+        # Q depends on the rows, not on their order, the units of the
+        # response or its origin. No standard error is zero: the floor for
+        # a zero one is not scale-free.
+        rng = np.random.default_rng(seed)
+        se = rng.uniform(1.0, 50.0, m)
+        x = rng.normal(size=(m, p))
+        y = 150.0 + x @ rng.normal(0.0, 20.0, p) + rng.normal(0.0, 60.0, m) + rng.normal(0.0, se)
+        names = tuple(f"x{j}" for j in range(p))
+        q = homogeneity_test(make_dataset(y, se, x=x, names=names)).statistic
+
+        order = data.draw(st.permutations(range(m)))
+        permuted = make_dataset(y[order], se[order], x=x[order], names=names)
+        assert close(homogeneity_test(permuted).statistic, q, 1e-12)
+
+        c = 10.0 ** log10_scale
+        scaled = make_dataset(c * y, c * se, x=x, names=names)
+        assert close(homogeneity_test(scaled).statistic, q, 1e-10)
+
+        moved = make_dataset(y + shift * float(np.std(y, ddof=1)), se, x=x, names=names)
+        assert close(homogeneity_test(moved).statistic, q, 1e-10)
+
+    def test_never_above_the_reml_residual_statistic(self):
+        # The fixed-effect beta minimizes the weighted residual sum of
+        # squares, so Q can only be below the same sum at the REML beta; at
+        # sigma_u_sq_hat = 0 the two coefficient vectors are one.
+        n_zero = n_positive = 0
+        for k in range(200):
+            rng = np.random.default_rng(7000 + k)
+            m = int(rng.integers(4, 16))
+            p = int(rng.integers(0, 3))
+            se = rng.uniform(2.0, 30.0, m)
+            x = rng.normal(size=(m, p))
+            y = 200.0 + x @ rng.normal(0.0, 5.0, p) + rng.normal(0.0, rng.uniform(0.0, 40.0), m)
+            ds = make_dataset(y + rng.normal(0.0, se), se, x=x, names=tuple(f"x{j}" for j in range(p)))
+            q, old = homogeneity_test(ds).statistic, old_homogeneity_statistic(ds)
+            assert q <= old * (1.0 + 1e-12)
+            if fit_betta(ds).sigma_u_sq_hat == 0.0:
+                n_zero += 1
+                assert close(q, old, 1e-12)
+            else:
+                n_positive += 1
+        assert n_zero >= 20 and n_positive >= 20
+
+    def test_group_labels_do_not_change_q(self, rng_dataset):
+        ds = rng_dataset(29, m=12, with_covariate=True)
+        labelled = with_groups(ds, [f"g{i % 3}" for i in range(ds.m)])
+        assert homogeneity_test(labelled) == homogeneity_test(ds)
+
     def test_saturated_model_has_no_test(self):
         ds = make_dataset([1.0, 2.0], [1.0, 1.0], x=[[0.0], [1.0]], names=("x",))
-        with pytest.warns(UserWarning):
-            fit = fit_betta(ds)
         with pytest.raises(DegreesOfFreedomError):
-            homogeneity_test(fit, ds)
+            homogeneity_test(ds)
+
+    def test_rank_deficient_design_is_rejected(self):
+        ds = make_dataset(
+            [1.0, 2.0, 4.0, 3.0], [1.0] * 4,
+            x=[[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], names=("a", "b"),
+        )
+        with pytest.raises(DesignMatrixError):
+            homogeneity_test(ds)
 
 
 class TestResultContract:

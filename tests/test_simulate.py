@@ -17,6 +17,7 @@ from betta.errors import (
     BootstrapUnstableError,
     EstimatorFailure,
     GradientUndefinedError,
+    ParseError,
 )
 from betta.simulate import (
     CONTINUOUS_GRID,
@@ -323,8 +324,8 @@ class TestHomogeneityExperiment:
         assert sorted(null.p_values) == [METHOD_HOMOGENEITY]
         # chao1's claimed SE understates the redraw spread on this toy
         # population, so the dispersion test over-rejects; frozen as-is.
-        assert null.rate_for(METHOD_HOMOGENEITY, 0.05) == 0.4
-        assert null.rate_for(METHOD_HOMOGENEITY, 0.5) == pytest.approx(13.0 / 30.0, rel=1e-12)
+        assert null.rate_for(METHOD_HOMOGENEITY, 0.05) == pytest.approx(8.0 / 30.0, rel=1e-12)
+        assert null.rate_for(METHOD_HOMOGENEITY, 0.5) == pytest.approx(12.0 / 30.0, rel=1e-12)
 
         w = np.arange(1, 301, dtype=float) ** -1.0
         pop = SyntheticPopulation(
@@ -335,6 +336,20 @@ class TestHomogeneityExperiment:
             pop, SampleSizeDistribution(observed_sizes=(3000,)), cfg, gradient=40.0
         )
         assert alt.rate_for(METHOD_HOMOGENEITY, 0.05) == 1.0
+
+    def test_fits_nothing(self, monkeypatch):
+        # Cochran's Q reads the dataset alone, so the experiment runs with
+        # the REML fit out of reach.
+        def no_fit(dataset):
+            raise AssertionError("the homogeneity experiment called fit_betta")
+
+        monkeypatch.setattr("betta.simulate.fit_betta", no_fit)
+        cfg = ExperimentConfig(
+            replicates_per_dataset=6, n_datasets=10, covariate_kind=NO_COVARIATE,
+            alpha_levels=(0.05,), seed=13,
+        )
+        report = run_homogeneity_experiment(toy_population(), TOY_SIZES, cfg)
+        assert len(report.p_values[METHOD_HOMOGENEITY]) == 10
 
     def test_rejects_covariate_configs(self):
         with pytest.raises(ValueError, match="intercept-only"):
@@ -369,6 +384,29 @@ class TestReportIO:
         assert p.read_text() == text
         assert read_report(p).rows == report.rows
         assert read_report(str(p)).rows == report.rows
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("# estimator_failures: 10", "# estimator_failures: 1_0", 4),
+            ("betta,0.05,0.05,", "betta,0.05,0.0_5,", 6),
+            (",100,12", ",1_00,12", 6),
+            (",100,12", ",100,12,7", 6),       # a seventh field
+        ],
+    )
+    def test_malformed_lines_are_parse_errors(self, old, new, line):
+        report = ExperimentReport(
+            kind="size",
+            rows=(ReportRow(method="betta", alpha=0.05, rate=0.05, mc_se=0.01),),
+            n_datasets=100,
+            seed=12,
+            config_echo={},
+            estimator_failures=10,
+        )
+        text = write_report(report)
+        assert old in text
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            read_report(io.StringIO(text.replace(old, new)))
 
     def test_missing_file_is_an_error_not_an_empty_report(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no such file"):

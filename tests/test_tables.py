@@ -479,3 +479,10 @@ class TestEstimatorRegistry:
         t = FrequencyCountTable(entries=((1, 1),))
         with pytest.raises(EstimatorProtocolError):
             resolve_estimator(COMMAND_PREFIX + command)(t)
+
+    @pytest.mark.parametrize("line", ["1_0,5", "10,0_5", "\uff11\uff10,5"])
+    def test_only_plain_numerals(self, line):
+        # float() would read 1_0 as 10 and full-width digits as ASCII ones.
+        t = FrequencyCountTable(entries=((1, 1),))
+        with pytest.raises(EstimatorProtocolError, match="plain numerals"):
+            resolve_estimator(f"{COMMAND_PREFIX}printf '%s\\n' '{line}'")(t)
