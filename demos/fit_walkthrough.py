@@ -9,7 +9,13 @@ something to soak up. Everything prints; nothing is written to disk.
 import numpy as np
 
 from betta import Dataset, RichnessObservation, fit_betta
-from betta.inference import global_test, homogeneity_test, residual_diagnostics, wald_tests
+from betta.inference import (
+    DIAGNOSTIC_COLUMNS,
+    global_test,
+    homogeneity_test,
+    residual_diagnostics,
+    wald_tests,
+)
 
 rng = np.random.default_rng(8)
 
@@ -48,5 +54,7 @@ print(f"homogeneity:     Q {q.statistic:.2f} on {q.dof} dof, p {q.p_value:.4f}")
 # small p here means the claimed standard errors cannot explain the spread
 
 print("\nper-sample diagnostics (std residual, then the +-2se interval):")
-for row in residual_diagnostics(fit, ds).rows:
-    print(f"  {row.id}: resid {row.std_residual:6.2f}   [{row.lower:7.1f}, {row.upper:7.1f}]")
+diag = residual_diagnostics(fit, ds)
+cols = [DIAGNOSTIC_COLUMNS.index(c) for c in ("std_residual", "lower", "upper")]
+for sample_id, (resid, lower, upper) in zip(diag.ids, diag.values[:, cols]):
+    print(f"  {sample_id}: resid {resid:6.2f}   [{lower:7.1f}, {upper:7.1f}]")

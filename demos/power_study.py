@@ -12,8 +12,7 @@ from betta.simulate import (
     ExperimentConfig,
     SampleSizeDistribution,
     SyntheticPopulation,
-    run_power_experiment,
-    run_size_experiment,
+    run_experiment,
 )
 
 N_DATASETS = 200  # keep the demo under ~10 seconds
@@ -37,13 +36,14 @@ config = ExperimentConfig(
     estimator="chao1",
 )
 
-null_report = run_size_experiment(pop, sizes, config)
+# no gradient: a size study; a percent contrast: a power study
+null_report = run_experiment(pop, sizes, config)
 print("false-positive rate at alpha=0.05 (no real difference):")
 print(f"  weighted fit on chao1:     {null_report.rate_for(METHOD_BETTA, 0.05):.3f}")
 print(f"  least squares on observed: {null_report.rate_for(METHOD_REGRESSION, 0.05):.3f}")
 
 for pct in (5.0, 10.0):
-    rep = run_power_experiment(pop, sizes, config, pct)
+    rep = run_experiment(pop, sizes, config, pct)
     print(f"\npower against {pct:g}% extra rare taxa:")
     print(f"  weighted fit on chao1:     {rep.rate_for(METHOD_BETTA, 0.05):.3f}"
           f"  (mc se {rep.mc_se_for(METHOD_BETTA, 0.05):.3f})")

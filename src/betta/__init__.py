@@ -36,7 +36,7 @@ from .estimators import (
     resolve_estimator,
 )
 from .inference import (
-    DiagnosticRow,
+    DIAGNOSTIC_COLUMNS,
     ResidualDiagnostics,
     TestResult,
     global_test,
@@ -68,21 +68,16 @@ from .simulate import (
     population_from_table,
     read_report,
     resample_dataset,
-    run_homogeneity_experiment,
-    run_power_experiment,
-    run_size_experiment,
+    run_experiment,
     write_report,
 )
 from .special import (
     chisq_upper_tail,
     normal_cdf,
     normal_quantile,
-    normal_sf,
     normal_two_sided_p,
-    regularized_gamma_p,
     regularized_gamma_q,
     regularized_inc_beta,
-    student_t_sf,
     student_t_two_sided_p,
 )
 from .tables import (
@@ -111,7 +106,7 @@ __all__ = [
     "INTERCEPT_NAME",
     # inference
     "TestResult", "wald_tests", "global_test", "homogeneity_test",
-    "residual_diagnostics", "ResidualDiagnostics", "DiagnosticRow",
+    "residual_diagnostics", "ResidualDiagnostics", "DIAGNOSTIC_COLUMNS",
     # grouped variant
     "MixedFit", "fit_betta_random",
     # tables and estimators
@@ -124,11 +119,10 @@ __all__ = [
     "RngStream", "SyntheticPopulation", "population_from_table",
     "inject_richness_gradient", "SampleSizeDistribution", "resample_dataset",
     "ExperimentConfig", "ExperimentReport", "ReportRow",
-    "run_size_experiment", "run_power_experiment", "run_homogeneity_experiment",
-    "write_report", "read_report",
+    "run_experiment", "write_report", "read_report",
     "parametric_bootstrap_se", "BootstrapSummary",
     # special functions
-    "normal_cdf", "normal_sf", "normal_two_sided_p", "normal_quantile",
-    "chisq_upper_tail", "regularized_gamma_p", "regularized_gamma_q",
-    "regularized_inc_beta", "student_t_sf", "student_t_two_sided_p",
+    "normal_cdf", "normal_two_sided_p", "normal_quantile",
+    "chisq_upper_tail", "regularized_gamma_q", "regularized_inc_beta",
+    "student_t_two_sided_p",
 ]

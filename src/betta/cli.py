@@ -47,6 +47,7 @@ from .errors import (
 )
 from .estimators import CHAO1, resolve_estimator
 from .inference import (
+    DIAGNOSTIC_COLUMNS,
     global_test,
     homogeneity_test,
     residual_diagnostics,
@@ -63,9 +64,7 @@ from .simulate import (
     parametric_bootstrap_se,
     population_from_table,
     read_report,
-    run_homogeneity_experiment,
-    run_power_experiment,
-    run_size_experiment,
+    run_experiment,
     write_report,
 )
 from .tables import _parse_number, read_estimates, read_frequency_table
@@ -172,7 +171,7 @@ def _test_payload(result) -> dict:
         "kind": result.kind,
     }
 
-def _summary_text(model: str, dataset: Dataset, result: dict) -> str:
+def _summary_text(model: str, result: dict) -> str:
     lines = [
         f"model: {model}",
         f"observations: {result['m']}   covariates: {result['p']}   dropped rows: {result['n_dropped']}",
@@ -244,20 +243,20 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
     out = _out_dir(args)
     _write_json(out / RESULT_FILE, result)
 
-    header = "id,estimate,std_error,lower,upper,fitted,std_residual,normal_quantile"
+    header = ",".join(("id", *DIAGNOSTIC_COLUMNS))
     rows = [header]
-    for row in diagnostics.rows:
-        rows.append(
-            f"{row.id},{row.estimate!r},{row.std_error!r},{row.lower!r},{row.upper!r},"
-            f"{row.fitted!r},{row.std_residual!r},{row.normal_quantile!r}"
-        )
+    # tolist() gives Python floats, whose repr is the plain round-tripping form.
+    rows.extend(
+        i + "," + ",".join(map(repr, row))
+        for i, row in zip(diagnostics.ids, diagnostics.values.tolist())
+    )
     diag_text = "\n".join(rows) + "\n"
     lines = diag_text.splitlines()
     if len(lines) != dataset.m + 1 or lines[0] != header:
         raise BettaError(f"diagnostics file failed validation: {out / DIAGNOSTICS_FILE}")
     (out / DIAGNOSTICS_FILE).write_text(diag_text, encoding="utf-8")
 
-    summary = _summary_text(model, dataset, result)
+    summary = _summary_text(model, result)
     (out / SUMMARY_FILE).write_text(summary, encoding="utf-8")
 
     _write_manifest(out, subcommand, args, [Path(args.input)],
@@ -315,20 +314,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         estimator=args.estimator,
     )
 
-    if args.mode == "size":
-        report = run_size_experiment(pop, sizes, config, workers=args.workers)
+    # The design and the gradient pick the study: size, power or homogeneity.
+    gradient = None
+    if args.mode == "homogeneity":
+        gradient = args.percent
     elif args.mode == "power":
         if kind == CONTINUOUS_GRID:
             if args.percents is None or args.percent is not None:
                 raise ValueError("--grid power takes --percents with one value per replicate")
-            gradient: object = args.percents
+            gradient = args.percents
         else:
             if args.percent is None or args.percents is not None:
                 raise ValueError("--two-category power takes a single --percent")
             gradient = args.percent
-        report = run_power_experiment(pop, sizes, config, gradient, workers=args.workers)
-    else:
-        report = run_homogeneity_experiment(pop, sizes, config, args.percent, workers=args.workers)
+    report = run_experiment(pop, sizes, config, gradient, workers=args.workers)
 
     out = _out_dir(args)
     text = write_report(report)
@@ -375,11 +374,22 @@ def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
 # estimate
 # ----------------------------------------------------------------------------
 
+def _check_row_id(sample_id: str) -> None:
+    # read_estimates splits lines, skips '#' lines, splits on commas and
+    # strips each field; any id those steps would change cannot round-trip.
+    if (sample_id.splitlines() != [sample_id] or sample_id != sample_id.strip()
+            or "," in sample_id or sample_id.startswith("#")):
+        raise ValueError(
+            f"row id {sample_id!r} would not read back as itself: an id must be "
+            "nonempty, unpadded, on one line, free of commas and not start with '#'"
+        )
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     table = read_frequency_table(args.input)
+    sample_id = args.id if args.id is not None else Path(args.input).stem
+    _check_row_id(sample_id)
     estimator = resolve_estimator(args.estimator)
     estimate = estimator(table)
-    sample_id = args.id if args.id is not None else Path(args.input).stem
     row = f"{sample_id},{estimate.estimate!r},{estimate.std_error!r}"
     summary = (
         f"# source: {args.input}\n"

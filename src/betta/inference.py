@@ -132,31 +132,29 @@ def homogeneity_test(dataset: Dataset) -> TestResult:
     )
 
 
-@dataclass(frozen=True)
-class DiagnosticRow:
-    """Plot-ready values for one observation (error-bar view)."""
-
-    id: str
-    estimate: float
-    std_error: float
-    lower: float       # estimate - 2 * std_error
-    upper: float       # estimate + 2 * std_error
-    fitted: float
-    std_residual: float
-    normal_quantile: float
+# The per-observation columns of ResidualDiagnostics.values, in order. lower
+# and upper are estimate -/+ 2 * std_error (the error-bar view).
+DIAGNOSTIC_COLUMNS = (
+    "estimate", "std_error", "lower", "upper", "fitted", "std_residual", "normal_quantile",
+)
 
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
-    """Per-observation rows plus the sorted pairs for a qq-plot."""
+    """Per-observation columns plus the sorted pairs for a qq-plot.
 
-    rows: tuple[DiagnosticRow, ...]
+    values has one row per observation, in dataset order, and one column
+    per DIAGNOSTIC_COLUMNS entry; ids labels its rows. It is read-only.
+    """
+
+    ids: tuple[str, ...]
+    values: np.ndarray
     sorted_std_residuals: np.ndarray
     normal_quantiles: np.ndarray
 
 
 def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics:
-    """Assemble error-bar rows and qq-plot pairs for a fitted dataset.
+    """Assemble error-bar columns and qq-plot pairs for a fitted dataset.
 
     The matched normal quantile for an observation of rank k (0-based,
     residuals ascending) is the standard normal quantile at (k + 0.5) / m.
@@ -171,11 +169,10 @@ def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics
 
     y, se = dataset.estimates(), dataset.std_errors()
     values = np.column_stack([y, se, y - 2.0 * se, y + 2.0 * se, fit.fitted, std_resid, quantile_of])
-    # tolist() gives each row's fields as Python floats, which repr without a
-    # NumPy wrapper and sit together in memory for the writer that reads them.
-    rows = tuple(DiagnosticRow(i, *row) for i, row in zip(dataset.ids(), values.tolist()))
+    values.flags.writeable = False
     return ResidualDiagnostics(
-        rows=rows,
+        ids=dataset.ids(),
+        values=values,
         sorted_std_residuals=std_resid[order],
         normal_quantiles=quantiles_sorted,
     )
@@ -183,7 +180,7 @@ def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics
 
 __all__ = [
     "TestResult",
-    "DiagnosticRow",
+    "DIAGNOSTIC_COLUMNS",
     "ResidualDiagnostics",
     "wald_tests",
     "global_test",

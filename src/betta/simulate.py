@@ -1,14 +1,16 @@
 """Multinomial resampling experiments: error rates, power, SE checking.
 
-The experiments follow one protocol. A source community is frozen into a
-category-probability vector (optionally with extra rare categories
-injected along a covariate gradient). Each synthetic dataset redraws
-every replicate as a multinomial sample whose size is drawn uniformly
-from an observed list of sample sizes; a richness estimator turns each
-redraw into an (estimate, std_error) pair; the richness regression and a
-plain least-squares regression on observed richness are fitted (the
-homogeneity experiment fits nothing: its Cochran's Q reads the dataset);
-and rejections of the relevant null are tallied per significance level.
+One runner, run_experiment, serves the size, power and homogeneity
+studies, and the design picks which. Each follows one protocol. A source
+community is frozen into a category-probability vector (optionally with
+extra rare categories injected along a covariate gradient). Each
+synthetic dataset redraws every replicate as a multinomial sample whose
+size is drawn uniformly from an observed list of sample sizes; a richness
+estimator turns each redraw into an (estimate, std_error) pair; the
+richness regression and a plain least-squares regression on observed
+richness are fitted (the homogeneity study fits nothing: its Cochran's Q
+reads the dataset); and rejections of the relevant null are tallied per
+significance level.
 
 Randomness is fully keyed: the generator for dataset d, replicate r,
 attempt a is seeded from (seed, d, r, a) alone, so results do not depend
@@ -28,7 +30,6 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .errors import (
-    BettaError,
     BootstrapUnstableError,
     EstimatorFailure,
     GradientUndefinedError,
@@ -181,7 +182,7 @@ class SampleSizeDistribution:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for the size / power / homogeneity experiments."""
+    """The design of a study; covariate_kind also picks its kind (see run_experiment)."""
 
     replicates_per_dataset: int
     n_datasets: int
@@ -237,17 +238,17 @@ class ExperimentReport:
     # the serialized report.
     p_values: dict | None = field(default=None, compare=False, repr=False)
 
-    def rate_for(self, method: str, alpha: float) -> float:
+    def _row(self, method: str, alpha: float) -> ReportRow:
         for row in self.rows:
             if row.method == method and row.alpha == alpha:
-                return row.rate
+                return row
         raise KeyError(f"no row for method={method!r}, alpha={alpha!r}")
 
+    def rate_for(self, method: str, alpha: float) -> float:
+        return self._row(method, alpha).rate
+
     def mc_se_for(self, method: str, alpha: float) -> float:
-        for row in self.rows:
-            if row.method == method and row.alpha == alpha:
-                return row.mc_se
-        raise KeyError(f"no row for method={method!r}, alpha={alpha!r}")
+        return self._row(method, alpha).mc_se
 
 
 def write_report(report: ExperimentReport, target: Union[str, Path, IO, None] = None) -> str:
@@ -368,8 +369,9 @@ def resample_dataset(
 class _Payload:
     """Everything a worker needs to reproduce a dataset range."""
 
-    probs_by_percent: dict
-    percents: tuple[float, ...]             # per replicate
+    # Per replicate; replicates with the same percent share one array, so
+    # the pickle sent to each pool chunk holds each distinct vector once.
+    probabilities: tuple[np.ndarray, ...]
     covariate: tuple[float, ...] | None     # per replicate, None for homogeneity
     sizes: SampleSizeDistribution
     config: ExperimentConfig
@@ -404,10 +406,9 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
     observed: list[float] = []
     failures = 0
     for r in range(config.replicates_per_dataset):
-        probs = payload.probs_by_percent[payload.percents[r]]
         attempt = 0
         while True:
-            table = _draw_replicate(probs, payload.sizes, stream, r, attempt)
+            table = _draw_replicate(payload.probabilities[r], payload.sizes, stream, r, attempt)
             try:
                 est = estimator(table)
                 break
@@ -415,7 +416,7 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
                 failures += 1
                 attempt += 1
                 if attempt >= _MAX_REDRAW_ATTEMPTS:
-                    raise BettaError(
+                    raise EstimatorFailure(
                         f"estimator failed {attempt} consecutive redraws "
                         f"(dataset {d}, replicate {r})"
                     ) from None
@@ -448,7 +449,10 @@ def _run_chunk(payload: _Payload, indices: list[int]) -> list[tuple[int, dict, i
 
 
 def _aggregate(
-    kind: str, payload: _Payload, results: list[tuple[int, dict, int]]
+    kind: str,
+    payload: _Payload,
+    percents: tuple[float, ...],
+    results: list[tuple[int, dict, int]],
 ) -> ExperimentReport:
     config = payload.config
     results = sorted(results, key=lambda item: item[0])
@@ -480,7 +484,7 @@ def _aggregate(
         "alpha_levels": list(config.alpha_levels),
         "seed": config.seed,
         "estimator": config.estimator,
-        "percents": sorted(set(payload.percents)),
+        "percents": sorted(set(percents)),
         "sample_sizes": list(payload.sizes.observed_sizes),
     }
     return ExperimentReport(
@@ -494,8 +498,71 @@ def _aggregate(
     )
 
 
-def _execute(kind: str, payload: _Payload, workers: int) -> ExperimentReport:
-    n = payload.config.n_datasets
+# ----------------------------------------------------------------------------
+# the public study runner
+# ----------------------------------------------------------------------------
+
+def run_experiment(
+    pop: SyntheticPopulation,
+    sizes: SampleSizeDistribution,
+    config: ExperimentConfig,
+    gradient: Union[Sequence[float], float, None] = None,
+    *,
+    workers: int = 1,
+    estimator_override: EstimatorFn | None = None,
+) -> ExperimentReport:
+    """Run one Monte Carlo study; the design decides which.
+
+    - covariate_kind NO_COVARIATE: "homogeneity". Cochran's Q on
+      intercept-only datasets; no regression is fitted. With gradient
+      None every replicate redraws the same population (the test's size);
+      a single percent injects extra rare taxa into the second half of
+      the replicates (its power).
+    - any covariate and gradient None: "size". Every replicate redraws
+      the same population, the covariate is the configured grid or the
+      two-category split, and rejections of "no covariate effect" are
+      counted for the richness regression and for least squares on
+      observed richness.
+    - any covariate and a gradient: "power", with the same tests. The
+      continuous grid takes one percent per replicate, aligned with the
+      grid; the two-category design takes a single percent, applied to
+      the second category only.
+
+    The first (r + 1) // 2 replicates form the first category of the
+    two-category split, and a single percent always lands on the rest.
+    """
+    r = config.replicates_per_dataset
+    n_a = (r + 1) // 2
+    split = (0.0,) * n_a + (1.0,) * (r - n_a)
+    if config.covariate_kind == NO_COVARIATE:
+        kind, covariate = "homogeneity", None
+    else:
+        kind = "size" if gradient is None else "power"
+        covariate = split if config.covariate_kind == TWO_CATEGORY else tuple(map(float, config.grid))
+
+    if gradient is None:
+        percents = (0.0,) * r
+    elif config.covariate_kind == CONTINUOUS_GRID:
+        if np.isscalar(gradient):
+            raise ValueError("continuous-grid power needs one percent per replicate")
+        percents = tuple(float(g) for g in gradient)  # type: ignore[union-attr]
+        if len(percents) != r:
+            raise ValueError(f"gradient length {len(percents)} must equal replicates {r}")
+    elif np.isscalar(gradient):
+        # 0 * g is 0 for every finite g >= 0, the only percents injection takes.
+        percents = tuple(float(gradient) * s for s in split)  # type: ignore[arg-type]
+    else:
+        raise ValueError(f"the {config.covariate_kind!r} design takes a single percent contrast")
+
+    probs = {pc: inject_richness_gradient(pop, pc).probabilities for pc in sorted(set(percents))}
+    payload = _Payload(
+        probabilities=tuple(probs[pc] for pc in percents),
+        covariate=covariate,
+        sizes=sizes,
+        config=config,
+        estimator_override=estimator_override,
+    )
+    n = config.n_datasets
     if workers <= 1:
         results = _run_chunk(payload, list(range(n)))
     else:
@@ -505,138 +572,7 @@ def _execute(kind: str, payload: _Payload, workers: int) -> ExperimentReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, [payload] * len(chunks), chunks):
                 results.extend(part)
-    return _aggregate(kind, payload, results)
-
-
-def _injected_probabilities(pop: SyntheticPopulation, percents: Sequence[float]) -> dict:
-    return {
-        pc: (pop if pc == 0.0 else inject_richness_gradient(pop, pc)).probabilities
-        for pc in sorted(set(percents))
-    }
-
-
-def _covariate_values(config: ExperimentConfig) -> tuple[float, ...]:
-    if config.covariate_kind == CONTINUOUS_GRID:
-        return tuple(float(v) for v in config.grid)
-    if config.covariate_kind == TWO_CATEGORY:
-        r = config.replicates_per_dataset
-        n_a = (r + 1) // 2
-        return (0.0,) * n_a + (1.0,) * (r - n_a)
-    raise ValueError(f"covariate experiments need a covariate, got kind {config.covariate_kind!r}")
-
-
-# ----------------------------------------------------------------------------
-# public experiments
-# ----------------------------------------------------------------------------
-
-def run_size_experiment(
-    pop: SyntheticPopulation,
-    sizes: SampleSizeDistribution,
-    config: ExperimentConfig,
-    *,
-    workers: int = 1,
-    estimator_override: EstimatorFn | None = None,
-) -> ExperimentReport:
-    """Type-I error study: homogeneous redraws, covariate unrelated to richness.
-
-    Every replicate resamples the same population, the covariate comes
-    from the configured grid (or the two-category split), and rejections
-    of "no covariate effect" are counted for the richness regression and
-    for least squares on observed richness.
-    """
-    covariate = _covariate_values(config)
-    percents = (0.0,) * config.replicates_per_dataset
-    payload = _Payload(
-        probs_by_percent=_injected_probabilities(pop, percents),
-        percents=percents,
-        covariate=covariate,
-        sizes=sizes,
-        config=config,
-        estimator_override=estimator_override,
-    )
-    return _execute("size", payload, workers)
-
-
-def run_power_experiment(
-    pop: SyntheticPopulation,
-    sizes: SampleSizeDistribution,
-    config: ExperimentConfig,
-    gradient: Union[Sequence[float], float],
-    *,
-    workers: int = 1,
-    estimator_override: EstimatorFn | None = None,
-) -> ExperimentReport:
-    """Power study: richness really does increase along the covariate.
-
-    For the continuous grid, gradient is a per-replicate list of
-    percent-extra values (aligned with the grid); for the two-category
-    design it is a single contrast, applied to the second category only.
-    The tests and bookkeeping mirror run_size_experiment.
-    """
-    covariate = _covariate_values(config)
-    r = config.replicates_per_dataset
-    if config.covariate_kind == CONTINUOUS_GRID:
-        if np.isscalar(gradient):
-            raise ValueError("continuous-grid power needs one percent per replicate")
-        gradient = tuple(float(g) for g in gradient)  # type: ignore[arg-type]
-        if len(gradient) != r:
-            raise ValueError(f"gradient length {len(gradient)} must equal replicates {r}")
-        percents = gradient
-    else:
-        if not np.isscalar(gradient):
-            raise ValueError("two-category power takes a single percent contrast")
-        n_a = (r + 1) // 2
-        percents = (0.0,) * n_a + (float(gradient),) * (r - n_a)  # type: ignore[arg-type]
-    payload = _Payload(
-        probs_by_percent=_injected_probabilities(pop, percents),
-        percents=percents,
-        covariate=covariate,
-        sizes=sizes,
-        config=config,
-        estimator_override=estimator_override,
-    )
-    return _execute("power", payload, workers)
-
-
-def run_homogeneity_experiment(
-    pop: SyntheticPopulation,
-    sizes: SampleSizeDistribution,
-    config: ExperimentConfig,
-    gradient: float | None = None,
-    *,
-    workers: int = 1,
-    estimator_override: EstimatorFn | None = None,
-) -> ExperimentReport:
-    """Dispersion-test study: Cochran's Q on intercept-only datasets.
-
-    With gradient None every replicate redraws the same population (the
-    null: the test's size). With a percent value, half the replicates
-    come from the baseline population and half from the injected one (its
-    power). Covariates are rejected outright: Q is taken about the
-    weighted mean, and no regression is fitted.
-    """
-    if config.covariate_kind != NO_COVARIATE:
-        raise ValueError(
-            "homogeneity experiments test intercept-only datasets; "
-            f"covariate_kind must be {NO_COVARIATE!r}, got {config.covariate_kind!r}"
-        )
-    r = config.replicates_per_dataset
-    if gradient is None:
-        percents: tuple[float, ...] = (0.0,) * r
-    else:
-        if not np.isscalar(gradient) or gradient < 0.0:
-            raise ValueError("gradient must be a single nonnegative percent")
-        n_a = (r + 1) // 2
-        percents = (0.0,) * n_a + (float(gradient),) * (r - n_a)
-    payload = _Payload(
-        probs_by_percent=_injected_probabilities(pop, percents),
-        percents=percents,
-        covariate=None,
-        sizes=sizes,
-        config=config,
-        estimator_override=estimator_override,
-    )
-    return _execute("homogeneity", payload, workers)
+    return _aggregate(kind, payload, percents, results)
 
 
 # ----------------------------------------------------------------------------

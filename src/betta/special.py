@@ -28,13 +28,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_sf(x: float) -> float:
-    """Standard normal upper-tail probability P(Z > x)."""
-    if math.isnan(x):
-        raise NumericalError("normal_sf: NaN argument")
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def normal_two_sided_p(z: float) -> float:
     """Two-sided p-value for an observed standard normal deviate."""
     return min(1.0, math.erfc(abs(z) / _SQRT2))
@@ -137,21 +130,6 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     raise NumericalError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
 
 
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
-    if a <= 0.0 or x < 0.0 or math.isnan(a) or math.isnan(x):
-        raise NumericalError(f"regularized_gamma_p: invalid arguments a={a!r}, x={x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < a + 1.0:
-        p = _lower_gamma_series(a, x)
-    else:
-        p = 1.0 - _upper_gamma_cf(a, x)
-    return min(1.0, max(0.0, p))
-
-
 def regularized_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0.0 or x < 0.0 or math.isnan(a) or math.isnan(x):
@@ -245,18 +223,6 @@ def regularized_inc_beta(a: float, b: float, x: float) -> float:
     else:
         value = 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, value))
-
-
-def student_t_sf(t: float, dof: int) -> float:
-    """Upper-tail probability P(T > t) for Student's t with dof degrees."""
-    if dof < 1:
-        raise NumericalError(f"student_t_sf: dof must be positive, got {dof!r}")
-    if math.isnan(t):
-        raise NumericalError("student_t_sf: NaN argument")
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    half = 0.5 * regularized_inc_beta(0.5 * dof, 0.5, dof / (dof + t * t))
-    return half if t >= 0.0 else 1.0 - half
 
 
 def student_t_two_sided_p(t: float, dof: int) -> float:

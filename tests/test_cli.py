@@ -316,6 +316,14 @@ class TestSimulate:
         assert code == EXIT_ESTIMATOR
         assert "estimate,std_error" in capsys.readouterr().err
 
+    def test_estimator_that_declines_every_redraw_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("betta.simulate._MAX_REDRAW_ATTEMPTS", 3)
+        code = main(["simulate", "size", "--input", FREQ, "--replicates", "3",
+                     "--datasets", "1", "--two-category", "--estimator", "cmd:false",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_ESTIMATOR
+        assert "failed 3 consecutive redraws" in capsys.readouterr().err
+
 
 class TestBootstrapSe:
     def test_bundle_matches_library(self, tmp_path, capsys):
@@ -380,6 +388,22 @@ class TestEstimate:
         assert code == EXIT_OK
         stdout = capsys.readouterr().out
         assert "freq,94.5,18.498310733685926" in stdout
+
+    @pytest.mark.parametrize("sample_id", ["a,b", "a\nb", "a\rb", "", " a", "a\t", "#a"])
+    def test_id_must_read_back_as_itself(self, tmp_path, capsys, sample_id):
+        out = tmp_path / "o"
+        code = main(["estimate", "--input", FREQ, "--id", sample_id, "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "read back" in captured.err
+        assert not out.exists()
+
+    def test_file_stem_id_must_read_back_as_itself(self, tmp_path, capsys):
+        table = tmp_path / "a,b.csv"
+        table.write_text(Path(FREQ).read_text())
+        assert main(["estimate", "--input", str(table)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_observed_estimator(self, capsys):
         code = main(["estimate", "--input", FREQ, "--estimator", "observed"])

@@ -23,6 +23,7 @@ from betta.errors import (
 )
 from betta.inference import TestResult as StatTestResult
 from betta.inference import (
+    DIAGNOSTIC_COLUMNS,
     KIND_GLOBAL,
     KIND_HOMOGENEITY,
     KIND_WALD,
@@ -285,16 +286,21 @@ class TestResultContract:
 
 
 class TestDiagnostics:
+    @staticmethod
+    def column(diag, name):
+        return diag.values[:, DIAGNOSTIC_COLUMNS.index(name)]
+
     def test_error_bars_are_two_standard_errors(self):
         ds = make_dataset([100.0, 50.0, 75.0], [10.0, 5.0, 2.5])
         diag = residual_diagnostics(fit_betta(ds), ds)
-        row = diag.rows[0]
-        assert row.id == "s0"
-        assert (row.lower, row.upper) == (80.0, 120.0)
-        assert diag.rows[1].lower == 40.0
-        assert diag.rows[2].upper == 80.0
+        assert diag.ids[0] == "s0"
+        assert diag.values.shape == (3, len(DIAGNOSTIC_COLUMNS))
+        assert (self.column(diag, "lower")[0], self.column(diag, "upper")[0]) == (80.0, 120.0)
+        assert self.column(diag, "lower")[1] == 40.0
+        assert self.column(diag, "upper")[2] == 80.0
         # Plain floats, so a written row reprs as a number, not as np.float64(...).
-        assert {type(v) for r in diag.rows for v in vars(r).values()} == {str, float}
+        assert {type(v) for row in diag.values.tolist() for v in row} == {float}
+        assert not diag.values.flags.writeable
 
     def test_qq_quantiles_for_three_points(self):
         # Ranks map to (k + 0.5) / 3, i.e. 1/6, 1/2, 5/6.
@@ -309,12 +315,13 @@ class TestDiagnostics:
         ds = rng_dataset(31, m=9)
         fit = fit_betta(ds)
         diag = residual_diagnostics(fit, ds)
-        assert [r.id for r in diag.rows] == list(ds.ids())
+        assert list(diag.ids) == list(ds.ids())
+        assert self.column(diag, "std_residual").tolist() == list(fit.std_residuals)
         assert np.all(np.diff(diag.sorted_std_residuals) >= 0.0)
         assert np.all(np.diff(diag.normal_quantiles) > 0.0)
         # Each row's matched quantile has the same rank as its residual.
-        by_resid = sorted(diag.rows, key=lambda r: r.std_residual)
-        assert [r.normal_quantile for r in by_resid] == pytest.approx(
+        order = np.argsort(self.column(diag, "std_residual"), kind="stable")
+        assert self.column(diag, "normal_quantile")[order] == pytest.approx(
             list(diag.normal_quantiles), abs=1e-12
         )
 
@@ -322,4 +329,4 @@ class TestDiagnostics:
         ds = rng_dataset(12, m=7, with_covariate=True)
         fit = fit_betta(ds)
         diag = residual_diagnostics(fit, ds)
-        assert [r.fitted for r in diag.rows] == pytest.approx(list(fit.fitted), rel=1e-14)
+        assert self.column(diag, "fitted") == pytest.approx(list(fit.fitted), rel=1e-14)

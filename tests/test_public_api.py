@@ -1,8 +1,7 @@
 """Smoke tests of the public API as the README and the demos use it.
 
 Each script runs in a fresh interpreter, so a broken name, signature or
-constructor in the documented entry points fails here. The power-study
-demo is left out for its run time (a few seconds).
+constructor in the documented entry points fails here.
 """
 
 import os
@@ -13,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import betta
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
 def run_python(args):
@@ -26,16 +28,34 @@ def run_python(args):
     return result.stdout
 
 
-@pytest.mark.parametrize("demo", ["fit_walkthrough.py", "bootstrap_check.py"])
+def readme_snippet(heading):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(heading, 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     assert run_python([str(ROOT / "demos" / demo)]).strip()
 
 
 def test_readme_library_snippet_runs():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library in one minute", 1)[1]
-    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    lines = run_python(["-c", snippet]).splitlines()
+    lines = run_python(["-c", readme_snippet("## Library in one minute")]).splitlines()
     # The row and the column constructor build equal datasets.
     assert lines[0] == "True"
     assert len(lines) >= 3
+
+
+def test_readme_study_snippet_runs():
+    lines = run_python(["-c", readme_snippet("## Monte Carlo studies")]).splitlines()
+    assert lines[0] == "power"
+    # One row per method at the one alpha level.
+    rows = [line.split() for line in lines[1:]]
+    assert sorted(row[0] for row in rows) == ["betta", "regression_on_c"]
+    assert all(0.0 <= float(row[2]) <= 1.0 for row in rows)
+
+
+def test_every_exported_name_resolves_once():
+    assert len(betta.__all__) == len(set(betta.__all__))
+    missing = [name for name in betta.__all__ if not hasattr(betta, name)]
+    assert missing == []

@@ -1,6 +1,7 @@
 """Tests for the resampling experiments: populations, gradient injection,
-the deterministic stream tree, the three experiment drivers, report I/O,
-and the parametric bootstrap SE check.
+the deterministic stream tree, the study runner (size, power and
+homogeneity studies, picked by the design), report I/O, and the
+parametric bootstrap SE check.
 
 Experiment configs here are deliberately tiny; the statistically heavy
 runs live in the acceptance module. Rates from those tiny runs are frozen
@@ -37,9 +38,7 @@ from betta.simulate import (
     population_from_table,
     read_report,
     resample_dataset,
-    run_homogeneity_experiment,
-    run_power_experiment,
-    run_size_experiment,
+    run_experiment,
     write_report,
 )
 from betta.tables import FrequencyCountTable, RichnessEstimate, chao1, read_frequency_table
@@ -210,9 +209,36 @@ class TestConfigValidation:
             toy_config(covariate_kind=TWO_CATEGORY)
 
 
+class TestStudyKind:
+    @pytest.mark.parametrize(
+        "covariate_kind, gradient, kind, percents",
+        [
+            (CONTINUOUS_GRID, None, "size", [0.0]),
+            (CONTINUOUS_GRID, (0.0, 0.0, 5.0, 5.0, 9.0, 9.0), "power", [0.0, 5.0, 9.0]),
+            (TWO_CATEGORY, None, "size", [0.0]),
+            (TWO_CATEGORY, 5.0, "power", [0.0, 5.0]),
+            (NO_COVARIATE, None, "homogeneity", [0.0]),
+            (NO_COVARIATE, 5.0, "homogeneity", [0.0, 5.0]),
+        ],
+    )
+    def test_design_and_gradient_pick_the_kind(self, covariate_kind, gradient, kind, percents):
+        grid = toy_config().grid if covariate_kind == CONTINUOUS_GRID else ()
+        cfg = toy_config(covariate_kind=covariate_kind, grid=grid, n_datasets=3)
+        report = run_experiment(toy_population(), TOY_SIZES, cfg, gradient)
+        assert report.kind == kind
+        assert report.config_echo["kind"] == kind
+        assert report.config_echo["percents"] == percents
+
+    @pytest.mark.parametrize("covariate_kind", [TWO_CATEGORY, NO_COVARIATE])
+    def test_sequence_gradient_needs_the_grid(self, covariate_kind):
+        cfg = toy_config(covariate_kind=covariate_kind, grid=())
+        with pytest.raises(ValueError, match="single percent"):
+            run_experiment(toy_population(), TOY_SIZES, cfg, (5.0,) * 6)
+
+
 class TestSizeExperiment:
     def test_frozen_toy_run(self):
-        report = run_size_experiment(toy_population(), TOY_SIZES, toy_config())
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config())
         assert report.kind == "size"
         assert report.estimator_failures == 0
         assert report.n_datasets == 40
@@ -233,13 +259,13 @@ class TestSizeExperiment:
         )
 
     def test_rates_monotone_in_alpha(self):
-        report = run_size_experiment(toy_population(), TOY_SIZES, toy_config())
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config())
         for method in (METHOD_BETTA, METHOD_REGRESSION):
             rates = [report.rate_for(method, a) for a in (0.01, 0.05, 0.10, 0.5)]
             assert rates == sorted(rates)
 
     def test_p_values_attached_per_method(self):
-        report = run_size_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
         assert sorted(report.p_values) == [METHOD_BETTA, METHOD_REGRESSION]
         for ps in report.p_values.values():
             assert len(ps) == 5
@@ -247,14 +273,14 @@ class TestSizeExperiment:
 
     def test_rerun_is_bit_identical(self):
         cfg = toy_config(n_datasets=12)
-        a = write_report(run_size_experiment(toy_population(), TOY_SIZES, cfg))
-        b = write_report(run_size_experiment(toy_population(), TOY_SIZES, cfg))
+        a = write_report(run_experiment(toy_population(), TOY_SIZES, cfg))
+        b = write_report(run_experiment(toy_population(), TOY_SIZES, cfg))
         assert a == b
 
     def test_workers_do_not_change_results(self):
         cfg = toy_config(n_datasets=12)
-        seq = run_size_experiment(toy_population(), TOY_SIZES, cfg)
-        par = run_size_experiment(toy_population(), TOY_SIZES, cfg, workers=3)
+        seq = run_experiment(toy_population(), TOY_SIZES, cfg)
+        par = run_experiment(toy_population(), TOY_SIZES, cfg, workers=3)
         assert write_report(seq) == write_report(par)
         assert seq.p_values == par.p_values
 
@@ -264,7 +290,7 @@ class TestSizeExperiment:
                 raise EstimatorFailure("odd richness")
             return chao1(table)
 
-        report = run_size_experiment(
+        report = run_experiment(
             toy_population(), TOY_SIZES, toy_config(n_datasets=10), estimator_override=flaky
         )
         assert report.estimator_failures == 154  # frozen redraw count
@@ -274,8 +300,8 @@ class TestSizeExperiment:
 class TestPowerExperiment:
     def test_zero_gradient_reproduces_size_run(self):
         cfg = toy_config()
-        size = run_size_experiment(toy_population(), TOY_SIZES, cfg)
-        power = run_power_experiment(toy_population(), TOY_SIZES, cfg, gradient=(0.0,) * 6)
+        size = run_experiment(toy_population(), TOY_SIZES, cfg)
+        power = run_experiment(toy_population(), TOY_SIZES, cfg, gradient=(0.0,) * 6)
         assert power.kind == "power"
         assert power.rows == size.rows
 
@@ -292,8 +318,8 @@ class TestPowerExperiment:
             replicates_per_dataset=8, n_datasets=30, covariate_kind=TWO_CATEGORY,
             alpha_levels=(0.05,), seed=9, estimator="chao1",
         )
-        null = run_size_experiment(pop, sizes, cfg)
-        alt = run_power_experiment(pop, sizes, cfg, gradient=40.0)
+        null = run_experiment(pop, sizes, cfg)
+        alt = run_experiment(pop, sizes, cfg, gradient=40.0)
         assert null.rate_for(METHOD_BETTA, 0.05) == 0.0
         assert null.rate_for(METHOD_REGRESSION, 0.05) == pytest.approx(1.0 / 30.0, rel=1e-12)
         assert alt.rate_for(METHOD_BETTA, 0.05) == 1.0
@@ -302,15 +328,15 @@ class TestPowerExperiment:
     def test_gradient_shape_errors(self):
         pop, cfg = toy_population(), toy_config()
         with pytest.raises(ValueError, match="one percent per replicate"):
-            run_power_experiment(pop, TOY_SIZES, cfg, gradient=5.0)
+            run_experiment(pop, TOY_SIZES, cfg, gradient=5.0)
         with pytest.raises(ValueError, match="length"):
-            run_power_experiment(pop, TOY_SIZES, cfg, gradient=(5.0,) * 4)
+            run_experiment(pop, TOY_SIZES, cfg, gradient=(5.0,) * 4)
         cfg2 = ExperimentConfig(
             replicates_per_dataset=6, n_datasets=5, covariate_kind=TWO_CATEGORY,
             alpha_levels=(0.05,), seed=1,
         )
         with pytest.raises(ValueError, match="single percent"):
-            run_power_experiment(pop, TOY_SIZES, cfg2, gradient=(5.0,) * 6)
+            run_experiment(pop, TOY_SIZES, cfg2, gradient=(5.0,) * 6)
 
 
 class TestHomogeneityExperiment:
@@ -319,7 +345,7 @@ class TestHomogeneityExperiment:
             replicates_per_dataset=6, n_datasets=30, covariate_kind=NO_COVARIATE,
             alpha_levels=(0.05, 0.5), seed=13,
         )
-        null = run_homogeneity_experiment(toy_population(), TOY_SIZES, cfg)
+        null = run_experiment(toy_population(), TOY_SIZES, cfg)
         assert null.kind == "homogeneity"
         assert sorted(null.p_values) == [METHOD_HOMOGENEITY]
         # chao1's claimed SE understates the redraw spread on this toy
@@ -332,7 +358,7 @@ class TestHomogeneityExperiment:
             probabilities=w / w.sum(), source_label="pl300",
             singleton_weight=float(w[-1] / w.sum()),
         )
-        alt = run_homogeneity_experiment(
+        alt = run_experiment(
             pop, SampleSizeDistribution(observed_sizes=(3000,)), cfg, gradient=40.0
         )
         assert alt.rate_for(METHOD_HOMOGENEITY, 0.05) == 1.0
@@ -348,25 +374,21 @@ class TestHomogeneityExperiment:
             replicates_per_dataset=6, n_datasets=10, covariate_kind=NO_COVARIATE,
             alpha_levels=(0.05,), seed=13,
         )
-        report = run_homogeneity_experiment(toy_population(), TOY_SIZES, cfg)
+        report = run_experiment(toy_population(), TOY_SIZES, cfg)
         assert len(report.p_values[METHOD_HOMOGENEITY]) == 10
-
-    def test_rejects_covariate_configs(self):
-        with pytest.raises(ValueError, match="intercept-only"):
-            run_homogeneity_experiment(toy_population(), TOY_SIZES, toy_config())
 
     def test_rejects_negative_gradient(self):
         cfg = ExperimentConfig(
             replicates_per_dataset=6, n_datasets=5, covariate_kind=NO_COVARIATE,
             alpha_levels=(0.05,), seed=1,
         )
-        with pytest.raises(ValueError, match="nonnegative"):
-            run_homogeneity_experiment(toy_population(), TOY_SIZES, cfg, gradient=-3.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            run_experiment(toy_population(), TOY_SIZES, cfg, gradient=-3.0)
 
 
 class TestReportIO:
     def test_round_trip(self):
-        report = run_size_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=8))
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=8))
         text = write_report(report)
         back = read_report(io.StringIO(text))
         assert back.rows == report.rows
@@ -378,7 +400,7 @@ class TestReportIO:
         assert back.p_values is None  # not serialized
 
     def test_file_round_trip(self, tmp_path):
-        report = run_size_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
         p = tmp_path / "report.csv"
         text = write_report(report, p)
         assert p.read_text() == text
