@@ -22,7 +22,6 @@ k = np.arange(1, 2001, dtype=float)
 weights = k ** -0.8
 pop = SyntheticPopulation(
     probabilities=np.sort(weights / weights.sum()),
-    source_label="demo_community",
     singleton_weight=1.0 / 20000.0,
 )
 sizes = SampleSizeDistribution((4500, 5000, 5500))

@@ -31,7 +31,6 @@ from .errors import (
 from .estimators import (
     EstimatorFn,
     ExternalCommandEstimator,
-    chao1_estimator,
     observed_richness_estimator,
     resolve_estimator,
 )
@@ -52,8 +51,6 @@ from .model import (
     RichnessObservation,
     fit_betta,
     floored_variances,
-    gls_coefficients,
-    restricted_log_likelihood,
 )
 from .simulate import (
     BootstrapSummary,
@@ -67,7 +64,6 @@ from .simulate import (
     parametric_bootstrap_se,
     population_from_table,
     read_report,
-    resample_dataset,
     run_experiment,
     write_report,
 )
@@ -87,7 +83,6 @@ from .tables import (
     chao1,
     read_estimates,
     read_frequency_table,
-    table_to_stream,
     write_estimates,
     write_frequency_table,
 )
@@ -102,8 +97,7 @@ __all__ = [
     "BootstrapUnstableError", "StdErrorFlooredWarning", "IllConditionedWarning",
     # core model
     "RichnessObservation", "Dataset", "BettaFit", "fit_betta",
-    "gls_coefficients", "restricted_log_likelihood", "floored_variances",
-    "INTERCEPT_NAME",
+    "floored_variances", "INTERCEPT_NAME",
     # inference
     "TestResult", "wald_tests", "global_test", "homogeneity_test",
     "residual_diagnostics", "ResidualDiagnostics", "DIAGNOSTIC_COLUMNS",
@@ -112,12 +106,12 @@ __all__ = [
     # tables and estimators
     "FrequencyCountTable", "RichnessEstimate", "chao1",
     "read_frequency_table", "write_frequency_table",
-    "read_estimates", "write_estimates", "LoadedEstimates", "table_to_stream",
-    "EstimatorFn", "chao1_estimator", "observed_richness_estimator",
+    "read_estimates", "write_estimates", "LoadedEstimates",
+    "EstimatorFn", "observed_richness_estimator",
     "ExternalCommandEstimator", "resolve_estimator",
     # experiments
     "RngStream", "SyntheticPopulation", "population_from_table",
-    "inject_richness_gradient", "SampleSizeDistribution", "resample_dataset",
+    "inject_richness_gradient", "SampleSizeDistribution",
     "ExperimentConfig", "ExperimentReport", "ReportRow",
     "run_experiment", "write_report", "read_report",
     "parametric_bootstrap_se", "BootstrapSummary",

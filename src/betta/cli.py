@@ -7,7 +7,7 @@ files themselves are bit-identical across reruns with the same inputs and
 seed. Exit code 0 means every requested output was checked, then
 written; nonzero codes classify the failure:
 
-    2  input parsing or configuration validation
+    2  input parsing, configuration validation, or an unusable output path
     3  design matrix rank deficiency or group confounding
     4  unidentifiable model or non-convergence
     5  estimator failure or protocol violation
@@ -67,7 +67,7 @@ from .simulate import (
     run_experiment,
     write_report,
 )
-from .tables import _parse_number, read_estimates, read_frequency_table
+from .tables import _parse_number, read_estimates, read_frequency_table, write_estimates
 
 RESULT_FILE = "result.json"
 DIAGNOSTICS_FILE = "diagnostics.csv"
@@ -296,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     table = read_frequency_table(args.input)
-    pop = population_from_table(table, label=Path(args.input).name)
+    pop = population_from_table(table)
     size_list = args.sample_sizes if args.sample_sizes else (table.total_reads,)
     sizes = SampleSizeDistribution(observed_sizes=tuple(size_list))
 
@@ -374,24 +374,16 @@ def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
 # estimate
 # ----------------------------------------------------------------------------
 
-def _check_row_id(sample_id: str) -> None:
-    # read_estimates splits lines, skips '#' lines, splits on commas and
-    # strips each field; any id those steps would change cannot round-trip.
-    if (sample_id.splitlines() != [sample_id] or sample_id != sample_id.strip()
-            or "," in sample_id or sample_id.startswith("#")):
-        raise ValueError(
-            f"row id {sample_id!r} would not read back as itself: an id must be "
-            "nonempty, unpadded, on one line, free of commas and not start with '#'"
-        )
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     table = read_frequency_table(args.input)
     sample_id = args.id if args.id is not None else Path(args.input).stem
-    _check_row_id(sample_id)
-    estimator = resolve_estimator(args.estimator)
-    estimate = estimator(table)
-    row = f"{sample_id},{estimate.estimate!r},{estimate.std_error!r}"
-    summary = (
+    estimate = resolve_estimator(args.estimator)(table)
+    # write_estimates refuses an id that would not read back as itself.
+    text = write_estimates(Dataset.from_columns(
+        ids=[sample_id], estimates=[estimate.estimate], std_errors=[estimate.std_error],
+    ))
+    out = None if args.out is None else _out_dir(args)
+    sys.stdout.write(
         f"# source: {args.input}\n"
         f"# method: {estimate.method}\n"
         f"# observed_richness: {table.observed_richness}\n"
@@ -399,16 +391,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         f"# singletons: {table.singletons}\n"
         f"# doubletons: {table.doubletons}\n"
         f"# singleton_doubleton_ratio: {table.singleton_doubleton_ratio!r}\n"
+        + text.splitlines()[1] + "\n"
     )
-    sys.stdout.write(summary + row + "\n")
-    if args.out is not None:
-        out = _out_dir(args)
-        path = out / ESTIMATE_FILE
-        text = "id,estimate,std_error\n" + row + "\n"
-        fields = text.splitlines()[1].split(",")
-        if len(fields) != 3 or not math.isfinite(float(fields[1])):
-            raise BettaError(f"estimate file failed validation: {path}")
-        path.write_text(text, encoding="utf-8")
+    if out is not None:
+        (out / ESTIMATE_FILE).write_text(text, encoding="utf-8")
         _write_manifest(out, "estimate", args, [Path(args.input)], [ESTIMATE_FILE])
     return EXIT_OK
 
@@ -493,33 +479,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each failure, first match wins; the module docstring lists them.
+_EXIT_CODES = (
+    ((DesignMatrixError, ConfoundingError), EXIT_RANK_DEFICIENT),
+    ((UnidentifiableError, ConvergenceError, NumericalError), EXIT_NOT_IDENTIFIED),
+    ((EstimatorProtocolError, EstimatorFailure), EXIT_ESTIMATOR),
+    ((BootstrapUnstableError,), EXIT_BOOTSTRAP),
+    ((ParseError, EmptyTableError, DegreesOfFreedomError, NotApplicableError,
+      GradientUndefinedError), EXIT_USAGE),
+    ((BettaError,), EXIT_NOT_IDENTIFIED),
+    ((ValueError, OSError), EXIT_USAGE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DesignMatrixError, ConfoundingError) as exc:
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK_DEFICIENT
-    except (UnidentifiableError, ConvergenceError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IDENTIFIED
-    except (EstimatorProtocolError, EstimatorFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    except BootstrapUnstableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOOTSTRAP
-    except (ParseError, EmptyTableError, DegreesOfFreedomError, NotApplicableError,
-            GradientUndefinedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BettaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_IDENTIFIED
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -32,10 +32,6 @@ OBSERVED_RICHNESS = "observed-richness"
 COMMAND_PREFIX = "cmd:"
 
 
-def chao1_estimator(table: FrequencyCountTable) -> RichnessEstimate:
-    return chao1(table)
-
-
 def observed_richness_estimator(table: FrequencyCountTable) -> RichnessEstimate:
     """Observed richness c with no sampling-error claim (std_error 0)."""
     return RichnessEstimate(estimate=float(table.observed_richness), std_error=0.0, method=OBSERVED)
@@ -85,7 +81,7 @@ class ExternalCommandEstimator:
 def resolve_estimator(spec: str) -> EstimatorFn:
     """Map an estimator name ('chao1', 'observed', 'cmd:<command>') to a callable."""
     if spec == CHAO1:
-        return chao1_estimator
+        return chao1
     if spec in (OBSERVED, OBSERVED_RICHNESS):
         return observed_richness_estimator
     if spec.startswith(COMMAND_PREFIX):

@@ -109,7 +109,7 @@ def homogeneity_test(dataset: Dataset) -> TestResult:
     Q = sum_i (estimate_i - x_i . beta~)^2 / std_error_i^2 against
     chi-squared with m - p - 1 degrees of freedom, where beta~ is the
     fixed-effect weighted least squares, with weights 1 / std_error_i^2
-    (gls_coefficients at sigma_u_sq = 0). beta~ minimizes that sum, so Q is
+    (the fit's coefficients at sigma_u_sq = 0). beta~ minimizes that sum, so Q is
     exactly chi-squared under the known-SE normal null, and it reads the
     dataset alone: no fit, no variance search, the same Q for labelled and
     unlabelled rows. Zero standard errors are floored as in the fit.
@@ -141,16 +141,16 @@ DIAGNOSTIC_COLUMNS = (
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
-    """Per-observation columns plus the sorted pairs for a qq-plot.
+    """Per-observation columns, the qq-plot pairs among them.
 
     values has one row per observation, in dataset order, and one column
     per DIAGNOSTIC_COLUMNS entry; ids labels its rows. It is read-only.
+    The qq-plot pairs are np.sort of its std_residual and normal_quantile
+    columns.
     """
 
     ids: tuple[str, ...]
     values: np.ndarray
-    sorted_std_residuals: np.ndarray
-    normal_quantiles: np.ndarray
 
 
 def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics:
@@ -162,20 +162,13 @@ def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics
     """
     m = dataset.m
     std_resid = np.asarray(fit.std_residuals, dtype=float)
-    order = np.argsort(std_resid, kind="stable")
-    quantiles_sorted = np.array([normal_quantile((k + 0.5) / m) for k in range(m)])
     quantile_of = np.empty(m)
-    quantile_of[order] = quantiles_sorted
+    quantile_of[np.argsort(std_resid, kind="stable")] = [normal_quantile((k + 0.5) / m) for k in range(m)]
 
     y, se = dataset.estimates(), dataset.std_errors()
     values = np.column_stack([y, se, y - 2.0 * se, y + 2.0 * se, fit.fitted, std_resid, quantile_of])
     values.flags.writeable = False
-    return ResidualDiagnostics(
-        ids=dataset.ids(),
-        values=values,
-        sorted_std_residuals=std_resid[order],
-        normal_quantiles=quantiles_sorted,
-    )
+    return ResidualDiagnostics(ids=dataset.ids(), values=values)
 
 
 __all__ = [

@@ -149,8 +149,8 @@ class Dataset:
         ids = tuple(ids)
         names = tuple(covariate_names)
         m = len(ids)
-        # m >= 2 is a fit-time requirement, not a construction-time one: the
-        # restricted likelihood itself is well defined for a single row.
+        # m >= 2 is a fit-time requirement, not a construction-time one: a
+        # single row is what `betta estimate` writes.
         if m == 0:
             raise ValueError("a dataset needs at least one observation")
         y = _column(estimates, m, "estimates")
@@ -259,7 +259,7 @@ class BettaFit:
     converged: bool = True
 
 
-def floored_variances(dataset: Dataset, *, warn: bool = True) -> np.ndarray:
+def floored_variances(dataset: Dataset) -> np.ndarray:
     """Squared standard errors with zeros lifted to a small positive floor.
 
     A reported standard error of exactly zero would give that observation
@@ -269,13 +269,12 @@ def floored_variances(dataset: Dataset, *, warn: bool = True) -> np.ndarray:
     se = dataset.std_errors()
     zero = se == 0.0
     if zero.any():
-        if warn:
-            warnings.warn(
-                f"{int(zero.sum())} observation(s) report a zero standard error; "
-                "flooring to 1e-8 * (1 + |estimate|)",
-                StdErrorFlooredWarning,
-                stacklevel=2,
-            )
+        warnings.warn(
+            f"{int(zero.sum())} observation(s) report a zero standard error; "
+            "flooring to 1e-8 * (1 + |estimate|)",
+            StdErrorFlooredWarning,
+            stacklevel=2,
+        )
         se = se.copy()
         se[zero] = STD_ERROR_FLOOR_SCALE * (1.0 + np.abs(dataset.estimates()[zero]))
     return se * se
@@ -336,58 +335,10 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
     return beta, gram, logdet
 
 
-def gls_coefficients(dataset: Dataset, sigma_u_sq: float) -> np.ndarray:
-    """Closed-form coefficient profile at a fixed between-observation variance.
-
-    Weighted least squares with weights 1 / (std_error_i^2 + sigma_u_sq),
-    intercept included. This is the beta that maximizes the restricted
-    log-likelihood for the given sigma_u_sq.
-    """
-    if sigma_u_sq < 0.0:
-        raise ValueError(f"sigma_u_sq must be >= 0, got {sigma_u_sq}")
-    x = dataset.design_matrix()
-    _check_full_rank(x, (INTERCEPT_NAME,) + dataset.covariate_names)
-    return _weighted_least_squares(x, dataset.estimates(), floored_variances(dataset) + sigma_u_sq)
-
-
 def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """The beta minimizing sum_i (y_i - x_i . beta)^2 / variances_i."""
     xw = x * (1.0 / variances)[:, None]
     return _solve_normal_equations(xw.T @ x, xw.T @ y)[0]
-
-
-def restricted_log_likelihood(dataset: Dataset, beta: np.ndarray, sigma_u_sq: float) -> float:
-    """Restricted log-likelihood of (beta, sigma_u_sq) for this dataset.
-
-    With v_i = sigma_u_sq + std_error_i^2 and design rows z_i (intercept
-    prepended), the value is
-
-        -0.5 * ( sum_i [ ln v_i + (estimate_i - z_i . beta)^2 / v_i ]
-                 + ln det( sum_i z_i z_i^T / v_i ) )
-
-    The log-determinant term is the restriction penalty that removes the
-    downward bias a plain profile likelihood would put on the variance.
-    Additive constants are dropped.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dataset.p + 1,):
-        raise ValueError(f"beta must have length p+1 = {dataset.p + 1}, got shape {beta.shape}")
-    if sigma_u_sq < 0.0:
-        raise ValueError(f"sigma_u_sq must be >= 0, got {sigma_u_sq}")
-    x = dataset.design_matrix()
-    v = floored_variances(dataset) + sigma_u_sq
-    if not np.all(v > 0.0):
-        raise NumericalError("degenerate weights: some total variance is not positive")
-    resid = dataset.estimates() - x @ beta
-    xw = x / v[:, None]
-    gram = xw.T @ x
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0.0:
-        raise NumericalError("weighted design Gram matrix is singular")
-    value = -0.5 * (float(np.sum(np.log(v) + resid * resid / v)) + logdet)
-    if not math.isfinite(value):
-        raise NumericalError("restricted log-likelihood is not finite (degenerate weights)")
-    return value
 
 
 def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:

@@ -86,7 +86,6 @@ class SyntheticPopulation:
     """A fixed community: one probability per category, all positive."""
 
     probabilities: np.ndarray = field(repr=False)
-    source_label: str = "population"
     # Pre-normalization weight a newly injected rare category should get;
     # 1/n for a population built from a table with singletons, None when
     # injection is undefined for this population.
@@ -108,7 +107,7 @@ class SyntheticPopulation:
         return int(self.probabilities.size)
 
 
-def population_from_table(table: FrequencyCountTable, label: str = "table") -> SyntheticPopulation:
+def population_from_table(table: FrequencyCountTable) -> SyntheticPopulation:
     """Freeze an observed table into a resampling population.
 
     A taxon observed j times becomes a category with probability j/n,
@@ -121,7 +120,6 @@ def population_from_table(table: FrequencyCountTable, label: str = "table") -> S
     probs = np.repeat(js, fs) / float(n)
     return SyntheticPopulation(
         probabilities=probs,
-        source_label=label,
         singleton_weight=(1.0 / n) if table.singletons >= 1 else None,
     )
 
@@ -155,7 +153,6 @@ def inject_richness_gradient(pop: SyntheticPopulation, percent_extra: float) -> 
     total = weights.sum()
     return SyntheticPopulation(
         probabilities=weights / total,
-        source_label=f"{pop.source_label}+{percent_extra:g}%rare",
         singleton_weight=w / total,
     )
 
@@ -346,23 +343,6 @@ def _draw_replicate(
     rng = stream.child(r, attempt).generator()
     size = sizes.draw(rng)
     return FrequencyCountTable.from_counts(rng.multinomial(size, probabilities))
-
-
-def resample_dataset(
-    pop: SyntheticPopulation,
-    sizes: SampleSizeDistribution,
-    config: ExperimentConfig,
-    stream: RngStream,
-) -> list[FrequencyCountTable]:
-    """Redraw one synthetic dataset: one table per replicate.
-
-    Replicate r is the first attempt, keyed by stream.child(r, 0): the
-    table the experiments use unless the estimator declines it.
-    """
-    return [
-        _draw_replicate(pop.probabilities, sizes, stream, r)
-        for r in range(config.replicates_per_dataset)
-    ]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ std_error, covariate columns, and an optional group column.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,12 +84,6 @@ class FrequencyCountTable:
         if first == values.size:
             raise EmptyTableError("no taxa with positive abundance")
         return cls(entries=tuple(zip(values[first:].tolist(), freqs[first:].tolist())))
-
-    def count_for(self, j: int) -> int:
-        for jj, f in self.entries:
-            if jj == j:
-                return f
-        return 0
 
     @property
     def singleton_doubleton_ratio(self) -> float:
@@ -273,7 +266,8 @@ def read_estimates(
     numerals is numeric; any other column is categorical and expands to one 0/1
     indicator per level beyond the reference, the reference being the
     first level in sorted order. Indicator columns are named
-    '<column>=<level>'.
+    '<column>=<level>'. Levels come from the rows that survive every drop,
+    so a level seen only in a dropped row adds no column.
     """
     header: list[str] | None = None
     rows: list[list[str]] = []
@@ -319,21 +313,30 @@ def read_estimates(
     labels = None if group_col is None else column(group_col)
     for tokens in cov_tokens if labels is None else [*cov_tokens, labels]:
         usable &= [t not in MISSING_TOKENS for t in tokens]
+
+    # A column is numeric when it holds numerals on every row with no missing
+    # cell (None otherwise); its non-finite values then drop their rows too.
+    present = np.flatnonzero(usable).tolist()
+    numbers = []
+    for tokens in cov_tokens:
+        values = [_parse_number(t) for t in tokens]
+        numbers.append(None if None in [values[i] for i in present] else np.array(values, dtype=float))
+    for values in numbers:
+        if values is not None:
+            usable &= np.isfinite(values)
     keep = np.flatnonzero(usable).tolist()
     n_dropped = len(rows) - len(keep)
     if len(keep) < 2:
         raise EmptyTableError(f"fewer than 2 usable rows after dropping {n_dropped}")
 
-    # Classify covariate columns on the surviving rows.
     out_names: list[str] = []
     out_columns: list[np.ndarray] = []
-    for name, all_tokens in zip(cov_cols, cov_tokens):
-        tokens = [all_tokens[i] for i in keep]
-        values = [_parse_number(t) for t in tokens]
-        if None not in values:
+    for name, all_tokens, values in zip(cov_cols, cov_tokens, numbers):
+        if values is not None:
             out_names.append(name)
-            out_columns.append(np.array(values, dtype=float))
+            out_columns.append(values[keep])
             continue
+        tokens = [all_tokens[i] for i in keep]
         for level in sorted(set(tokens))[1:]:
             out_names.append(f"{name}={level}")
             out_columns.append(np.array([t == level for t in tokens], dtype=float))
@@ -350,16 +353,40 @@ def read_estimates(
     return LoadedEstimates(dataset=dataset, n_dropped=n_dropped)
 
 
+def _unreadable(text: str) -> bool:
+    """Whether a cell holding text reads back as something else.
+
+    _records splits the input into lines, strips each line and each field,
+    and splits fields on commas.
+    """
+    return text.splitlines() != [text] or text != text.strip() or "," in text
+
+
 def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) -> str:
     """Serialize a dataset back to the estimates-table format.
 
     Numeric fields use repr, so a write -> read round trip reproduces
     every float bit-for-bit. Categorical covariates that were expanded on
     read are written as their numeric indicator columns; group labels,
-    when the rows carry them, go in a trailing 'group' column.
+    when the rows carry them, go in a trailing 'group' column. An id,
+    group label or covariate name that read_estimates would not read back
+    as itself is a ValueError naming it.
     """
     labels = data.groups()
-    header = ["id", "estimate", "std_error", *data.covariate_names]
+    names = data.covariate_names
+    faults = [("covariate name", n) for n in names if _unreadable(n) or "\t" in n
+              or n in (*_RESERVED, GROUP_COLUMN) or names.count(n) > 1]
+    faults += [("id", i) for i in data.ids() if _unreadable(i) or i.startswith("#")]
+    faults += [("group label", g) for g in labels or () if _unreadable(g) or g in MISSING_TOKENS]
+    if faults:
+        what, text = faults[0]
+        raise ValueError(
+            f"{what} {text!r} would not read back as itself: ids, group labels and covariate "
+            "names must be nonempty, unpadded, on one line and free of commas; an id must not "
+            "start with '#', a group label must not be 'NA', and covariate names must be "
+            "unique, free of tabs and not a reserved column name"
+        )
+    header = ["id", "estimate", "std_error", *names]
     if labels is not None:
         header.append(GROUP_COLUMN)
     numbers = (data.estimates(), data.std_errors(), *data.covariate_matrix().T)
@@ -369,8 +396,3 @@ def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) ->
         columns.append(labels)
     lines = [",".join(header), *(",".join(fields) for fields in zip(*columns))]
     return _write_target("\n".join(lines) + "\n", target)
-
-
-def table_to_stream(table: FrequencyCountTable) -> io.BytesIO:
-    """The table serialized as the byte stream the external hook receives."""
-    return io.BytesIO(write_frequency_table(table).encode("utf-8"))

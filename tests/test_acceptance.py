@@ -254,7 +254,6 @@ def _power_law_population() -> SyntheticPopulation:
     w = k ** -0.75
     return SyntheticPopulation(
         probabilities=np.sort(w / w.sum()),
-        source_label="powerlaw5000",
         singleton_weight=1.0 / 40000.0,
     )
 

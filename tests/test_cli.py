@@ -144,6 +144,16 @@ class TestFit:
         table.write_text("id,estimate,std_error\na,1.0,0.5\nb,NA,0.5\n")
         assert main(["fit", "--input", str(table), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_nonfinite_covariate_row_is_dropped(self, tmp_path):
+        table = tmp_path / "inf.csv"
+        table.write_text(
+            "id,estimate,std_error,x\na,10.0,1.0,1\nb,20.0,1.5,2\nc,30.0,1.0,inf\nd,35.0,2.0,3\n"
+        )
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        result = result_of(out)
+        assert (result["m"], result["n_dropped"]) == (3, 1)
+
     def test_rerun_bundles_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["fit", "--input", EST, "--out", str(a)]) == EXIT_OK
@@ -429,6 +439,27 @@ class TestEstimate:
         code = main(["estimate", "--input", FREQ, "--estimator", "jackknife"])
         assert code == EXIT_USAGE
         assert "unknown estimator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--input", EST],
+        ["estimate", "--input", FREQ],
+        ["bootstrap-se", "--input", FREQ, "-b", "50"],
+        ["simulate", "size", "--input", FREQ, *SIM_COMMON, "--grid", "1,2,3,4,5"],
+    ],
+    ids=["fit", "estimate", "bootstrap-se", "simulate-size"],
+)
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 class TestParser:

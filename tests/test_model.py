@@ -24,10 +24,9 @@ from betta.errors import (
 )
 from betta.model import (
     _canonical_order,
+    _ProfiledObjective,
     _search_upper_bound,
     floored_variances,
-    gls_coefficients,
-    restricted_log_likelihood,
 )
 from conftest import make_dataset, with_groups
 
@@ -43,13 +42,6 @@ def reference_reml(dataset, beta, sigma_u_sq):
 
 
 class TestHandValues:
-    def test_single_row_likelihood_is_zero(self):
-        # One observation, intercept only: the residual vanishes and the
-        # ln v and ln det(1/v) terms cancel exactly.
-        ds = make_dataset([7.0], [2.0])
-        beta = gls_coefficients(ds, 0.0)
-        assert restricted_log_likelihood(ds, beta, 0.0) == 0.0
-
     def test_two_zero_rows(self):
         ds = make_dataset([0.0, 0.0], [1.0, 1.0])
         fit = fit_betta(ds)
@@ -93,34 +85,30 @@ class TestHandValues:
         assert np.all(fit.fitted == 0.0)
 
 
+def assert_objective_matches_reference(ds, sigma):
+    # The objective both fits maximize, at its own coefficient profile: the
+    # coefficients must be the weighted least squares (here by lstsq on
+    # rescaled rows) and the value the literal formula at them.
+    objective = _ProfiledObjective(ds)
+    beta = objective.components(sigma)[1]
+    root_w = 1.0 / np.sqrt(ds.std_errors() ** 2 + sigma)
+    wls, *_ = np.linalg.lstsq(ds.design_matrix() * root_w[:, None], ds.estimates() * root_w, rcond=None)
+    assert beta == pytest.approx(wls, rel=1e-9)
+    assert objective.value(sigma) == pytest.approx(reference_reml(ds, beta, sigma), rel=1e-12)
+
+
 class TestLikelihoodFormula:
-    # The implementation computes the likelihood through a Cholesky
-    # factorization; a literal transcription must agree to double precision.
+    # The objective computes the likelihood through a Cholesky factorization
+    # in canonical row order; a literal transcription must agree to double
+    # precision.
     @pytest.mark.parametrize("sigma", [0.0, 12.5, 500.0, 3753.110106198408])
     def test_matches_reference_formula(self, rng_dataset, sigma):
-        ds = rng_dataset(33)
-        beta = gls_coefficients(ds, sigma)
-        got = restricted_log_likelihood(ds, beta, sigma)
-        assert got == pytest.approx(reference_reml(ds, beta, sigma), rel=1e-12)
+        assert_objective_matches_reference(rng_dataset(33), sigma)
 
     def test_matches_reference_with_covariates(self, rng_dataset):
         ds = rng_dataset(14, m=12, with_covariate=True)
         for sigma in (0.0, 40.0, 1500.0):
-            beta = gls_coefficients(ds, sigma)
-            got = restricted_log_likelihood(ds, beta, sigma)
-            assert got == pytest.approx(reference_reml(ds, beta, sigma), rel=1e-12)
-
-    def test_rejects_wrong_beta_length(self, rng_dataset):
-        ds = rng_dataset(1)
-        with pytest.raises(ValueError):
-            restricted_log_likelihood(ds, np.zeros(3), 1.0)
-
-    def test_rejects_negative_variance(self, rng_dataset):
-        ds = rng_dataset(1)
-        with pytest.raises(ValueError):
-            gls_coefficients(ds, -1.0)
-        with pytest.raises(ValueError):
-            restricted_log_likelihood(ds, np.zeros(1), -0.5)
+            assert_objective_matches_reference(ds, sigma)
 
 
 class TestFitAgainstGrid:
@@ -132,16 +120,32 @@ class TestFitAgainstGrid:
         assert fit.sigma_u_sq_hat == pytest.approx(3753.110106198408, rel=1e-9)
         assert fit.reml_value == pytest.approx(-43.46985545357679, rel=1e-12)
 
-        v = floored_variances(ds, warn=False)
-        upper = _search_upper_bound(ds.estimates(), v)
+        upper = _search_upper_bound(ds.estimates(), floored_variances(ds))
         grid = np.linspace(0.0, upper, 1000)
-        vals = [
-            restricted_log_likelihood(ds, gls_coefficients(ds, float(s)), float(s))
-            for s in grid
-        ]
+        objective = _ProfiledObjective(ds)
+        vals = [objective.value(float(s)) for s in grid]
         k = int(np.argmax(vals))
         assert fit.reml_value >= vals[k] - 1e-9 * (1.0 + abs(vals[k]))
         assert abs(fit.sigma_u_sq_hat - grid[k]) <= grid[1] - grid[0]
+
+    def test_interior_maximum_beats_a_boundary_one(self):
+        # Zero is a local maximum here (the likelihood falls from 0 to 1 to
+        # 50), yet an interior maximum near 1705 is higher by almost 4: a
+        # search that trusts the slope at zero would report zero.
+        ds = make_dataset(
+            [144, 84, 43, 54, 161, 167, 95, 233, 134, 89],
+            [4, 35, 20, 26, 3, 25, 31, 27, 4, 6],
+            x=[[-0.1], [1.0], [0.5], [0.1], [-0.3], [0.4], [0.0], [-0.2], [0.1], [0.7]],
+            names=("x",),
+        )
+        objective = _ProfiledObjective(ds)
+        assert objective.value(0.0) > objective.value(1.0) > objective.value(50.0)
+        fit = fit_betta(ds)
+        assert fit.sigma_u_sq_hat > 0.0
+        assert fit.reml_value > objective.value(0.0) + 1.0
+        grid = np.linspace(0.0, objective.upper, 4001)
+        best = max(objective.value(float(s)) for s in grid)
+        assert fit.reml_value >= best - 1e-9 * abs(best)
 
     def test_boundary_probe_returns_exact_zero(self, rng_dataset):
         # Tight errors around a flat mean: the optimum is on the boundary and
@@ -304,9 +308,7 @@ def test_fit_is_a_local_maximum(data, m):
     assert fit.sigma_u_sq_hat >= 0.0
     assert math.isfinite(fit.reml_value)
 
-    def profile(s):
-        return restricted_log_likelihood(ds, gls_coefficients(ds, s), s)
-
+    profile = _ProfiledObjective(ds).value
     slack = 1e-9 * (1.0 + abs(fit.reml_value))
     step = 1.0 + 0.01 * fit.sigma_u_sq_hat
     assert fit.reml_value >= profile(fit.sigma_u_sq_hat + step) - slack

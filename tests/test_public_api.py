@@ -59,3 +59,18 @@ def test_every_exported_name_resolves_once():
     assert len(betta.__all__) == len(set(betta.__all__))
     missing = [name for name in betta.__all__ if not hasattr(betta, name)]
     assert missing == []
+
+
+def test_every_exported_name_has_a_caller():
+    # A name is used when the package (outside __init__.py), the README or a
+    # demo mentions it on a line other than its own def or class line.
+    paths = [p for p in (ROOT / "src" / "betta").glob("*.py") if p.name != "__init__.py"]
+    paths += [ROOT / "README.md", *(ROOT / "demos").glob("*.py")]
+    lines = [line for p in paths for line in p.read_text(encoding="utf-8").splitlines()]
+
+    def used(name):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+        return any(word.search(line) and not own.match(line) for line in lines)
+
+    assert [name for name in betta.__all__ if not used(name)] == []

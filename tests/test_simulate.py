@@ -36,8 +36,8 @@ from betta.simulate import (
     inject_richness_gradient,
     parametric_bootstrap_se,
     population_from_table,
+    _draw_replicate,
     read_report,
-    resample_dataset,
     run_experiment,
     write_report,
 )
@@ -47,7 +47,7 @@ TOY_TABLE_TEXT = "1,20\n2,10\n5,3"
 
 
 def toy_population():
-    return population_from_table(read_frequency_table(io.StringIO(TOY_TABLE_TEXT)), label="toy")
+    return population_from_table(read_frequency_table(io.StringIO(TOY_TABLE_TEXT)))
 
 
 def toy_config(**overrides):
@@ -111,7 +111,7 @@ class TestPopulations:
 class TestGradientInjection:
     def test_one_percent_of_a_thousand(self):
         pop = SyntheticPopulation(
-            probabilities=np.full(1000, 1e-3), source_label="flat", singleton_weight=1e-3
+            probabilities=np.full(1000, 1e-3), singleton_weight=1e-3
         )
         inj = inject_richness_gradient(pop, 1.0)
         assert inj.n_categories == 1010
@@ -144,15 +144,17 @@ class TestGradientInjection:
             inject_richness_gradient(toy_population(), -1.0)
 
 
+def draw_replicates(probabilities, sizes, replicates, stream):
+    """The first attempt of every replicate, as the study runner draws them."""
+    return [_draw_replicate(probabilities, sizes, stream, r) for r in range(replicates)]
+
+
 class TestResampling:
     def test_multinomial_concentration(self):
         # One 100000-read draw from an even two-category split stays within
         # four binomial standard deviations of 50/50. Frozen draw for seed 0.
-        pop = SyntheticPopulation(probabilities=np.array([0.5, 0.5]), source_label="even")
         sizes = SampleSizeDistribution(observed_sizes=(100000,))
-        tables = resample_dataset(
-            pop, sizes, toy_config(replicates_per_dataset=6), RngStream(0)
-        )
+        tables = draw_replicates(np.array([0.5, 0.5]), sizes, 6, RngStream(0))
         bound = 4.0 * math.sqrt(100000 * 0.25)
         for t in tables:
             assert t.total_reads == 100000
@@ -160,22 +162,18 @@ class TestResampling:
                 assert abs(count - 50000) < bound
 
     def test_single_category_sample(self):
-        pop = SyntheticPopulation(probabilities=np.array([1.0]), source_label="one")
         sizes = SampleSizeDistribution(observed_sizes=(50,))
-        tables = resample_dataset(pop, sizes, toy_config(replicates_per_dataset=3,
-                                                         grid=(1.0, 2.0, 3.0)),
-                                  RngStream(3))
+        tables = draw_replicates(np.array([1.0]), sizes, 3, RngStream(3))
         assert all(t.entries == ((50, 1),) for t in tables)
 
     def test_deterministic_and_stream_addressed(self):
-        pop = toy_population()
-        cfg = toy_config()
-        a = resample_dataset(pop, TOY_SIZES, cfg, RngStream(42).child(0))
-        b = resample_dataset(pop, TOY_SIZES, cfg, RngStream(42).child(0))
-        c = resample_dataset(pop, TOY_SIZES, cfg, RngStream(42).child(1))
+        probs = toy_population().probabilities
+        a = draw_replicates(probs, TOY_SIZES, 6, RngStream(42).child(0))
+        b = draw_replicates(probs, TOY_SIZES, 6, RngStream(42).child(0))
+        c = draw_replicates(probs, TOY_SIZES, 6, RngStream(42).child(1))
         assert [t.entries for t in a] == [t.entries for t in b]
         assert [t.entries for t in a] != [t.entries for t in c]
-        assert len(a) == cfg.replicates_per_dataset
+        assert len(a) == 6
         assert all(t.total_reads in TOY_SIZES.observed_sizes for t in a)
 
     def test_size_distribution_contract(self):
@@ -310,7 +308,7 @@ class TestPowerExperiment:
         # the second category: both methods reject every time. Frozen.
         w = np.arange(1, 301, dtype=float) ** -1.0
         pop = SyntheticPopulation(
-            probabilities=w / w.sum(), source_label="pl300",
+            probabilities=w / w.sum(),
             singleton_weight=float(w[-1] / w.sum()),
         )
         sizes = SampleSizeDistribution(observed_sizes=(3000,))
@@ -355,7 +353,7 @@ class TestHomogeneityExperiment:
 
         w = np.arange(1, 301, dtype=float) ** -1.0
         pop = SyntheticPopulation(
-            probabilities=w / w.sum(), source_label="pl300",
+            probabilities=w / w.sum(),
             singleton_weight=float(w[-1] / w.sum()),
         )
         alt = run_experiment(

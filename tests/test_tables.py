@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betta import Dataset
@@ -21,7 +21,6 @@ from betta.estimators import (
     CHAO1,
     COMMAND_PREFIX,
     ExternalCommandEstimator,
-    chao1_estimator,
     observed_richness_estimator,
     resolve_estimator,
 )
@@ -30,7 +29,6 @@ from betta.tables import (
     chao1,
     read_estimates,
     read_frequency_table,
-    table_to_stream,
     write_estimates,
     write_frequency_table,
 )
@@ -71,8 +69,6 @@ class TestFrequencyCountTable:
         assert t.total_reads == 20 + 20 + 15
         assert t.singletons == 20
         assert t.doubletons == 10
-        assert t.count_for(5) == 3
-        assert t.count_for(4) == 0
         assert t.singleton_doubleton_ratio == 2.0
 
     def test_ratio_edge_cases(self):
@@ -212,8 +208,9 @@ class TestFrequencyTableParsing:
         assert read_frequency_table(io.StringIO(text)).entries == t.entries
 
     def test_stream_serialization(self):
+        # The bytes an external estimator receives on stdin.
         t = FrequencyCountTable(entries=((1, 2), (3, 1)))
-        data = table_to_stream(t).read()
+        data = write_frequency_table(t).encode("utf-8")
         assert data == b"abundance,count\n1,2\n3,1\n"
 
 
@@ -340,6 +337,23 @@ class TestReadEstimates:
         assert loaded.n_dropped == 1
         assert loaded.dataset.groups() == ("g1", "g2")
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_nonfinite_numeric_covariate_drops_the_row(self, cell):
+        text = f"id,estimate,std_error,x\na,1.0,0.5,1\nb,2.0,0.5,2\nc,3.0,0.5,{cell}\nd,4.0,0.5,3\n"
+        loaded = read_estimates(io.StringIO(text))
+        assert loaded.n_dropped == 1
+        assert loaded.dataset.m == 3
+        assert loaded.dataset.ids() == ("a", "b", "d")
+        assert loaded.dataset.covariate_matrix()[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_levels_come_from_the_surviving_rows(self):
+        # Level C is only on the row the infinite x drops, so it adds no column.
+        text = ("id,estimate,std_error,x,trt\na,1.0,0.5,1,A\nb,2.0,0.5,2,B\n"
+                "c,3.0,0.5,inf,C\nd,4.0,0.5,3,B\n")
+        ds = read_estimates(io.StringIO(text)).dataset
+        assert ds.covariate_names == ("x", "trt=B")
+        assert ds.covariate_matrix()[:, 1].tolist() == [0.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("cell", ["1_000.5", "\uff11.5", "1e1_0"])
     def test_estimate_or_se_that_is_not_a_plain_numeral_drops_the_row(self, cell):
         for row in (f"b,{cell},0.5", f"b,2.0,{cell}"):
@@ -413,6 +427,34 @@ class TestReadEstimates:
             a, b = getattr(back, column)(), getattr(ds, column)()
             assert a.tobytes() == np.ascontiguousarray(b).tobytes(), column
 
+    @pytest.mark.parametrize(
+        "columns, text",
+        [
+            ({"ids": ["a,b", "c"]}, "a,b"),
+            ({"ids": ["#x", "c"]}, "#x"),
+            ({"ids": [" d", "c"]}, " d"),
+            ({"ids": ["", "c"]}, ""),
+            ({"ids": ["a\rb", "c"]}, "a\rb"),
+            ({"groups": ["g,2", "h"]}, "g,2"),
+            ({"groups": ["NA", "h"]}, "NA"),
+            ({"groups": ["g\u2028", "h"]}, "g\u2028"),
+            ({"covariate_names": ("x\ty",)}, "x\ty"),
+            ({"covariate_names": ("estimate",)}, "estimate"),
+            ({"covariate_names": ("group",)}, "group"),
+            ({"covariate_names": ("x", "x")}, "x"),
+        ],
+    )
+    def test_write_refuses_text_that_would_not_read_back(self, columns, text):
+        names = columns.get("covariate_names", ())
+        ds = Dataset.from_columns(
+            ids=columns.get("ids", ["a", "c"]), estimates=[1.0, 2.0], std_errors=[1.0, 1.0],
+            covariates=[[1.0 + j for j in range(len(names))], [3.0] * len(names)],
+            covariate_names=names, groups=columns.get("groups"),
+        )
+        with pytest.raises(ValueError, match="would not read back") as e:
+            write_estimates(ds)
+        assert repr(text) in str(e.value)
+
     def test_write_to_path_and_stream(self, tmp_path, rng_dataset):
         ds = rng_dataset(43, m=4)
         p = tmp_path / "est.csv"
@@ -423,9 +465,32 @@ class TestReadEstimates:
         assert buf.getvalue() == text
 
 
+# Cell text that stresses the reader's splitting, stripping and missing-value rules.
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["NA", "", "#a", "a,b", "a\tb", "s1"]),
+    st.text(st.one_of(st.sampled_from(" \t,#\n\r\x0b\x1c\x85\xa0\u2028NA"), st.characters()),
+            max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(_CELL_TEXT, min_size=2, max_size=4), data=st.data())
+def test_written_ids_and_labels_read_back_or_are_refused(ids, data):
+    labels = data.draw(st.one_of(
+        st.none(), st.lists(_CELL_TEXT.filter(bool), min_size=len(ids), max_size=len(ids))
+    ))
+    ds = Dataset.from_columns(ids=ids, estimates=np.arange(len(ids), dtype=float),
+                              std_errors=[1.0] * len(ids), groups=labels)
+    try:
+        text = write_estimates(ds)
+    except ValueError:
+        return
+    assert read_estimates(io.StringIO(text)).dataset == ds
+
+
 class TestEstimatorRegistry:
     def test_builtin_names(self):
-        assert resolve_estimator(CHAO1) is chao1_estimator
+        assert resolve_estimator(CHAO1) is chao1
         assert resolve_estimator("observed") is observed_richness_estimator
         assert resolve_estimator("observed-richness") is observed_richness_estimator
         with pytest.raises(ValueError, match="unknown estimator"):
