@@ -200,7 +200,7 @@ def _summary_text(model: str, result: dict) -> str:
         lines.append(f"homogeneity test: Q = {q['statistic']:.6g}, dof = {q['dof']}, p = {q['p_value']:.6g}")
     return "\n".join(lines) + "\n"
 
-def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
+def _write_fit_bundle(args: argparse.Namespace, out: Path, subcommand: str, model: str,
                       dataset: Dataset, fit, n_dropped: int, extra: dict) -> int:
     names = (INTERCEPT_NAME, *dataset.covariate_names)
     wald = wald_tests(fit)
@@ -240,7 +240,6 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
         **extra,
     }
 
-    out = _out_dir(args)
     _write_json(out / RESULT_FILE, result)
 
     header = ",".join(("id", *DIAGNOSTIC_COLUMNS))
@@ -266,14 +265,16 @@ def _write_fit_bundle(args: argparse.Namespace, subcommand: str, model: str,
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
+    out = _out_dir(args)
     fit = fit_betta(loaded.dataset)
-    return _write_fit_bundle(args, "fit", "betta", loaded.dataset, fit, loaded.n_dropped, {})
+    return _write_fit_bundle(args, out, "fit", "betta", loaded.dataset, fit, loaded.n_dropped, {})
 
 def _cmd_fit_random(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
+    out = _out_dir(args)
     fit = fit_betta_random(loaded.dataset)
     extra = {"sigma_g_sq": fit.sigma_g_sq_hat, "n_groups": fit.n_groups}
-    return _write_fit_bundle(args, "fit-random", "betta_random", loaded.dataset, fit,
+    return _write_fit_bundle(args, out, "fit-random", "betta_random", loaded.dataset, fit,
                              loaded.n_dropped, extra)
 
 
@@ -327,9 +328,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             if args.percent is None or args.percents is not None:
                 raise ValueError("--two-category power takes a single --percent")
             gradient = args.percent
+    out = _out_dir(args)
     report = run_experiment(pop, sizes, config, gradient, workers=args.workers)
 
-    out = _out_dir(args)
     text = write_report(report)
     parsed = read_report(io.StringIO(text))
     if parsed.rows != report.rows or parsed.seed != report.seed:
@@ -353,10 +354,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
     table = read_frequency_table(args.input)
-    summary = parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
-    payload = asdict(summary)
     out = _out_dir(args)
-    _write_json(out / RESULT_FILE, payload)
+    summary = parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
+    _write_json(out / RESULT_FILE, asdict(summary))
     _write_manifest(out, "bootstrap-se", args, [Path(args.input)], [RESULT_FILE])
     sys.stdout.write(
         f"method: {summary.method}\n"

@@ -30,6 +30,8 @@ CHAO1 = "chao1"
 OBSERVED = "observed"
 OBSERVED_RICHNESS = "observed-richness"
 COMMAND_PREFIX = "cmd:"
+# Seconds an external estimator may run on one table before it counts as failed.
+COMMAND_TIMEOUT = 60.0
 
 
 def observed_richness_estimator(table: FrequencyCountTable) -> RichnessEstimate:
@@ -42,7 +44,6 @@ class ExternalCommandEstimator:
     """Shell command implementing the stdin/stdout estimator hook."""
 
     command: str
-    timeout: float = 60.0
 
     def __call__(self, table: FrequencyCountTable) -> RichnessEstimate:
         try:
@@ -51,7 +52,7 @@ class ExternalCommandEstimator:
                 shell=True,
                 input=write_frequency_table(table).encode("utf-8"),
                 capture_output=True,
-                timeout=self.timeout,
+                timeout=COMMAND_TIMEOUT,
             )
         except subprocess.TimeoutExpired as exc:
             raise EstimatorFailure(f"external estimator timed out: {self.command!r}") from exc

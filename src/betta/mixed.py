@@ -33,8 +33,8 @@ from .optimize import minimize_bounded
 class MixedFit(BettaFit):
     """Result of fit_betta_random: a BettaFit plus the group variance."""
 
-    sigma_g_sq_hat: float = 0.0
-    n_groups: int = 0
+    sigma_g_sq_hat: float
+    n_groups: int
 
 
 def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
@@ -59,9 +59,7 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
             )
 
 
-def fit_betta_random(
-    dataset: Dataset, *, fix_sigma_g_sq: float | None = None
-) -> MixedFit:
+def fit_betta_random(dataset: Dataset) -> MixedFit:
     """Fit the grouped richness regression by restricted maximum likelihood.
 
     Parameters
@@ -69,9 +67,6 @@ def fit_betta_random(
     dataset : Dataset
         Observations that all carry a group label; a dataset without
         labels raises ValueError.
-    fix_sigma_g_sq : float, optional
-        Pin the group variance instead of estimating it; useful for
-        reductions and profiling.
 
     Returns
     -------
@@ -85,7 +80,7 @@ def fit_betta_random(
     correction for the group blocks diag(v_g) + sigma_g_sq * 1 1^T,
     inverted by Sherman-Morrison from group sums of the weighted rows; an
     evaluation costs O(m p^2). At sigma_g_sq = 0 the correction is an
-    exact zero, so a pinned-zero fit equals fit_betta bit for bit.
+    exact zero, so the objective there is the flat fit's bit for bit.
     The outer search runs over sigma_g_sq and, for each candidate, an
     inner search profiles sigma_u_sq; both use the same bounded
     golden-section/parabolic scheme, interval and bracket rule as the flat
@@ -109,35 +104,20 @@ def fit_betta_random(
             UserWarning,
             stacklevel=2,
         )
-    converged = True
+    # (argmax over sigma_u_sq, maximum, converged) of each inner search, by sigma_g_sq.
+    inner: dict[float, tuple[float, float, bool]] = {}
 
-    def profile_u(sigma_g_sq: float) -> tuple[float, float]:
+    def profiled(sigma_g_sq: float) -> float:
         """Maximize over sigma_u_sq at a fixed group variance."""
-        nonlocal converged
-        best_u, best_val, ok = objective.maximize(
-            lambda s: objective.value(s, sigma_g_sq), minimize_bounded
-        )
-        converged = converged and ok
-        return best_u, best_val
+        if sigma_g_sq not in inner:
+            inner[sigma_g_sq] = objective.maximize(
+                lambda s: objective.value(s, sigma_g_sq), minimize_bounded
+            )
+        return inner[sigma_g_sq][1]
 
-    if fix_sigma_g_sq is not None:
-        if fix_sigma_g_sq < 0.0:
-            raise ValueError(f"fix_sigma_g_sq must be >= 0, got {fix_sigma_g_sq}")
-        sigma_g_sq = float(fix_sigma_g_sq)
-        sigma_u_sq, _ = profile_u(sigma_g_sq)
-    else:
-        cache: dict[float, tuple[float, float]] = {}
-
-        def profiled(sigma_g_sq: float) -> float:
-            if sigma_g_sq not in cache:
-                cache[sigma_g_sq] = profile_u(sigma_g_sq)
-            return cache[sigma_g_sq][1]
-
-        sigma_g_sq, _, ok = objective.maximize(profiled, minimize_bounded)
-        converged = converged and ok
-        sigma_u_sq = cache[sigma_g_sq][0]
-
+    sigma_g_sq, _, converged = objective.maximize(profiled, minimize_bounded)
+    converged = converged and all(ok for _, _, ok in inner.values())
     return objective.fit_result(
-        MixedFit, sigma_u_sq, sigma_g_sq, converged,
+        MixedFit, inner[sigma_g_sq][0], sigma_g_sq, converged,
         sigma_g_sq_hat=float(sigma_g_sq), n_groups=objective.n_groups,
     )

@@ -149,6 +149,9 @@ class Dataset:
         ids = tuple(ids)
         names = tuple(covariate_names)
         m = len(ids)
+        repeated = [n for n in names if names.count(n) > 1]
+        if repeated:
+            raise ValueError(f"covariate name {repeated[0]!r} appears more than once")
         # m >= 2 is a fit-time requirement, not a construction-time one: a
         # single row is what `betta estimate` writes.
         if m == 0:
@@ -251,12 +254,12 @@ class BettaFit:
     """
 
     beta_hat: np.ndarray = field(repr=False)
-    sigma_u_sq_hat: float = 0.0
-    beta_cov: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    reml_value: float = math.nan
-    fitted: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    std_residuals: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    converged: bool = True
+    sigma_u_sq_hat: float
+    beta_cov: np.ndarray = field(repr=False)
+    reml_value: float
+    fitted: np.ndarray = field(repr=False)
+    std_residuals: np.ndarray = field(repr=False)
+    converged: bool
 
 
 def floored_variances(dataset: Dataset) -> np.ndarray:
@@ -346,11 +349,12 @@ def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
 
     Ten times the sample variance of the estimates comfortably exceeds any
     explainable between-observation variance; the smallest reported
-    variance plus one keeps the interval non-degenerate when the estimates
-    happen to be constant.
+    variance, positive once floored, keeps the interval non-degenerate when
+    the estimates happen to be constant. Both terms scale as the data
+    squared, so the interval does too.
     """
     sample_var = float(np.var(y, ddof=1))
-    return max(10.0 * sample_var, float(np.min(variances)) + 1.0)
+    return max(10.0 * sample_var, float(np.min(variances)))
 
 
 class _ProfiledObjective:
@@ -404,7 +408,7 @@ class _ProfiledObjective:
         self.upper = _search_upper_bound(self.y, self.variances)
         start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
         self.x0 = start if start > 0.0 else None
-        self.xatol = BRACKET_TOL_SCALE * (1.0 + self.upper)
+        self.xatol = BRACKET_TOL_SCALE * self.upper
 
     def _group_sums(self, values: np.ndarray) -> np.ndarray:
         return np.bincount(self.codes, weights=values, minlength=self.n_groups)
@@ -498,12 +502,14 @@ def fit_betta(dataset: Dataset) -> BettaFit:
     -----
     The coefficient profile is closed-form at each candidate variance, so
     only sigma_u_sq is searched, on [0, U] with
-    U = max(10 * var(estimates), min reported variance + 1). The search is
-    a golden-section/parabolic hybrid started from the empirical variance
+    U = max(10 * var(estimates), min floored reported variance). The search
+    is a golden-section/parabolic hybrid started from the empirical variance
     of the estimates (clamped into the interval) and stops when the bracket
-    is narrower than 1e-8 * (1 + U). The boundary sigma_u_sq = 0 is always
-    evaluated explicitly and wins ties, so homogeneous data come back with
-    exactly zero.
+    is narrower than 1e-8 * U. Interval and tolerance both scale as the
+    estimates squared, so multiplying the estimates and standard errors by
+    c scales sigma_u_sq by c^2 and leaves the tests' p-values unchanged up
+    to rounding. The boundary sigma_u_sq = 0 is always evaluated explicitly
+    and wins ties, so homogeneous data come back with exactly zero.
     """
     objective = _ProfiledObjective(dataset)
     sigma_u_sq, _, converged = objective.maximize(objective.value, minimize_bounded)

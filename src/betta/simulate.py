@@ -41,7 +41,7 @@ from .estimators import EstimatorFn, resolve_estimator
 from .inference import homogeneity_test, wald_tests
 from .model import Dataset, fit_betta
 from .special import student_t_two_sided_p
-from .tables import FrequencyCountTable, _parse_number, _read_source, _write_target
+from .tables import FrequencyCountTable, _parse_number, _read_source
 
 CONTINUOUS_GRID = "continuous-grid"
 TWO_CATEGORY = "two-category"
@@ -248,7 +248,7 @@ class ExperimentReport:
         return self._row(method, alpha).mc_se
 
 
-def write_report(report: ExperimentReport, target: Union[str, Path, IO, None] = None) -> str:
+def write_report(report: ExperimentReport) -> str:
     """Serialize a report as delimited text with its config echoed in comments.
 
     The body carries only deterministic quantities (no timestamps, no
@@ -265,7 +265,7 @@ def write_report(report: ExperimentReport, target: Union[str, Path, IO, None] = 
         lines.append(
             f"{row.method},{row.alpha!r},{row.rate!r},{row.mc_se!r},{report.n_datasets},{report.seed}"
         )
-    return _write_target("\n".join(lines) + "\n", target)
+    return "\n".join(lines) + "\n"
 
 
 def _report_number(token: str, kind, line_number: int):
@@ -329,25 +329,21 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
 # ----------------------------------------------------------------------------
 
 def _draw_replicate(
-    probabilities: np.ndarray,
-    sizes: SampleSizeDistribution,
-    stream: RngStream,
-    r: int,
-    attempt: int = 0,
+    probabilities: np.ndarray, sizes: SampleSizeDistribution, stream: RngStream
 ) -> FrequencyCountTable:
-    """The table of replicate r, attempt a: drawn from stream.child(r, a) alone.
+    """One redrawn table, drawn from the generator of stream alone.
 
     The sample size is drawn uniformly (with replacement) from the observed
     sizes, then the category counts as one multinomial vector of that size.
     """
-    rng = stream.child(r, attempt).generator()
+    rng = stream.generator()
     size = sizes.draw(rng)
     return FrequencyCountTable.from_counts(rng.multinomial(size, probabilities))
 
 
 @dataclass(frozen=True)
 class _Payload:
-    """Everything a worker needs to reproduce a dataset range."""
+    """Everything a worker needs to reproduce any dataset of a study."""
 
     # Per replicate; replicates with the same percent share one array, so
     # the pickle sent to each pool chunk holds each distinct vector once.
@@ -355,7 +351,6 @@ class _Payload:
     covariate: tuple[float, ...] | None     # per replicate, None for homogeneity
     sizes: SampleSizeDistribution
     config: ExperimentConfig
-    estimator_override: EstimatorFn | None = None
 
 
 def _ols_slope_p_value(x: np.ndarray, y: np.ndarray) -> float:
@@ -379,7 +374,7 @@ def _ols_slope_p_value(x: np.ndarray, y: np.ndarray) -> float:
 
 def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
     config = payload.config
-    estimator = payload.estimator_override or resolve_estimator(config.estimator)
+    estimator = resolve_estimator(config.estimator)
     stream = RngStream(config.seed).child(d)
     estimates: list[float] = []
     std_errors: list[float] = []
@@ -388,7 +383,7 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
     for r in range(config.replicates_per_dataset):
         attempt = 0
         while True:
-            table = _draw_replicate(payload.probabilities[r], payload.sizes, stream, r, attempt)
+            table = _draw_replicate(payload.probabilities[r], payload.sizes, stream.child(r, attempt))
             try:
                 est = estimator(table)
                 break
@@ -424,23 +419,19 @@ def _run_one_dataset(payload: _Payload, d: int) -> tuple[dict, int]:
     return {METHOD_BETTA: p_betta, METHOD_REGRESSION: p_reg}, failures
 
 
-def _run_chunk(payload: _Payload, indices: list[int]) -> list[tuple[int, dict, int]]:
-    return [(d, *_run_one_dataset(payload, d)) for d in indices]
-
-
 def _aggregate(
     kind: str,
     payload: _Payload,
     percents: tuple[float, ...],
-    results: list[tuple[int, dict, int]],
+    results: list[tuple[dict, int]],
 ) -> ExperimentReport:
+    """The report of per-dataset (p-values by method, failures), in dataset order."""
     config = payload.config
-    results = sorted(results, key=lambda item: item[0])
-    methods = list(results[0][1].keys())
+    methods = list(results[0][0].keys())
     p_values = {
-        method: tuple(res[1][method] for res in results) for method in methods
+        method: tuple(res[0][method] for res in results) for method in methods
     }
-    failures = sum(res[2] for res in results)
+    failures = sum(res[1] for res in results)
     n = config.n_datasets
     rows = []
     for method in methods:
@@ -489,7 +480,6 @@ def run_experiment(
     gradient: Union[Sequence[float], float, None] = None,
     *,
     workers: int = 1,
-    estimator_override: EstimatorFn | None = None,
 ) -> ExperimentReport:
     """Run one Monte Carlo study; the design decides which.
 
@@ -540,18 +530,15 @@ def run_experiment(
         covariate=covariate,
         sizes=sizes,
         config=config,
-        estimator_override=estimator_override,
     )
     n = config.n_datasets
     if workers <= 1:
-        results = _run_chunk(payload, list(range(n)))
+        results = [_run_one_dataset(payload, d) for d in range(n)]
     else:
-        chunk_size = max(1, math.ceil(n / (workers * 4)))
-        chunks = [list(range(i, min(i + chunk_size, n))) for i in range(0, n, chunk_size)]
-        results = []
+        # map pickles each chunk as one message, so the payload travels once per chunk.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [payload] * len(chunks), chunks):
-                results.extend(part)
+            results = list(pool.map(_run_one_dataset, [payload] * n, range(n),
+                                    chunksize=max(1, math.ceil(n / (workers * 4)))))
     return _aggregate(kind, payload, percents, results)
 
 
@@ -593,16 +580,15 @@ def parametric_bootstrap_se(
         raise ValueError(f"b must be at least 50 bootstrap resamples, got {b}")
     estimator_fn = resolve_estimator(estimator) if isinstance(estimator, str) else estimator
     original = estimator_fn(table)
-    pop = population_from_table(table)
-    n = table.total_reads
+    probabilities = population_from_table(table).probabilities
+    # One observed size: its draw, rng.integers(1), leaves the generator as it was.
+    sizes = SampleSizeDistribution((table.total_reads,))
     stream = RngStream(seed)
     values: list[float] = []
     failures = 0
     for i in range(b):
-        rng = stream.child(i).generator()
-        counts = rng.multinomial(n, pop.probabilities)
         try:
-            values.append(estimator_fn(FrequencyCountTable.from_counts(counts)).estimate)
+            values.append(estimator_fn(_draw_replicate(probabilities, sizes, stream.child(i))).estimate)
         except EstimatorFailure:
             failures += 1
     if failures > 0.2 * b:

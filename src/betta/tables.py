@@ -107,16 +107,6 @@ def _read_source(source: Source) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _write_target(text: str, target: Union[str, Path, IO, None]) -> str:
-    """Write text to a path or a stream (nothing for None); return the text."""
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8")
-    return text
-
-
 def _records(source: Source):
     """Yield (line_number, fields) for every non-blank, non-comment line.
 
@@ -183,11 +173,11 @@ def read_frequency_table(source: Source) -> FrequencyCountTable:
     return FrequencyCountTable(entries=tuple(sorted(rows.items())))
 
 
-def write_frequency_table(table: FrequencyCountTable, target: Union[str, Path, IO, None] = None) -> str:
+def write_frequency_table(table: FrequencyCountTable) -> str:
     """Serialize a table in the same two-column format; returns the text."""
     lines = ["abundance,count"]
     lines += [f"{j},{f}" for j, f in table.entries]
-    return _write_target("\n".join(lines) + "\n", target)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -362,7 +352,7 @@ def _unreadable(text: str) -> bool:
     return text.splitlines() != [text] or text != text.strip() or "," in text
 
 
-def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) -> str:
+def write_estimates(data: Dataset) -> str:
     """Serialize a dataset back to the estimates-table format.
 
     Numeric fields use repr, so a write -> read round trip reproduces
@@ -375,7 +365,7 @@ def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) ->
     labels = data.groups()
     names = data.covariate_names
     faults = [("covariate name", n) for n in names if _unreadable(n) or "\t" in n
-              or n in (*_RESERVED, GROUP_COLUMN) or names.count(n) > 1]
+              or n in (*_RESERVED, GROUP_COLUMN)]
     faults += [("id", i) for i in data.ids() if _unreadable(i) or i.startswith("#")]
     faults += [("group label", g) for g in labels or () if _unreadable(g) or g in MISSING_TOKENS]
     if faults:
@@ -383,8 +373,8 @@ def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) ->
         raise ValueError(
             f"{what} {text!r} would not read back as itself: ids, group labels and covariate "
             "names must be nonempty, unpadded, on one line and free of commas; an id must not "
-            "start with '#', a group label must not be 'NA', and covariate names must be "
-            "unique, free of tabs and not a reserved column name"
+            "start with '#', a group label must not be 'NA', and a covariate name must be "
+            "free of tabs and not a reserved column name"
         )
     header = ["id", "estimate", "std_error", *names]
     if labels is not None:
@@ -395,4 +385,4 @@ def write_estimates(data: Dataset, target: Union[str, Path, IO, None] = None) ->
     if labels is not None:
         columns.append(labels)
     lines = [",".join(header), *(",".join(fields) for fields in zip(*columns))]
-    return _write_target("\n".join(lines) + "\n", target)
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ import pytest
 from betta import Dataset, RichnessObservation, fit_betta
 from betta.errors import ConfoundingError
 from betta.inference import global_test, wald_tests
-from betta.mixed import fit_betta_random
+from betta.mixed import MixedFit, fit_betta_random
 from betta.model import _ProfiledObjective
 from betta.optimize import minimize_bounded
 from conftest import make_dataset, with_groups
@@ -116,15 +116,10 @@ class TestVarianceRecovery:
     def test_free_fit_beats_any_pinned_variance(self):
         grouped, _ = scenario_grouped()
         free = fit_betta_random(grouped)
+        objective = _ProfiledObjective(grouped, grouped.groups())
         for pinned in (0.0, 1000.0, 10000.0):
-            fixed = fit_betta_random(grouped, fix_sigma_g_sq=pinned)
-            assert fixed.reml_value <= free.reml_value + 1e-9 * (1.0 + abs(free.reml_value))
-            assert fixed.sigma_g_sq_hat == pinned
-
-    def test_negative_pin_rejected(self):
-        grouped, _ = scenario_grouped()
-        with pytest.raises(ValueError):
-            fit_betta_random(grouped, fix_sigma_g_sq=-1.0)
+            _, best, _ = objective.maximize(lambda s: objective.value(s, pinned), minimize_bounded)
+            assert best <= free.reml_value + 1e-9 * (1.0 + abs(free.reml_value))
 
 
 class TestReductions:
@@ -142,13 +137,20 @@ class TestReductions:
         ]
         for ds, groups in inputs:
             flat = fit_betta(ds)
-            fixed = fit_betta_random(with_groups(ds, groups), fix_sigma_g_sq=0.0)
-            assert np.array_equal(fixed.beta_hat, flat.beta_hat)
-            assert fixed.sigma_u_sq_hat == flat.sigma_u_sq_hat
+            flat_objective = _ProfiledObjective(ds)
+            objective = _ProfiledObjective(with_groups(ds, groups), groups)
+            s_hat = flat.sigma_u_sq_hat
+            for s in (0.0, s_hat, 10.0 * s_hat):
+                mine = objective.components(s, 0.0)
+                theirs = flat_objective.components(s)
+                assert mine[0] == theirs[0]
+                for a, b in zip(mine[1:], theirs[1:]):
+                    assert np.array_equal(a, b)
+            fixed = objective.fit_result(MixedFit, s_hat, 0.0, True,
+                                         sigma_g_sq_hat=0.0, n_groups=objective.n_groups)
             assert fixed.reml_value == flat.reml_value
-            assert np.array_equal(fixed.fitted, flat.fitted)
-            assert np.array_equal(fixed.beta_cov, flat.beta_cov)
-            assert np.array_equal(fixed.std_residuals, flat.std_residuals)
+            for name in ("beta_hat", "beta_cov", "fitted", "std_residuals"):
+                assert np.array_equal(getattr(fixed, name), getattr(flat, name)), name
 
     def test_single_group_warns_and_reduces(self):
         rng = np.random.default_rng(0)

@@ -22,6 +22,7 @@ from betta.errors import (
     StdErrorFlooredWarning,
     UnidentifiableError,
 )
+from betta.inference import wald_tests
 from betta.model import (
     _canonical_order,
     _ProfiledObjective,
@@ -117,7 +118,7 @@ class TestFitAgainstGrid:
         # optimizer, and the argmax must sit within one grid step.
         ds = rng_dataset(33)
         fit = fit_betta(ds)
-        assert fit.sigma_u_sq_hat == pytest.approx(3753.110106198408, rel=1e-9)
+        assert fit.sigma_u_sq_hat == pytest.approx(3753.110215186053, rel=1e-9)
         assert fit.reml_value == pytest.approx(-43.46985545357679, rel=1e-12)
 
         upper = _search_upper_bound(ds.estimates(), floored_variances(ds))
@@ -203,6 +204,31 @@ class TestInvariances:
         # Standardized residuals divide estimate-scale by estimate-scale.
         assert b.std_residuals == pytest.approx(a.std_residuals, rel=1e-6, abs=1e-9)
 
+    def test_scale_and_shift_leave_the_slope_test_unchanged(self):
+        # Estimates and SEs times c, with and without a shift of 1e3 sd(y):
+        # the slope p-value and sigma_u_sq / c^2 hold to 1e-4 relative. An
+        # absolute bracket tolerance breaks this for small c.
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for _ in range(200):
+            m = int(rng.integers(8, 21))
+            x = rng.normal(size=(m, 1))
+            se = rng.uniform(1.0, 10.0, m)
+            y = 50.0 + 1.5 * x[:, 0] + rng.normal(0.0, rng.choice([0.0, 2.0, 8.0]), m)
+            y += rng.normal(0.0, se)
+
+            def slope_test(estimates, std_errors):
+                fit = fit_betta(make_dataset(estimates, std_errors, x=x, names=("x",)))
+                return wald_tests(fit)[1].p_value, fit.sigma_u_sq_hat
+
+            p, s = slope_test(y, se)
+            for shift in (0.0, 1e3 * float(np.std(y, ddof=1))):
+                for c in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
+                    p_c, s_c = slope_test((y + shift) * c, se * c)
+                    assert abs(s_c / c**2 - s) <= 1e-4 * s
+                    worst = max(worst, abs(p_c - p) / p)
+        assert worst <= 1e-4
+
     def test_downweighting_is_monotone(self, rng_dataset):
         # Removing the noisiest observation must move the pooled intercept
         # less than removing the most precise one. Frozen shifts for seed 2.
@@ -217,7 +243,7 @@ class TestInvariances:
         shift_noisiest = abs(drop(int(np.argmax(ses))) - fit.beta_hat[0])
         shift_tightest = abs(drop(int(np.argmin(ses))) - fit.beta_hat[0])
         assert shift_noisiest < shift_tightest
-        assert shift_noisiest == pytest.approx(0.22597849756087385, rel=1e-8)
+        assert shift_noisiest == pytest.approx(0.22597852071885427, rel=1e-8)
         assert shift_tightest == pytest.approx(5.578405558556312, rel=1e-8)
 
 
@@ -379,12 +405,14 @@ class TestConstructors:
             ([_row("a", covariates=(1.0,)), _row("b", covariates=(math.nan,))], ("x",)),
             ([_row("a", covariates=(1.0,)), _row("b")], ("x",)),
             ([_row("a", covariates=(1.0, 2.0)), _row("b", covariates=(3.0, 4.0))], ("x",)),
+            ([_row("a", covariates=(1.0, 2.0)), _row("b", covariates=(3.0, 4.0))], ("x", "x")),
             ([_row("a", group="g"), _row("b", group="")], ()),
             ([_row("a", group="x"), _row("b"), _row("c", group="y"), _row("d")], ()),
             ([], ()),
         ],
         ids=["nan-estimate", "inf-estimate", "negative-se", "inf-se", "nan-covariate",
-             "ragged-width", "wrong-width", "empty-label", "mixed-labels", "empty"],
+             "ragged-width", "wrong-width", "repeated-name", "empty-label", "mixed-labels",
+             "empty"],
     )
     def test_row_and_column_paths_raise_the_same_error(self, spec, names):
         errors = []

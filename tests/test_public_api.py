@@ -4,6 +4,8 @@ Each script runs in a fresh interpreter, so a broken name, signature or
 constructor in the documented entry points fails here.
 """
 
+import ast
+import inspect
 import os
 import re
 import subprocess
@@ -74,3 +76,62 @@ def test_every_exported_name_has_a_caller():
         return any(word.search(line) and not own.match(line) for line in lines)
 
     assert [name for name in betta.__all__ if not used(name)] == []
+
+
+def _callers_source():
+    """The package (outside __init__.py), the README's python blocks and the demos."""
+    paths = [p for p in (ROOT / "src" / "betta").glob("*.py") if p.name != "__init__.py"]
+    texts = [p.read_text(encoding="utf-8") for p in [*paths, *(ROOT / "demos").glob("*.py")]]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return texts + re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+
+
+def _public_callables():
+    """(label, callable name, signature without self/cls) of each exported
+    function and class and of each public method, classmethods included."""
+    for name in betta.__all__:
+        obj = getattr(betta, name)
+        if inspect.isfunction(obj):
+            yield name, name, inspect.signature(obj)
+        elif inspect.isclass(obj) and obj.__module__.startswith("betta."):
+            try:
+                yield name, name, inspect.signature(obj)
+            except ValueError:  # an exception class that keeps Exception's constructor
+                pass
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    params = list(inspect.signature(member).parameters.values())
+                    if params and params[0].name in ("self", "cls"):
+                        params = params[1:]
+                    yield f"{name}.{attr}", attr, inspect.Signature(params)
+
+
+def test_every_default_has_a_caller():
+    # A parameter with a default is set, by keyword or by position, by some
+    # call of its callable's name in the package, the README or a demo;
+    # otherwise the default is the only value any caller uses.
+    set_by: dict[str, list[tuple[int, set[str]]]] = {}
+    for text in _callers_source():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                n_positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                set_by.setdefault(callee, []).append((n_positional, keywords))
+
+    unset = []
+    for label, callee, signature in _public_callables():
+        params = list(signature.parameters.values())
+        for index, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            positional = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+            if not any(param.name in keywords or (positional and n > index)
+                       for n, keywords in set_by.get(callee, [])):
+                unset.append(f"{label}({param.name}=)")
+    assert unset == []

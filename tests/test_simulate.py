@@ -146,7 +146,7 @@ class TestGradientInjection:
 
 def draw_replicates(probabilities, sizes, replicates, stream):
     """The first attempt of every replicate, as the study runner draws them."""
-    return [_draw_replicate(probabilities, sizes, stream, r) for r in range(replicates)]
+    return [_draw_replicate(probabilities, sizes, stream.child(r, 0)) for r in range(replicates)]
 
 
 class TestResampling:
@@ -282,15 +282,14 @@ class TestSizeExperiment:
         assert write_report(seq) == write_report(par)
         assert seq.p_values == par.p_values
 
-    def test_estimator_failures_trigger_redraws(self):
+    def test_estimator_failures_trigger_redraws(self, monkeypatch):
         def flaky(table):
             if table.observed_richness % 2 == 1:
                 raise EstimatorFailure("odd richness")
             return chao1(table)
 
-        report = run_experiment(
-            toy_population(), TOY_SIZES, toy_config(n_datasets=10), estimator_override=flaky
-        )
+        monkeypatch.setattr("betta.simulate.resolve_estimator", lambda spec: flaky)
+        report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=10))
         assert report.estimator_failures == 154  # frozen redraw count
         assert all(0.0 <= r.rate <= 1.0 for r in report.rows)
 
@@ -400,8 +399,7 @@ class TestReportIO:
     def test_file_round_trip(self, tmp_path):
         report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
         p = tmp_path / "report.csv"
-        text = write_report(report, p)
-        assert p.read_text() == text
+        p.write_text(write_report(report), encoding="utf-8")
         assert read_report(p).rows == report.rows
         assert read_report(str(p)).rows == report.rows
 

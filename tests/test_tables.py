@@ -441,7 +441,6 @@ class TestReadEstimates:
             ({"covariate_names": ("x\ty",)}, "x\ty"),
             ({"covariate_names": ("estimate",)}, "estimate"),
             ({"covariate_names": ("group",)}, "group"),
-            ({"covariate_names": ("x", "x")}, "x"),
         ],
     )
     def test_write_refuses_text_that_would_not_read_back(self, columns, text):
@@ -455,14 +454,11 @@ class TestReadEstimates:
             write_estimates(ds)
         assert repr(text) in str(e.value)
 
-    def test_write_to_path_and_stream(self, tmp_path, rng_dataset):
-        ds = rng_dataset(43, m=4)
-        p = tmp_path / "est.csv"
-        text = write_estimates(ds, p)
-        assert p.read_text() == text
-        buf = io.StringIO()
-        write_estimates(ds, buf)
-        assert buf.getvalue() == text
+    def test_repeated_covariate_name_is_refused(self):
+        # Categorical 'a' expands to the indicator 'a=y', which a numeric column also names.
+        text = "id,estimate,std_error,a,a=y\ns1,1.0,1.0,x,0.5\ns2,2.0,1.0,y,1.5\n"
+        with pytest.raises(ValueError, match="'a=y' appears more than once"):
+            read_estimates(io.StringIO(text))
 
 
 # Cell text that stresses the reader's splitting, stripping and missing-value rules.
@@ -524,9 +520,10 @@ class TestEstimatorRegistry:
         with pytest.raises(EstimatorFailure, match="status 3"):
             resolve_estimator("cmd:exit 3")(t)
 
-    def test_command_timeout(self):
+    def test_command_timeout(self, monkeypatch):
         t = FrequencyCountTable(entries=((1, 1),))
-        est = ExternalCommandEstimator(command="sleep 5", timeout=0.2)
+        monkeypatch.setattr("betta.estimators.COMMAND_TIMEOUT", 0.2)
+        est = ExternalCommandEstimator(command="sleep 5")
         with pytest.raises(EstimatorFailure, match="timed out"):
             est(t)
 
