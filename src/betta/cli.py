@@ -99,11 +99,8 @@ def _number(kind, text: str):
 def _int_arg(text: str) -> int:
     return _number(int, text)
 
-def _float_arg(text: str) -> float:
-    return _number(float, text)
-
 def _floats_arg(text: str) -> tuple[float, ...]:
-    return tuple(_float_arg(t) for t in text.split(",") if t.strip() != "")
+    return tuple(_number(float, t) for t in text.split(",") if t.strip() != "")
 
 def _ints_arg(text: str) -> tuple[int, ...]:
     return tuple(_int_arg(t) for t in text.split(",") if t.strip() != "")
@@ -134,24 +131,27 @@ def _config_echo(args: argparse.Namespace) -> dict:
         config[key] = value
     return config
 
-def _write_manifest(out: Path, subcommand: str, args: argparse.Namespace,
-                    inputs: list[Path], outputs: list[str]) -> None:
+def _json_text(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    json.loads(text)
+    return text
+
+def _write_bundle(args: argparse.Namespace, out: Path, files: dict[str, str]) -> None:
+    """Write each checked text in order, then manifest.json naming them."""
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    source = Path(args.input)
     manifest = {
         "tool": "betta",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": " ".join(filter(None, (args.command, getattr(args, "mode", None)))),
         "configuration": _config_echo(args),
         "seed": getattr(args, "seed", None),
-        "inputs": [{"path": str(p), "sha256": _sha256_of(p)} for p in inputs],
-        "outputs": outputs,
+        "inputs": [{"path": str(source), "sha256": _sha256_of(source)}],
+        "outputs": list(files),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out / MANIFEST_FILE, manifest)
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    json.loads(text)
-    path.write_text(text, encoding="utf-8")
+    (out / MANIFEST_FILE).write_text(_json_text(manifest), encoding="utf-8")
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
@@ -200,7 +200,7 @@ def _summary_text(model: str, result: dict) -> str:
         lines.append(f"homogeneity test: Q = {q['statistic']:.6g}, dof = {q['dof']}, p = {q['p_value']:.6g}")
     return "\n".join(lines) + "\n"
 
-def _write_fit_bundle(args: argparse.Namespace, out: Path, subcommand: str, model: str,
+def _write_fit_bundle(args: argparse.Namespace, out: Path, model: str,
                       dataset: Dataset, fit, n_dropped: int, extra: dict) -> int:
     names = (INTERCEPT_NAME, *dataset.covariate_names)
     wald = wald_tests(fit)
@@ -240,8 +240,6 @@ def _write_fit_bundle(args: argparse.Namespace, out: Path, subcommand: str, mode
         **extra,
     }
 
-    _write_json(out / RESULT_FILE, result)
-
     header = ",".join(("id", *DIAGNOSTIC_COLUMNS))
     rows = [header]
     # tolist() gives Python floats, whose repr is the plain round-tripping form.
@@ -253,13 +251,10 @@ def _write_fit_bundle(args: argparse.Namespace, out: Path, subcommand: str, mode
     lines = diag_text.splitlines()
     if len(lines) != dataset.m + 1 or lines[0] != header:
         raise BettaError(f"diagnostics file failed validation: {out / DIAGNOSTICS_FILE}")
-    (out / DIAGNOSTICS_FILE).write_text(diag_text, encoding="utf-8")
 
     summary = _summary_text(model, result)
-    (out / SUMMARY_FILE).write_text(summary, encoding="utf-8")
-
-    _write_manifest(out, subcommand, args, [Path(args.input)],
-                    [RESULT_FILE, DIAGNOSTICS_FILE, SUMMARY_FILE])
+    _write_bundle(args, out, {RESULT_FILE: _json_text(result), DIAGNOSTICS_FILE: diag_text,
+                              SUMMARY_FILE: summary})
     sys.stdout.write(summary)
     return EXIT_OK
 
@@ -267,14 +262,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
     out = _out_dir(args)
     fit = fit_betta(loaded.dataset)
-    return _write_fit_bundle(args, out, "fit", "betta", loaded.dataset, fit, loaded.n_dropped, {})
+    return _write_fit_bundle(args, out, "betta", loaded.dataset, fit, loaded.n_dropped, {})
 
 def _cmd_fit_random(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
     out = _out_dir(args)
     fit = fit_betta_random(loaded.dataset)
     extra = {"sigma_g_sq": fit.sigma_g_sq_hat, "n_groups": fit.n_groups}
-    return _write_fit_bundle(args, out, "fit-random", "betta_random", loaded.dataset, fit,
+    return _write_fit_bundle(args, out, "betta_random", loaded.dataset, fit,
                              loaded.n_dropped, extra)
 
 
@@ -316,18 +311,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     # The design and the gradient pick the study: size, power or homogeneity.
-    gradient = None
-    if args.mode == "homogeneity":
-        gradient = args.percent
-    elif args.mode == "power":
-        if kind == CONTINUOUS_GRID:
-            if args.percents is None or args.percent is not None:
-                raise ValueError("--grid power takes --percents with one value per replicate")
-            gradient = args.percents
-        else:
-            if args.percent is None or args.percents is not None:
-                raise ValueError("--two-category power takes a single --percent")
-            gradient = args.percent
+    gradient = getattr(args, "percent", None)
+    if gradient is None and args.mode == "power":
+        raise ValueError("power needs --percent")
+    if gradient is not None:
+        count = args.replicates if kind == CONTINUOUS_GRID else 1
+        if len(gradient) != count:
+            raise ValueError(f"the {kind!r} covariate design takes {count} --percent "
+                             f"value(s), got {len(gradient)}")
+        if kind != CONTINUOUS_GRID:
+            gradient = gradient[0]
     out = _out_dir(args)
     report = run_experiment(pop, sizes, config, gradient, workers=args.workers)
 
@@ -335,15 +328,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     parsed = read_report(io.StringIO(text))
     if parsed.rows != report.rows or parsed.seed != report.seed:
         raise BettaError(f"report file failed round-trip validation: {out / REPORT_FILE}")
-    (out / REPORT_FILE).write_text(text, encoding="utf-8")
-    outputs = [REPORT_FILE]
+    files = {REPORT_FILE: text}
     if args.dump_pvalues:
         lines = ["method,dataset,p_value"]
         for method, values in sorted(report.p_values.items()):
             lines.extend(f"{method},{d},{p!r}" for d, p in enumerate(values))
-        (out / PVALUES_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(PVALUES_FILE)
-    _write_manifest(out, f"simulate {args.mode}", args, [Path(args.input)], outputs)
+        files[PVALUES_FILE] = "\n".join(lines) + "\n"
+    _write_bundle(args, out, files)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -356,8 +347,7 @@ def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
     table = read_frequency_table(args.input)
     out = _out_dir(args)
     summary = parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
-    _write_json(out / RESULT_FILE, asdict(summary))
-    _write_manifest(out, "bootstrap-se", args, [Path(args.input)], [RESULT_FILE])
+    _write_bundle(args, out, {RESULT_FILE: _json_text(asdict(summary))})
     sys.stdout.write(
         f"method: {summary.method}\n"
         f"estimate: {summary.original_estimate!r}\n"
@@ -394,8 +384,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         + text.splitlines()[1] + "\n"
     )
     if out is not None:
-        (out / ESTIMATE_FILE).write_text(text, encoding="utf-8")
-        _write_manifest(out, "estimate", args, [Path(args.input)], [ESTIMATE_FILE])
+        _write_bundle(args, out, {ESTIMATE_FILE: text})
     return EXIT_OK
 
 
@@ -451,20 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="type-I error of the covariate tests").set_defaults(func=_cmd_simulate)
     power = sim_sub.add_parser("power", parents=[shared, covariate],
                                help="power against injected rare-taxon gradients")
-    power.add_argument("--percent", type=_float_arg, default=None,
-                       help="two-category contrast: percent extra taxa in the second category")
-    power.add_argument("--percents", type=_floats_arg, default=None,
-                       help="grid design: percent extra taxa per replicate")
+    power.add_argument("--percent", type=_floats_arg, default=None,
+                       help="percent extra taxa: one per replicate with --grid, one value "
+                            "for the second category with --two-category")
     power.set_defaults(func=_cmd_simulate)
     hom = sim_sub.add_parser("homogeneity", parents=[shared],
                              help="size/power of the dispersion test (intercept-only)")
-    hom.add_argument("--percent", type=_float_arg, default=None,
+    hom.add_argument("--percent", type=_floats_arg, default=None,
                      help="optional: percent extra taxa in half the replicates")
     hom.set_defaults(func=_cmd_simulate)
 
     boot = sub.add_parser("bootstrap-se", help="parametric-bootstrap check of a reported SE")
     boot.add_argument("--input", required=True, help="frequency-count table")
-    boot.add_argument("--estimator", default=CHAO1)
+    boot.add_argument("--estimator", default=CHAO1, help="chao1 | observed | cmd:<command>")
     boot.add_argument("-b", "--resamples", type=_int_arg, default=200, help="bootstrap resamples (>= 50)")
     boot.add_argument("--seed", type=_int_arg, default=0)
     boot.add_argument("--out", required=True, help="output directory")
@@ -472,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="one richness estimate row from a frequency table")
     est.add_argument("--input", required=True, help="frequency-count table")
-    est.add_argument("--estimator", default=CHAO1)
+    est.add_argument("--estimator", default=CHAO1, help="chao1 | observed | cmd:<command>")
     est.add_argument("--id", default=None, help="row id (default: input file stem)")
     est.add_argument("--out", default=None, help="optional output directory")
     est.set_defaults(func=_cmd_estimate)

@@ -28,7 +28,6 @@ EstimatorFn = Callable[[FrequencyCountTable], RichnessEstimate]
 
 CHAO1 = "chao1"
 OBSERVED = "observed"
-OBSERVED_RICHNESS = "observed-richness"
 COMMAND_PREFIX = "cmd:"
 # Seconds an external estimator may run on one table before it counts as failed.
 COMMAND_TIMEOUT = 60.0
@@ -83,7 +82,7 @@ def resolve_estimator(spec: str) -> EstimatorFn:
     """Map an estimator name ('chao1', 'observed', 'cmd:<command>') to a callable."""
     if spec == CHAO1:
         return chao1
-    if spec in (OBSERVED, OBSERVED_RICHNESS):
+    if spec == OBSERVED:
         return observed_richness_estimator
     if spec.startswith(COMMAND_PREFIX):
         command = spec[len(COMMAND_PREFIX):].strip()

@@ -24,7 +24,7 @@ from .model import (
     _weighted_least_squares,
     floored_variances,
 )
-from .special import chisq_upper_tail, normal_cdf, normal_quantile, normal_two_sided_p
+from .special import chisq_upper_tail, normal_quantile, normal_two_sided_p
 
 KIND_WALD = "wald"
 KIND_GLOBAL = "global_chisq"
@@ -179,8 +179,6 @@ __all__ = [
     "global_test",
     "homogeneity_test",
     "residual_diagnostics",
-    "normal_cdf",
-    "chisq_upper_tail",
     "KIND_WALD",
     "KIND_GLOBAL",
     "KIND_HOMOGENEITY",

@@ -100,8 +100,7 @@ class Dataset:
     every observation carries a group label or none does.
 
     ``Dataset(observations=rows, covariate_names=names)`` builds one from
-    RichnessObservation rows and ``Dataset.from_columns`` from columns;
-    ``observations`` is the row view, built on each access.
+    RichnessObservation rows and ``Dataset.from_columns`` from columns.
     """
 
     covariate_names: tuple[str, ...]
@@ -162,6 +161,8 @@ class Dataset:
             covariates = np.empty((m, 0))
         x = _covariate_block(covariates, ids, len(names))
         labels = None if groups is None else tuple(groups)
+        if labels is not None and len(labels) != m:
+            raise ValueError(f"groups must hold one label per id ({m}), got {len(labels)}")
 
         faulty = ~(np.isfinite(y) & np.isfinite(se) & (se >= 0.0) & np.isfinite(x).all(axis=1))
         first = int(np.argmax(faulty)) if faulty.any() else m
@@ -217,17 +218,6 @@ class Dataset:
         """The group label of every observation, or None for an ungrouped dataset."""
         return self._groups
 
-    @property
-    def observations(self) -> tuple[RichnessObservation, ...]:
-        """The rows as RichnessObservation objects, built on each access."""
-        return tuple(
-            RichnessObservation(id=i, estimate=y, std_error=se, covariates=tuple(x), group=g)
-            for i, y, se, x, g in zip(
-                self._ids, self._estimates.tolist(), self._std_errors.tolist(),
-                self.covariate_matrix().tolist(), self._groups or (None,) * self.m,
-            )
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -239,9 +229,6 @@ class Dataset:
             and np.array_equal(self._std_errors, other._std_errors)
             and np.array_equal(self._design, other._design)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.covariate_names, self._ids, self._groups))
 
 
 @dataclass(frozen=True)

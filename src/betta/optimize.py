@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# Iteration cap; a search that hits it returns converged=False.
+MAX_ITER = 500
 
 
 @dataclass(frozen=True)
 class ScalarSearchResult:
     x: float
     fx: float
-    converged: bool      # bracket width fell below xatol within maxiter
+    converged: bool      # bracket width fell below xatol within MAX_ITER
     n_iter: int
     n_eval: int
 
@@ -32,7 +34,6 @@ def minimize_bounded(
     *,
     xatol: float,
     x0: float | None = None,
-    maxiter: int = 500,
 ) -> ScalarSearchResult:
     """Minimize f on [lower, upper]; stop when the bracket is narrower than xatol.
 
@@ -48,8 +49,6 @@ def minimize_bounded(
     x0 : float, optional
         First probe point. Falls back to the golden point when omitted or
         outside the open interval.
-    maxiter : int
-        Iteration cap; the result carries converged=False when it is hit.
     """
     if not (lower < upper):
         raise ValueError(f"empty search interval [{lower}, {upper}]")
@@ -69,7 +68,7 @@ def minimize_bounded(
 
     n_iter = 0
     converged = False
-    while n_iter < maxiter:
+    while n_iter < MAX_ITER:
         n_iter += 1
         if b - a < xatol:
             converged = True

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     StdErrorFlooredWarning,
 )
-from .estimators import EstimatorFn, resolve_estimator
+from .estimators import resolve_estimator
 from .inference import homogeneity_test, wald_tests
 from .model import Dataset, fit_betta
 from .special import student_t_two_sided_p
@@ -196,9 +196,11 @@ class ExperimentConfig:
             raise ValueError(f"n_datasets must be >= 1, got {self.n_datasets}")
         if not self.alpha_levels:
             raise ValueError("alpha_levels must be nonempty")
-        for a in self.alpha_levels:
+        for i, a in enumerate(self.alpha_levels):
             if not 0.0 < a < 1.0:
                 raise ValueError(f"alpha levels must lie strictly in (0, 1), got {a!r}")
+            if a in self.alpha_levels[:i]:
+                raise ValueError(f"alpha level {a!r} is given more than once")
         if self.covariate_kind not in (CONTINUOUS_GRID, TWO_CATEGORY, NO_COVARIATE):
             raise ValueError(f"unknown covariate_kind {self.covariate_kind!r}")
         if self.covariate_kind == CONTINUOUS_GRID:
@@ -563,7 +565,7 @@ class BootstrapSummary:
 
 def parametric_bootstrap_se(
     table: FrequencyCountTable,
-    estimator: Union[EstimatorFn, str],
+    estimator: str,
     b: int,
     seed: int,
 ) -> BootstrapSummary:
@@ -578,7 +580,7 @@ def parametric_bootstrap_se(
     """
     if b < 50:
         raise ValueError(f"b must be at least 50 bootstrap resamples, got {b}")
-    estimator_fn = resolve_estimator(estimator) if isinstance(estimator, str) else estimator
+    estimator_fn = resolve_estimator(estimator)
     original = estimator_fn(table)
     probabilities = population_from_table(table).probabilities
     # One observed size: its draw, rng.integers(1), leaves the generator as it was.

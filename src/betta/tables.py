@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -63,15 +63,14 @@ class FrequencyCountTable:
         object.__setattr__(self, "doubletons", head.get(2, 0))
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray | Iterable[int]) -> "FrequencyCountTable":
+    def from_counts(cls, counts: np.ndarray | list[int]) -> "FrequencyCountTable":
         """Collapse per-taxon abundances into a table; zeros and negatives are ignored.
 
-        counts is a 1-d integer array (taken as it is) or any iterable of
-        integers. Anything that is not 1-d, or not of an integer dtype
-        (floats, booleans, objects), is a ValueError rather than being
-        truncated or flattened.
+        counts is a 1-d integer array or a list of integers. Anything that
+        is not 1-d, or not of an integer dtype (floats, booleans, objects),
+        is a ValueError rather than being truncated or flattened.
         """
-        arr = np.asarray(counts if isinstance(counts, np.ndarray) else list(counts))
+        arr = np.asarray(counts)
         if arr.ndim != 1:
             raise ValueError(f"counts must be 1-d, got an array of shape {arr.shape}")
         # An empty input has no dtype to check: np.asarray([]) is float.
@@ -288,6 +287,8 @@ def read_estimates(
     else:
         cov_cols = list(covariates)
         for c in cov_cols:
+            if c == "estimate":
+                raise ParseError("column 'estimate' is the response and cannot be a covariate")
             if c not in header:
                 raise ParseError(f"covariate column {c!r} not in header")
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -49,13 +47,23 @@ def make_dataset(y, se, x=None, names=(), ids=None, groups=None):
     return Dataset(observations=tuple(obs), covariate_names=tuple(names))
 
 
+def take_rows(dataset, index):
+    """The rows of dataset at index (a permutation or a subset), in that order."""
+    groups = dataset.groups()
+    return Dataset.from_columns(
+        ids=[dataset.ids()[i] for i in index], estimates=dataset.estimates()[index],
+        std_errors=dataset.std_errors()[index], covariates=dataset.covariate_matrix()[index],
+        covariate_names=dataset.covariate_names,
+        groups=None if groups is None else [groups[i] for i in index],
+    )
+
+
 def with_groups(dataset, groups):
     """The same rows as dataset, labelled with one group per observation."""
-    return Dataset(
-        observations=tuple(
-            dataclasses.replace(o, group=g) for o, g in zip(dataset.observations, groups, strict=True)
-        ),
-        covariate_names=dataset.covariate_names,
+    return Dataset.from_columns(
+        ids=dataset.ids(), estimates=dataset.estimates(), std_errors=dataset.std_errors(),
+        covariates=dataset.covariate_matrix(), covariate_names=dataset.covariate_names,
+        groups=groups,
     )
 
 

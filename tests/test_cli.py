@@ -32,7 +32,14 @@ from betta.cli import (
     SUMMARY_FILE,
     main,
 )
-from betta.simulate import parametric_bootstrap_se
+from betta.simulate import (
+    ExperimentConfig,
+    SampleSizeDistribution,
+    parametric_bootstrap_se,
+    population_from_table,
+    run_experiment,
+    write_report,
+)
 from betta.tables import read_estimates, read_frequency_table
 
 DATA = Path(__file__).parent / "data"
@@ -120,6 +127,18 @@ class TestFit:
         code = main(["fit", "--input", EST, "--covariates", "ph", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "'ph'" in capsys.readouterr().err
+
+    def test_response_cannot_be_its_own_covariate(self, tmp_path, capsys):
+        code = main(["fit", "--input", EST, "--covariates", "estimate", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "'estimate'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # The reported SE stays a legal covariate; the id column next to depth
+        # gives more columns than rows.
+        assert main(["fit", "--input", EST, "--covariates", "std_error",
+                     "--out", str(tmp_path / "se")]) == EXIT_OK
+        assert main(["fit", "--input", EST, "--covariates", "depth,id",
+                     "--out", str(tmp_path / "id")]) == EXIT_RANK_DEFICIENT
 
     def test_collinear_columns_exit_rank_deficient(self, tmp_path, capsys):
         table = tmp_path / "coll.csv"
@@ -267,14 +286,39 @@ class TestSimulate:
         assert data_rows(size_out / REPORT_FILE) == data_rows(power_out / REPORT_FILE)
 
     def test_grid_power_needs_per_replicate_percents(self, tmp_path, capsys):
-        code = main(["simulate", "power", "--input", FREQ, *SIM_COMMON,
-                     "--grid", "1,2,3,4,5", "--percent", "10", "--out", str(tmp_path / "o")])
+        # The design decides how many --percent values it takes; a power study needs them.
+        for design, percent, named in (
+            (["--grid", "1,2,3,4,5"], ["--percent", "10"], "'continuous-grid'"),
+            (["--grid", "1,2,3,4,5"], ["--percent", "0,0,5,5"], "'continuous-grid'"),
+            (["--two-category"], ["--percent", "5,10"], "'two-category'"),
+            (["--two-category"], [], "needs --percent"),
+        ):
+            code = main(["simulate", "power", "--input", FREQ, *SIM_COMMON, *design, *percent,
+                         "--out", str(tmp_path / "o")])
+            assert code == EXIT_USAGE
+            assert named in capsys.readouterr().err
+        code = main(["simulate", "homogeneity", "--input", FREQ, *SIM_COMMON,
+                     "--percent", "5,10", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        assert "--percents" in capsys.readouterr().err
-        code = main(["simulate", "power", "--input", FREQ, *SIM_COMMON,
-                     "--grid", "1,2,3,4,5", "--percents", "0,0,5,5",
-                     "--out", str(tmp_path / "o")])
+        assert "'none' covariate design takes 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_grid_power_matches_the_library(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", "power", "--input", FREQ, *SIM_COMMON, "--grid", "1,2,3,4,5",
+                     "--percent", "0,0,5,10,20", "--out", str(out)]) == EXIT_OK
+        config = ExperimentConfig(replicates_per_dataset=5, n_datasets=8,
+                                  grid=(1.0, 2.0, 3.0, 4.0, 5.0), alpha_levels=(0.05, 0.5), seed=21)
+        report = run_experiment(population_from_table(read_frequency_table(FREQ)),
+                                SampleSizeDistribution((150,)), config, gradient=(0, 0, 5, 10, 20))
+        assert (out / REPORT_FILE).read_text() == write_report(report)
+
+    def test_repeated_alpha_level_exits_usage(self, tmp_path, capsys):
+        code = main(["simulate", "size", "--input", FREQ, *SIM_COMMON, "--alphas", "0.05,0.05",
+                     "--grid", "1,2,3,4,5", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
+        assert "alpha level 0.05 is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_covariate_design_is_mandatory_and_exclusive(self, tmp_path, capsys):
         code = main(["simulate", "size", "--input", FREQ, *SIM_COMMON,

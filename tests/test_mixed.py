@@ -12,7 +12,7 @@ from betta.inference import global_test, wald_tests
 from betta.mixed import MixedFit, fit_betta_random
 from betta.model import _ProfiledObjective
 from betta.optimize import minimize_bounded
-from conftest import make_dataset, with_groups
+from conftest import make_dataset, take_rows, with_groups
 
 
 def scenario_flat():
@@ -173,10 +173,7 @@ class TestInvariancesAndErrors:
     def test_permutation_invariance_is_bitwise(self):
         grouped, _ = scenario_grouped()
         perm = np.random.default_rng(17).permutation(grouped.m)
-        shuffled = Dataset(
-            observations=tuple(grouped.observations[i] for i in perm),
-            covariate_names=grouped.covariate_names,
-        )
+        shuffled = take_rows(grouped, perm)
         a, b = fit_betta_random(grouped), fit_betta_random(shuffled)
         assert np.array_equal(a.beta_hat, b.beta_hat)
         assert a.sigma_g_sq_hat == b.sigma_g_sq_hat

@@ -29,7 +29,7 @@ from betta.model import (
     _search_upper_bound,
     floored_variances,
 )
-from conftest import make_dataset, with_groups
+from conftest import make_dataset, take_rows, with_groups
 
 
 def reference_reml(dataset, beta, sigma_u_sq):
@@ -182,10 +182,7 @@ class TestInvariances:
         )
         for ds in (rng_dataset(21, m=16, with_covariate=True), tied):
             perm = np.random.default_rng(99).permutation(ds.m)
-            shuffled = Dataset(
-                observations=tuple(ds.observations[i] for i in perm),
-                covariate_names=ds.covariate_names,
-            )
+            shuffled = take_rows(ds, perm)
             a, b = fit_betta(ds), fit_betta(shuffled)
             assert np.array_equal(a.beta_hat, b.beta_hat)
             assert a.sigma_u_sq_hat == b.sigma_u_sq_hat
@@ -237,8 +234,7 @@ class TestInvariances:
         ses = ds.std_errors()
 
         def drop(i):
-            kept = tuple(o for j, o in enumerate(ds.observations) if j != i)
-            return fit_betta(Dataset(observations=kept)).beta_hat[0]
+            return fit_betta(take_rows(ds, [j for j in range(ds.m) if j != i])).beta_hat[0]
 
         shift_noisiest = abs(drop(int(np.argmax(ses))) - fit.beta_hat[0])
         shift_tightest = abs(drop(int(np.argmin(ses))) - fit.beta_hat[0])
@@ -344,9 +340,11 @@ def test_fit_is_a_local_maximum(data, m):
 
 def tuple_sort_order(dataset):
     """The canonical order as a Python sort on per-row key tuples (the reference)."""
-    keys = [
-        (o.estimate, o.std_error, o.covariates, o.group or "", o.id) for o in dataset.observations
-    ]
+    keys = list(zip(
+        dataset.estimates().tolist(), dataset.std_errors().tolist(),
+        map(tuple, dataset.covariate_matrix().tolist()), dataset.groups() or ("",) * dataset.m,
+        dataset.ids(),
+    ))
     return np.array(sorted(range(dataset.m), key=keys.__getitem__), dtype=int)
 
 
@@ -433,9 +431,17 @@ class TestConstructors:
         by_rows = Dataset(observations=_rows(spec), covariate_names=("u", "v"))
         by_columns = _columns(spec, ("u", "v"))
         assert by_rows == by_columns
-        assert by_rows.observations == by_columns.observations == _rows(spec)
+        assert by_columns.ids() == tuple(row["id"] for row in spec)
+        assert by_columns.estimates().tolist() == [row["estimate"] for row in spec]
+        assert by_columns.std_errors().tolist() == [row["std_error"] for row in spec]
+        assert by_columns.covariate_matrix().tolist() == [list(row["covariates"]) for row in spec]
         assert by_columns.groups() == (None if groups is None else tuple(groups))
         assert by_rows != _columns(spec, ("u", "w"))
+
+    def test_groups_of_another_length_are_refused(self):
+        with pytest.raises(ValueError, match=r"one label per id \(3\), got 1"):
+            Dataset.from_columns(ids=["a", "b", "c"], estimates=[1.0, 2.0, 3.0],
+                                 std_errors=[1.0, 1.0, 1.0], groups=["g"])
 
     def test_columns_are_stored_once_and_read_only(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0.5, 0.5, 1.0], x=[[1.0], [2.0], [4.0]], names=("x",))

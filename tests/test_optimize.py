@@ -60,8 +60,9 @@ def test_x0_outside_interval_falls_back():
     assert seen[0] == pytest.approx(golden_first, abs=1e-12)
 
 
-def test_maxiter_reports_nonconvergence():
-    r = minimize_bounded(lambda x: (x - 0.5) ** 2, 0.0, 1.0, xatol=1e-14, maxiter=3)
+def test_maxiter_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr("betta.optimize.MAX_ITER", 3)
+    r = minimize_bounded(lambda x: (x - 0.5) ** 2, 0.0, 1.0, xatol=1e-14)
     assert isinstance(r, ScalarSearchResult)
     assert not r.converged
     assert r.n_iter == 3

@@ -135,3 +135,22 @@ def test_every_default_has_a_caller():
                        for n, keywords in set_by.get(callee, [])):
                 unset.append(f"{label}({param.name}=)")
     assert unset == []
+
+
+def test_every_public_member_has_a_caller():
+    # A public method, property or classmethod of an exported class is read
+    # as an attribute (obj.member) by the package outside __init__.py, the
+    # README's python blocks or a demo; otherwise only the tests reach it.
+    read = {node.attr for text in _callers_source() for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)}
+    members = []
+    for name in betta.__all__:
+        obj = getattr(betta, name)
+        if not (inspect.isclass(obj) and obj.__module__.startswith("betta.")):
+            continue
+        members += [f"{name}.{attr}" for attr, member in vars(obj).items()
+                    if not attr.startswith("_")
+                    and (isinstance(member, (property, classmethod, staticmethod))
+                         or inspect.isfunction(member))]
+    assert members
+    assert [label for label in members if label.split(".", 1)[1] not in read] == []

@@ -198,6 +198,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="covariate_kind"):
             toy_config(covariate_kind="spline")
 
+    def test_repeated_alpha_level_is_refused(self):
+        # It would give two rows per method at one level, and rate_for reads the first.
+        with pytest.raises(ValueError, match=r"alpha level 0\.05 is given more than once"):
+            toy_config(alpha_levels=(0.05, 0.01, 0.05))
+
     def test_grid_rules(self):
         with pytest.raises(ValueError, match="grid length"):
             toy_config(grid=(1.0, 2.0))
@@ -450,6 +455,11 @@ class TestReportIO:
 BOOT_TABLE = FrequencyCountTable(entries=((1, 40), (2, 20), (3, 10), (4, 60)))
 
 
+def _stand_in_for_chao1(monkeypatch, fn):
+    # parametric_bootstrap_se resolves its estimator by name; fn answers to "chao1".
+    monkeypatch.setattr("betta.simulate.resolve_estimator", {"chao1": fn}.__getitem__)
+
+
 class TestBootstrap:
     def test_chao1_on_power_law_sample(self):
         # 1000-category power-law population sampled once at 8000 reads;
@@ -481,12 +491,14 @@ class TestBootstrap:
         fresh_sd = float(np.std(fresh, ddof=1))
         assert abs(summary.bootstrap_sd - fresh_sd) / fresh_sd < 0.25
 
-    def test_understated_claim_is_flagged(self):
+    def test_understated_claim_is_flagged(self, monkeypatch):
         def overconfident(table):
             e = chao1(table)
             return RichnessEstimate(estimate=e.estimate, std_error=0.5, method="overconfident")
 
-        summary = parametric_bootstrap_se(BOOT_TABLE, overconfident, 60, seed=3)
+        _stand_in_for_chao1(monkeypatch, overconfident)
+        summary = parametric_bootstrap_se(BOOT_TABLE, "chao1", 60, seed=3)
+        assert summary.method == "overconfident"
         assert summary.understated
         assert summary.ratio > 1.0
         assert summary.bootstrap_sd == pytest.approx(7.760352777273483, rel=1e-12)
@@ -495,7 +507,7 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least 50"):
             parametric_bootstrap_se(BOOT_TABLE, "chao1", 49, seed=1)
 
-    def test_excessive_failures_are_unstable(self):
+    def test_excessive_failures_are_unstable(self, monkeypatch):
         calls = {"n": 0}
 
         def dies(table):
@@ -504,10 +516,11 @@ class TestBootstrap:
                 raise EstimatorFailure("persistent")
             return chao1(table)
 
+        _stand_in_for_chao1(monkeypatch, dies)
         with pytest.raises(BootstrapUnstableError):
-            parametric_bootstrap_se(BOOT_TABLE, dies, 50, seed=3)
+            parametric_bootstrap_se(BOOT_TABLE, "chao1", 50, seed=3)
 
-    def test_tolerated_failures_are_counted(self):
+    def test_tolerated_failures_are_counted(self, monkeypatch):
         calls = {"n": 0}
 
         def sometimes(table):
@@ -516,7 +529,8 @@ class TestBootstrap:
                 raise EstimatorFailure("intermittent")
             return chao1(table)
 
-        summary = parametric_bootstrap_se(BOOT_TABLE, sometimes, 60, seed=3)
+        _stand_in_for_chao1(monkeypatch, sometimes)
+        summary = parametric_bootstrap_se(BOOT_TABLE, "chao1", 60, seed=3)
         assert summary.n_failures == 6
         assert math.isfinite(summary.bootstrap_sd)
 

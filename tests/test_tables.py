@@ -103,11 +103,14 @@ class TestFrequencyCountTable:
             FrequencyCountTable.from_counts(np.array([[1, 2], [0, 3]]))
         with pytest.raises(ValueError, match="must be 1-d"):
             FrequencyCountTable.from_counts(np.array(4))
+        # An iterator is not a sequence: np.asarray makes it a 0-d object array.
+        with pytest.raises(ValueError, match="must be 1-d"):
+            FrequencyCountTable.from_counts(iter([2, 0, 2]))
 
-    def test_from_counts_takes_unsigned_arrays_and_iterators(self):
+    def test_from_counts_takes_unsigned_arrays_and_lists(self):
         t = FrequencyCountTable.from_counts(np.array([3, 0, 1, 1], dtype=np.uint8))
         assert t.entries == ((1, 2), (3, 1))
-        assert FrequencyCountTable.from_counts(iter([2, 0, 2])).entries == ((2, 2),)
+        assert FrequencyCountTable.from_counts([2, 0, 2]).entries == ((2, 2),)
 
     @given(_COUNTS)
     def test_from_counts_preserves_totals(self, counts):
@@ -381,6 +384,13 @@ class TestReadEstimates:
         with pytest.raises(EmptyTableError):
             read_estimates(io.StringIO("\n# empty\n"))
 
+    def test_response_is_not_a_covariate(self):
+        with pytest.raises(ParseError, match="'estimate' is the response"):
+            read_estimates(io.StringIO(ESTIMATES_CSV), covariates=("depth", "estimate"))
+        # Small-study regressions put the reported SE on the right-hand side.
+        ds = read_estimates(io.StringIO(ESTIMATES_CSV), covariates=("std_error",)).dataset
+        assert ds.covariate_matrix()[:, 0].tolist() == ds.std_errors().tolist()
+
     def test_row_width_mismatch_carries_line_number(self):
         text = "id,estimate,std_error\na,1.0,0.5\nb,2.0\n"
         with pytest.raises(ParseError, match="line 3") as e:
@@ -488,9 +498,9 @@ class TestEstimatorRegistry:
     def test_builtin_names(self):
         assert resolve_estimator(CHAO1) is chao1
         assert resolve_estimator("observed") is observed_richness_estimator
-        assert resolve_estimator("observed-richness") is observed_richness_estimator
-        with pytest.raises(ValueError, match="unknown estimator"):
-            resolve_estimator("jackknife")
+        for unknown in ("jackknife", "observed-richness"):
+            with pytest.raises(ValueError, match="unknown estimator"):
+                resolve_estimator(unknown)
         with pytest.raises(ValueError, match="empty command"):
             resolve_estimator(COMMAND_PREFIX)
 
