@@ -365,19 +365,13 @@ class _ProfiledObjective:
     def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
         if dataset.m < 2:
             raise ValueError(f"fitting needs at least 2 observations, got {dataset.m}")
-        if np.all(dataset.std_errors() == 0.0) and dataset.m <= dataset.p + 1:
-            raise UnidentifiableError(
-                "all standard errors are zero and there are no residual degrees of freedom; "
-                "the variance component cannot be identified"
-            )
         x_full = dataset.design_matrix()
         _check_full_rank(x_full, (INTERCEPT_NAME,) + dataset.covariate_names)
-        if dataset.m <= dataset.p + 1:
-            warnings.warn(
-                f"only {dataset.m} observations for {dataset.p + 1} coefficients; "
-                "the heterogeneity test is undefined and the fit is fragile",
-                UserWarning,
-                stacklevel=3,
+        if dataset.m == dataset.p + 1:
+            raise UnidentifiableError(
+                f"only {dataset.m} observations for {dataset.p + 1} coefficients; with no "
+                "residual degrees of freedom the restricted likelihood is flat and the "
+                "variance component cannot be identified"
             )
 
         self.order = _canonical_order(dataset)

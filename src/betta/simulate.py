@@ -213,6 +213,8 @@ class ExperimentConfig:
                 raise ValueError("grid must contain at least two distinct covariate values")
         elif self.grid:
             raise ValueError(f"grid is only meaningful for {CONTINUOUS_GRID!r}")
+        # Checks the name only: a 'cmd:' command does not run here.
+        resolve_estimator(self.estimator)
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,12 @@ class TestFit:
         assert result["global_test"] is None
         assert "not applicable" in capsys.readouterr().out
 
+    def test_saturated_design_exits_not_identified(self, tmp_path, capsys):
+        # id as a categorical covariate gives 5 coefficients for 5 rows.
+        code = main(["fit", "--input", EST, "--covariates", "id", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NOT_IDENTIFIED
+        assert "no residual degrees of freedom" in capsys.readouterr().err
+
     def test_absent_covariate_column_names_it(self, tmp_path, capsys):
         code = main(["fit", "--input", EST, "--covariates", "ph", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
@@ -380,6 +386,14 @@ class TestSimulate:
                      "--grid", "1,2,3,4,5", "--out", str(tmp_path / "o")])
         assert code == EXIT_ESTIMATOR
         assert "estimate,std_error" in capsys.readouterr().err
+
+    def test_unknown_estimator_exits_2_before_out_is_made(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "size", "--input", FREQ, "--replicates", "4", "--datasets", "1",
+                     "--two-category", "--estimator", "jackknife", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown estimator 'jackknife'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimator_that_declines_every_redraw_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("betta.simulate._MAX_REDRAW_ATTEMPTS", 3)

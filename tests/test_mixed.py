@@ -9,7 +9,7 @@ import pytest
 from betta import Dataset, RichnessObservation, fit_betta
 from betta.errors import ConfoundingError
 from betta.inference import global_test, wald_tests
-from betta.mixed import MixedFit, fit_betta_random
+from betta.mixed import MixedFit, _score_and_information, fit_betta_random
 from betta.model import _ProfiledObjective
 from betta.optimize import minimize_bounded
 from conftest import make_dataset, take_rows, with_groups
@@ -109,7 +109,7 @@ class TestVarianceRecovery:
         # Truth 4900; the empirical variance of the drawn effects is 4693.6.
         emp = float(np.var(effects, ddof=1))
         assert fit.sigma_g_sq_hat == pytest.approx(emp, rel=0.25)
-        assert fit.sigma_g_sq_hat == pytest.approx(4762.894979951652, rel=1e-8)
+        assert fit.sigma_g_sq_hat == pytest.approx(4762.895216141079, rel=1e-8)
         assert fit.reml_value == pytest.approx(-304.12989884189744, rel=1e-12)
         assert fit.n_groups == 20
 
@@ -258,15 +258,16 @@ def dense_reml(objective, sigma_u_sq, sigma_g_sq):
     return value, beta
 
 
-def dense_oracle_fit(objective):
-    """The nested sigma_g_sq-over-sigma_u_sq search run on dense_reml;
-    returns the maximized restricted log-likelihood."""
+def nested_search_fit(objective, reml):
+    """The grouped fit's former solver, kept as an oracle: an outer bounded
+    search over sigma_g_sq runs an inner one over sigma_u_sq at each probe,
+    on reml(sigma_u_sq, sigma_g_sq); returns the maximized value."""
     cache = {}
 
     def profiled(sigma_g_sq):
         if sigma_g_sq not in cache:
             cache[sigma_g_sq] = objective.maximize(
-                lambda s: dense_reml(objective, s, sigma_g_sq)[0], minimize_bounded
+                lambda s: reml(s, sigma_g_sq), minimize_bounded
             )[1]
         return cache[sigma_g_sq]
 
@@ -309,6 +310,31 @@ class TestDenseOracle:
         assert worst_value < 1e-9
         assert worst_beta < 1e-8
 
+    def test_score_and_information_match_dense_covariance(self):
+        # Dense P = V^-1 - V^-1 X (X^T V^-1 X)^-1 X^T V^-1, dV = (I, Z Z^T).
+        worst_score = worst_information = 0.0
+        for seed in self.SEEDS:
+            grouped = random_grouped_problem(seed)
+            objective = _ProfiledObjective(grouped, grouped.groups())
+            x, y = objective.x, objective.y
+            zzt = (objective.codes[:, None] == objective.codes[None, :]).astype(float)
+            for theta in ((0.0, 1.0), (30.0, 100.0), (300.0, 1e4)):
+                _, _, gram, resid = objective.components(*theta)
+                score, information = _score_and_information(objective, np.array(theta), gram, resid)
+                v_inv = np.linalg.inv(np.diag(objective.variances + theta[0]) + theta[1] * zzt)
+                p = v_inv - v_inv @ x @ np.linalg.solve(x.T @ v_inv @ x, x.T @ v_inv)
+                py = p @ y
+                derivatives = (np.eye(len(y)), zzt)
+                ref_score = [0.5 * (py @ d @ py - np.trace(p @ d)) for d in derivatives]
+                u = np.column_stack([d @ py for d in derivatives])
+                ref_information = 0.5 * u.T @ p @ u
+                worst_score = max(worst_score, float(np.max(np.abs(score - ref_score)))
+                                  / float(np.max(np.abs(ref_score))))
+                worst_information = max(worst_information, float(np.max(np.abs(
+                    information - ref_information) / np.abs(ref_information))))
+        assert worst_score < 1e-10
+        assert worst_information < 1e-10
+
     def test_fitted_likelihood_matches_dense_nested_fit(self):
         # The likelihood, not the variances, is compared: the surface is
         # flat at the optimum, so sigma_g_sq_hat may move by about the
@@ -316,5 +342,45 @@ class TestDenseOracle:
         for seed in self.SEEDS:
             grouped = random_grouped_problem(seed)
             fit = fit_betta_random(grouped)
-            oracle = dense_oracle_fit(_ProfiledObjective(grouped, grouped.groups()))
+            objective = _ProfiledObjective(grouped, grouped.groups())
+            oracle = nested_search_fit(objective, lambda s, g: dense_reml(objective, s, g)[0])
             assert fit.reml_value == pytest.approx(oracle, rel=1e-10)
+
+
+def truth_grouped_problem(seed):
+    """2-7 groups of 2-6 rows, 0-2 covariates, with the true variances
+    cycling through sigma_g_sq in {0, 50, 400, 3000} and sigma_u_sq in
+    {0, 30, 300}; every fifth seed has two groups."""
+    rng = np.random.default_rng([seed, 11])
+    n_groups = 2 if seed % 5 == 0 else int(rng.integers(3, 8))
+    codes = np.repeat(np.arange(n_groups), rng.integers(2, 7, n_groups))
+    m = codes.size
+    p = int(rng.integers(0, 3))
+    x = rng.normal(size=(m, p))
+    se = rng.uniform(5.0, 40.0, m)
+    sigma_g_sq = (0.0, 50.0, 400.0, 3000.0)[seed % 4]
+    sigma_u_sq = (0.0, 30.0, 300.0)[seed % 3]
+    slopes = rng.normal(0.0, 10.0, p)
+    effects = rng.normal(0.0, np.sqrt(sigma_g_sq), n_groups)
+    y = (500.0 + x @ slopes + effects[codes]
+         + rng.normal(0.0, np.sqrt(sigma_u_sq), m) + rng.normal(0.0, se))
+    return make_dataset(y, se, x=x if p else None, names=tuple(f"x{j}" for j in range(p)),
+                        groups=tuple(f"g{c}" for c in codes))
+
+
+class TestNewtonAscent:
+    def test_never_below_the_nested_search(self):
+        worst = -np.inf
+        for seed in range(200):
+            grouped = truth_grouped_problem(seed)
+            fit = fit_betta_random(grouped)
+            objective = _ProfiledObjective(grouped, grouped.groups())
+            oracle = nested_search_fit(objective, objective.value)
+            worst = max(worst, (oracle - fit.reml_value) / abs(oracle))
+        assert worst <= 1e-12
+
+    def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
+        grouped, _ = scenario_grouped()
+        assert fit_betta_random(grouped).converged
+        monkeypatch.setattr("betta.mixed.NEWTON_MAX_ITER", 1)
+        assert fit_betta_random(grouped).converged is False

@@ -272,9 +272,11 @@ class TestErrorsAndWarnings:
         assert np.all(np.isfinite(fit.beta_hat))
         assert math.isfinite(fit.reml_value)
 
-    def test_fragile_fit_warns(self):
+    def test_saturated_design_is_unidentifiable(self):
+        # m = p + 1 leaves no residual degrees of freedom: the restricted
+        # likelihood is flat in sigma_u_sq.
         ds = make_dataset([1.0, 2.0], [1.0, 1.0], x=[[0.0], [1.0]], names=("x",))
-        with pytest.warns(UserWarning, match="fragile"):
+        with pytest.raises(UnidentifiableError, match="no residual degrees of freedom"):
             fit_betta(ds)
 
     def test_ill_conditioning_warns(self):
