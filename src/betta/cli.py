@@ -61,6 +61,7 @@ from .simulate import (
     TWO_CATEGORY,
     ExperimentConfig,
     SampleSizeDistribution,
+    inject_richness_gradient,
     parametric_bootstrap_se,
     population_from_table,
     read_report,
@@ -319,6 +320,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if len(gradient) != count:
             raise ValueError(f"the {kind!r} covariate design takes {count} --percent "
                              f"value(s), got {len(gradient)}")
+        for percent in gradient:  # its own check refuses a bad value before --out is made
+            inject_richness_gradient(pop, percent)
         if kind != CONTINUOUS_GRID:
             gradient = gradient[0]
     out = _out_dir(args)

@@ -12,7 +12,7 @@ The variance component is estimated by restricted maximum likelihood with
 the boundary constraint sigma_u_sq >= 0. For a fixed sigma_u_sq the
 coefficient vector has a closed weighted-least-squares form, so the fit
 reduces to a one-dimensional bounded search over sigma_u_sq. The same
-objective serves the grouped model in ``betta.mixed``.
+objective, with its score and information, serves ``betta.mixed``.
 """
 
 from __future__ import annotations
@@ -344,6 +344,12 @@ def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
     return max(10.0 * sample_var, float(np.min(variances)))
 
 
+def _boundary_wins(boundary: float, interior: float) -> bool:
+    """Whether a boundary candidate ties (relative to 1 + |interior|) or beats
+    an interior one, so that an optimum on the boundary is reported exactly."""
+    return boundary >= interior - 1e-12 * (1.0 + abs(interior))
+
+
 class _ProfiledObjective:
     """Profiled restricted log-likelihood of one dataset, in canonical order.
 
@@ -351,15 +357,14 @@ class _ProfiledObjective:
     is their bounded variance search and ``fit_result`` their post-fit
     block. The marginal covariance is block diagonal by group, each block
     diag(v) + sigma_g_sq * 1 1^T with v_i = std_error_i^2 + sigma_u_sq.
-    The flat model's weighted least squares is computed first. With groups,
-    Sherman-Morrison per block, with
+    The flat model's weighted least squares is computed first. With groups
+    and sigma_g_sq > 0, Sherman-Morrison per block, with
     c_g = sigma_g_sq / (1 + sigma_g_sq * sum_g 1/v_i), corrects ln det V,
     X^T V^-1 X, X^T V^-1 y and r^T V^-1 r by group sums of the weighted
     rows, so an evaluation costs O(m p^2) and no m x m matrix is formed.
-    At sigma_g_sq = 0 every correction is an exact floating-point zero,
-    so the result is bit for bit the flat model's. ``groups`` holds one
-    label per row (``dataset.groups()``) for the grouped model and is None
-    for the flat one.
+    At sigma_g_sq = 0 every correction is an exact zero and is skipped:
+    the result and its cost are the flat model's. ``groups`` is
+    ``dataset.groups()`` for the grouped model and None for the flat one.
     """
 
     def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
@@ -385,14 +390,22 @@ class _ProfiledObjective:
             labels = np.array(groups, dtype=object)[self.order]
             levels, codes = np.unique(labels, return_inverse=True)
             self.codes, self.n_groups = codes, len(levels)
+            self._bins = {1: codes}                         # _group_sums' bins, by width
+            self._xy1 = np.column_stack([self.x, self.y, np.ones(len(self.y))])
 
         self.upper = _search_upper_bound(self.y, self.variances)
         start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
         self.x0 = start if start > 0.0 else None
         self.xatol = BRACKET_TOL_SCALE * self.upper
 
-    def _group_sums(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.codes, weights=values, minlength=self.n_groups)
+    def _group_sums(self, block: np.ndarray) -> np.ndarray:
+        """Group sums of an (m,) or (m, k) block, all columns in one bincount."""
+        k = block[0].size
+        bins = self._bins.get(k)
+        if bins is None:
+            bins = self._bins[k] = (self.codes[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(bins, weights=block.ravel(), minlength=self.n_groups * k)
+        return sums.reshape((self.n_groups,) + block.shape[1:])
 
     def components(self, sigma_u_sq: float, sigma_g_sq: float = 0.0):
         v = self.variances + sigma_u_sq
@@ -400,13 +413,14 @@ class _ProfiledObjective:
         xw = self.x * w[:, None]
         gram = xw.T @ self.x
         rhs = xw.T @ self.y
-        grouped = self.codes is not None
+        grouped = self.codes is not None and sigma_g_sq > 0.0
         if grouped:
-            w_sums = self._group_sums(w)
+            sums = self._group_sums(self._xy1 * w[:, None])      # w * [X, y, 1]
+            # A contiguous copy keeps the products below on their usual BLAS path.
+            xw_sums, wy_sums, w_sums = np.ascontiguousarray(sums[:, :-2]), sums[:, -2], sums[:, -1]
             c = sigma_g_sq / (1.0 + sigma_g_sq * w_sums)
-            xw_sums = np.column_stack([self._group_sums(col) for col in xw.T])
             gram = gram - (xw_sums.T * c) @ xw_sums
-            rhs = rhs - xw_sums.T @ (c * self._group_sums(w * self.y))
+            rhs = rhs - xw_sums.T @ (c * wy_sums)
         beta, gram, logdet = _solve_normal_equations(gram, rhs)
         resid = self.y - self.x @ beta
         total = float(np.sum(np.log(v) + resid * resid * w)) + logdet
@@ -417,6 +431,42 @@ class _ProfiledObjective:
 
     def value(self, sigma_u_sq: float, sigma_g_sq: float = 0.0) -> float:
         return self.components(sigma_u_sq, sigma_g_sq)[0]
+
+    def score_and_information(self, sigma_u_sq: float, sigma_g_sq: float,
+                              gram: np.ndarray, resid: np.ndarray):
+        """Grouped REML score and average information in (sigma_u_sq, sigma_g_sq).
+
+        gram and resid are ``components`` at the same point. With dV_k = I
+        and Z Z^T (Z the group indicators) and u = (P y, Z Z^T P y), the
+        score is (y^T P dV_k P y - tr(P dV_k)) / 2 and AI_kl = u_k^T P u_l / 2
+        (Gilmour, Thompson & Cullis 1995). Products with V^-1 use the block
+        inverse V^-1 M = w*M - w*c[g] * groupsum(w*M)[g] and
+        Z^T V^-1 M = groupsum(w*M) / (1 + sigma_g_sq * S_g), S_g = groupsum(w).
+        """
+        w = 1.0 / (self.variances + sigma_u_sq)
+        # Group sums of w * [X, r, w, 1]; the last column, made contiguous, is S_g.
+        wm = np.column_stack([self.x, resid, w, np.ones_like(w)]) * w[:, None]
+        sums = self._group_sums(wm)
+        w_sums = np.ascontiguousarray(sums[:, -1])
+        shrink = 1.0 / (1.0 + sigma_g_sq * w_sums)
+        c = sigma_g_sq * shrink
+        v_inv = wm[:, :-2] - (w * c[self.codes])[:, None] * sums[self.codes, :-2]
+        a, py = v_inv[:, :-1], v_inv[:, -1]                 # V^-1 X and P y = V^-1 r
+        zv = sums[:, :-2] * shrink[:, None]
+        b, z_py = zv[:, :-1], zv[:, -1]                     # Z^T V^-1 X and Z^T P y
+        ginv = np.linalg.inv(gram)
+        trace_p = float(w.sum() - c @ sums[:, -2] - (ginv * (a.T @ a)).sum())
+        trace_pzz = float(w_sums @ shrink - (ginv * (b.T @ b)).sum())
+        score = 0.5 * np.array([py @ py - trace_p, z_py @ z_py - trace_pzz])
+
+        # AI = (U^T V^-1 U - (X^T V^-1 U)^T G^-1 X^T V^-1 U) / 2 with U = (P y, Z z),
+        # z = Z^T P y, and V^-1 Z z = w * (shrink * z)[g].
+        wpy_sums = self._group_sums(w * py)
+        cross = float(wpy_sums * shrink @ z_py)
+        u_v_u = np.array([[(w * py) @ py - c @ (wpy_sums * wpy_sums), cross],
+                          [cross, (z_py * z_py) @ (w_sums * shrink)]])
+        x_v_u = np.column_stack([a.T @ py, b.T @ z_py])
+        return score, 0.5 * (u_v_u - x_v_u.T @ ginv @ x_v_u)
 
     def maximize(self, f, minimize) -> tuple[float, float, bool]:
         """Maximize f over [0, U]; return (argmax, maximum, converged).
@@ -429,7 +479,7 @@ class _ProfiledObjective:
         result = minimize(lambda s: -f(s), 0.0, self.upper, xatol=self.xatol, x0=self.x0)
         arg, best = result.x, -result.fx
         at_zero = f(0.0)
-        if at_zero >= best - 1e-12 * (1.0 + abs(best)):
+        if _boundary_wins(at_zero, best):
             arg, best = 0.0, at_zero
         return arg, best, result.converged
 

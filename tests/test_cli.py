@@ -235,6 +235,19 @@ class TestFitRandom:
         assert result["sigma_g_sq"] == 0.0
         assert result["n_groups"] == 1
 
+    def test_singleton_groups_warn_and_reduce(self, tmp_path):
+        table = tmp_path / "singletons.csv"
+        table.write_text("id,estimate,std_error,group\n" + "".join(
+            f"s{i},{100.0 + 7.0 * (i % 4) - 3.0 * (i % 3)},{2.0 + 0.5 * (i % 5)},g{i}\n"
+            for i in range(10)))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="not identified"):
+            code = main(["fit-random", "--input", str(table), "--out", str(out)])
+        assert code == EXIT_OK
+        result = result_of(out)
+        assert result["sigma_g_sq"] == 0.0
+        assert result["n_groups"] == 10
+
     def test_missing_group_labels_drop_rows(self, tmp_path):
         table = tmp_path / "холes.csv"
         table.write_text(
@@ -393,6 +406,20 @@ class TestSimulate:
                      "--two-category", "--estimator", "jackknife", "--out", str(out)])
         assert code == EXIT_USAGE
         assert "unknown estimator 'jackknife'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("percent, source",
+                             [("-5", "freq"), ("nan", "freq"), ("5", "no-singletons")])
+    def test_bad_percent_exits_2_before_out_is_made(self, tmp_path, capsys, percent, source):
+        table = FREQ
+        if source == "no-singletons":
+            table = tmp_path / "no1.csv"
+            table.write_text("abundance,count\n2,6\n3,4\n5,2\n")
+        out = tmp_path / "o"
+        code = main(["simulate", "power", "--input", str(table), *SIM_COMMON,
+                     "--two-category", "--percent", percent, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_estimator_that_declines_every_redraw_exits_5(self, tmp_path, capsys, monkeypatch):

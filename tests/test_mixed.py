@@ -9,7 +9,7 @@ import pytest
 from betta import Dataset, RichnessObservation, fit_betta
 from betta.errors import ConfoundingError
 from betta.inference import global_test, wald_tests
-from betta.mixed import MixedFit, _score_and_information, fit_betta_random
+from betta.mixed import MixedFit, fit_betta_random
 from betta.model import _ProfiledObjective
 from betta.optimize import minimize_bounded
 from conftest import make_dataset, take_rows, with_groups
@@ -168,6 +168,48 @@ class TestReductions:
         assert fit.sigma_u_sq_hat == flat.sigma_u_sq_hat
         assert fit.reml_value == flat.reml_value
 
+    def test_singleton_groups_warn_and_reduce(self):
+        # With one row per group, V = diag(se^2 + sigma_u_sq + sigma_g_sq):
+        # the two variances enter only as a sum and the average information
+        # is singular, so only the sigma_g_sq = 0 face is searched.
+        rng = np.random.default_rng(3)
+        se = rng.uniform(5.0, 15.0, 10)
+        y = 100.0 + rng.normal(0.0, 20.0, 10) + rng.normal(0.0, se)
+        ds = make_dataset(y, se)
+        flat = fit_betta(ds)
+        with pytest.warns(UserWarning, match="not identified"):
+            fit = fit_betta_random(with_groups(ds, tuple(f"g{i}" for i in range(10))))
+        assert fit.n_groups == 10
+        assert fit.sigma_g_sq_hat == 0.0
+        assert flat.sigma_u_sq_hat > 0.0
+        assert fit.sigma_u_sq_hat == flat.sigma_u_sq_hat
+        assert fit.reml_value == flat.reml_value
+        assert np.array_equal(fit.beta_cov, flat.beta_cov)
+
+
+def test_fits_search_through_the_module_minimizers(monkeypatch):
+    # bench/tracing.py counts objective evaluations by wrapping
+    # betta.model.minimize_bounded (the flat fit) and
+    # betta.mixed.minimize_bounded (the grouped fit's sigma_g_sq = 0 face);
+    # a fit that stops searching through those names drops the traced
+    # run's per-evaluation metrics.
+    import betta.mixed
+    import betta.model
+
+    evaluations = {}
+    for module in (betta.model, betta.mixed):
+        def counting(f, *args, _name=module.__name__, _search=module.minimize_bounded, **kwargs):
+            def counted(s):
+                evaluations[_name] = evaluations.get(_name, 0) + 1
+                return f(s)
+            return _search(counted, *args, **kwargs)
+        monkeypatch.setattr(module, "minimize_bounded", counting)
+    grouped, _ = scenario_grouped()
+    fit_betta(make_dataset(grouped.estimates(), grouped.std_errors()))
+    assert evaluations.get("betta.model", 0) >= 1
+    fit_betta_random(grouped)
+    assert evaluations.get("betta.mixed", 0) >= 1
+
 
 class TestInvariancesAndErrors:
     def test_permutation_invariance_is_bitwise(self):
@@ -318,9 +360,10 @@ class TestDenseOracle:
             objective = _ProfiledObjective(grouped, grouped.groups())
             x, y = objective.x, objective.y
             zzt = (objective.codes[:, None] == objective.codes[None, :]).astype(float)
-            for theta in ((0.0, 1.0), (30.0, 100.0), (300.0, 1e4)):
+            # sigma_g_sq = 0 is where the Newton's active set reads the score.
+            for theta in ((0.0, 0.0), (30.0, 0.0), (0.0, 1.0), (30.0, 100.0), (300.0, 1e4)):
                 _, _, gram, resid = objective.components(*theta)
-                score, information = _score_and_information(objective, np.array(theta), gram, resid)
+                score, information = objective.score_and_information(*theta, gram, resid)
                 v_inv = np.linalg.inv(np.diag(objective.variances + theta[0]) + theta[1] * zzt)
                 p = v_inv - v_inv @ x @ np.linalg.solve(x.T @ v_inv @ x, x.T @ v_inv)
                 py = p @ y
