@@ -17,6 +17,7 @@ written; nonzero codes classify the failure:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -101,10 +102,11 @@ def _int_arg(text: str) -> int:
     return _number(int, text)
 
 def _floats_arg(text: str) -> tuple[float, ...]:
-    return tuple(_number(float, t) for t in text.split(",") if t.strip() != "")
+    # An empty list or item is not a numeral either, so it is refused, not dropped.
+    return tuple(_number(float, t) for t in text.split(","))
 
 def _ints_arg(text: str) -> tuple[int, ...]:
-    return tuple(_int_arg(t) for t in text.split(",") if t.strip() != "")
+    return tuple(_int_arg(t) for t in text.split(","))
 
 def _columns_arg(text: str) -> tuple[str, ...]:
     # 'none' (or an empty value) requests an intercept-only model.
@@ -133,9 +135,10 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return config
 
 def _json_text(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    json.loads(text)
-    return text
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # JSON has no NaN or infinity
+        raise NumericalError(f"cannot write a non-finite value as JSON: {exc}") from None
 
 def _write_bundle(args: argparse.Namespace, out: Path, files: dict[str, str]) -> None:
     """Write each checked text in order, then manifest.json naming them."""
@@ -201,8 +204,17 @@ def _summary_text(model: str, result: dict) -> str:
         lines.append(f"homogeneity test: Q = {q['statistic']:.6g}, dof = {q['dof']}, p = {q['p_value']:.6g}")
     return "\n".join(lines) + "\n"
 
-def _write_fit_bundle(args: argparse.Namespace, out: Path, model: str,
-                      dataset: Dataset, fit, n_dropped: int, extra: dict) -> int:
+def _cmd_fit(args: argparse.Namespace) -> int:
+    loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
+    dataset = loaded.dataset
+    out = _out_dir(args)
+    # Both fits are read as module globals per call, so a patched one is the one run.
+    if args.command == "fit-random":
+        fit = fit_betta_random(dataset)
+        model, extra = "betta_random", {"sigma_g_sq": fit.sigma_g_sq_hat, "n_groups": fit.n_groups}
+    else:
+        fit = fit_betta(dataset)
+        model, extra = "betta", {}
     names = (INTERCEPT_NAME, *dataset.covariate_names)
     wald = wald_tests(fit)
     coefficients = []
@@ -231,7 +243,7 @@ def _write_fit_bundle(args: argparse.Namespace, out: Path, model: str,
         "model": model,
         "m": dataset.m,
         "p": dataset.p,
-        "n_dropped": n_dropped,
+        "n_dropped": loaded.n_dropped,
         "converged": fit.converged,
         "sigma_u_sq": fit.sigma_u_sq_hat,
         "reml": fit.reml_value,
@@ -258,20 +270,6 @@ def _write_fit_bundle(args: argparse.Namespace, out: Path, model: str,
                               SUMMARY_FILE: summary})
     sys.stdout.write(summary)
     return EXIT_OK
-
-def _cmd_fit(args: argparse.Namespace) -> int:
-    loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
-    out = _out_dir(args)
-    fit = fit_betta(loaded.dataset)
-    return _write_fit_bundle(args, out, "betta", loaded.dataset, fit, loaded.n_dropped, {})
-
-def _cmd_fit_random(args: argparse.Namespace) -> int:
-    loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
-    out = _out_dir(args)
-    fit = fit_betta_random(loaded.dataset)
-    extra = {"sigma_g_sq": fit.sigma_g_sq_hat, "n_groups": fit.n_groups}
-    return _write_fit_bundle(args, out, "betta_random", loaded.dataset, fit,
-                             loaded.n_dropped, extra)
 
 
 # ----------------------------------------------------------------------------
@@ -301,6 +299,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         kind, grid = NO_COVARIATE, ()
     else:
         kind, grid = _covariate_kind(args)
+    # The size parser has no --percent; the design and the percents pick the study.
+    percents = getattr(args, "percent", None) or ()
+    if args.mode == "power" and not percents:
+        raise ValueError("power needs --percent")
     config = ExperimentConfig(
         replicates_per_dataset=args.replicates,
         n_datasets=args.datasets,
@@ -309,23 +311,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         alpha_levels=args.alphas,
         seed=args.seed,
         estimator=args.estimator,
+        percents=percents,
     )
-
-    # The design and the gradient pick the study: size, power or homogeneity.
-    gradient = getattr(args, "percent", None)
-    if gradient is None and args.mode == "power":
-        raise ValueError("power needs --percent")
-    if gradient is not None:
-        count = args.replicates if kind == CONTINUOUS_GRID else 1
-        if len(gradient) != count:
-            raise ValueError(f"the {kind!r} covariate design takes {count} --percent "
-                             f"value(s), got {len(gradient)}")
-        for percent in gradient:  # its own check refuses a bad value before --out is made
-            inject_richness_gradient(pop, percent)
-        if kind != CONTINUOUS_GRID:
-            gradient = gradient[0]
+    for percent in percents:  # its own check refuses a bad value before --out is made
+        inject_richness_gradient(pop, percent)
     out = _out_dir(args)
-    report = run_experiment(pop, sizes, config, gradient, workers=args.workers)
+    report = run_experiment(pop, sizes, config, workers=args.workers)
 
     text = write_report(report)
     parsed = read_report(io.StringIO(text))
@@ -350,7 +341,10 @@ def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
     table = read_frequency_table(args.input)
     out = _out_dir(args)
     summary = parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
-    _write_bundle(args, out, {RESULT_FILE: _json_text(asdict(summary))})
+    result = asdict(summary)
+    if not math.isfinite(summary.ratio):  # a reported SE of 0
+        result["ratio"] = None
+    _write_bundle(args, out, {RESULT_FILE: _json_text(result)})
     sys.stdout.write(
         f"method: {summary.method}\n"
         f"estimate: {summary.original_estimate!r}\n"
@@ -395,7 +389,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # parser and entry point
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="betta",
         description="Richness meta-regression: fitting, tests, and resampling experiments.",
@@ -403,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"betta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, model_help in (
-        ("fit", _cmd_fit, "fit the richness regression to an estimates table"),
-        ("fit-random", _cmd_fit_random, "fit the grouped random-effects variant"),
+    for name, model_help in (
+        ("fit", "fit the richness regression to an estimates table"),
+        ("fit-random", "fit the grouped random-effects variant"),
     ):
         p = sub.add_parser(name, help=model_help)
         p.add_argument("--input", required=True, help="estimates table (id,estimate,std_error,...)")
@@ -414,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: every non-reserved column)")
         p.add_argument("--group", default=None, help="group column name")
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="Monte Carlo size/power/homogeneity experiments")
     sim_sub = sim.add_subparsers(dest="mode", required=True)

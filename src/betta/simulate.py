@@ -25,7 +25,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -179,7 +179,11 @@ class SampleSizeDistribution:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The design of a study; covariate_kind also picks its kind (see run_experiment)."""
+    """The design of a study; covariate_kind and percents pick its kind (see run_experiment).
+
+    percents, the injected rare-taxon contrast, is empty for no injection
+    and holds one value per replicate with the grid, one value otherwise.
+    """
 
     replicates_per_dataset: int
     n_datasets: int
@@ -188,6 +192,7 @@ class ExperimentConfig:
     alpha_levels: tuple[float, ...] = (0.01, 0.05, 0.10)
     seed: int = 0
     estimator: str = "chao1"
+    percents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.replicates_per_dataset < 3:
@@ -213,6 +218,11 @@ class ExperimentConfig:
                 raise ValueError("grid must contain at least two distinct covariate values")
         elif self.grid:
             raise ValueError(f"grid is only meaningful for {CONTINUOUS_GRID!r}")
+        if self.percents:
+            count = self.replicates_per_dataset if self.covariate_kind == CONTINUOUS_GRID else 1
+            if len(self.percents) != count:
+                raise ValueError(f"the {self.covariate_kind!r} covariate design takes {count} "
+                                 f"percent value(s), got {len(self.percents)}")
         # Checks the name only: a 'cmd:' command does not run here.
         resolve_estimator(self.estimator)
 
@@ -481,52 +491,41 @@ def run_experiment(
     pop: SyntheticPopulation,
     sizes: SampleSizeDistribution,
     config: ExperimentConfig,
-    gradient: Union[Sequence[float], float, None] = None,
     *,
     workers: int = 1,
 ) -> ExperimentReport:
     """Run one Monte Carlo study; the design decides which.
 
     - covariate_kind NO_COVARIATE: "homogeneity". Cochran's Q on
-      intercept-only datasets; no regression is fitted. With gradient
-      None every replicate redraws the same population (the test's size);
-      a single percent injects extra rare taxa into the second half of
-      the replicates (its power).
-    - any covariate and gradient None: "size". Every replicate redraws
-      the same population, the covariate is the configured grid or the
+      intercept-only datasets; no regression is fitted. Without percents
+      every replicate redraws the same population (the test's size); a
+      single percent injects extra rare taxa into the second half of the
+      replicates (its power).
+    - any covariate and no percents: "size". Every replicate redraws the
+      same population, the covariate is the configured grid or the
       two-category split, and rejections of "no covariate effect" are
       counted for the richness regression and for least squares on
       observed richness.
-    - any covariate and a gradient: "power", with the same tests. The
-      continuous grid takes one percent per replicate, aligned with the
-      grid; the two-category design takes a single percent, applied to
-      the second category only.
+    - any covariate and percents: "power", with the same tests. The
+      continuous grid's percents apply one per replicate; the
+      two-category design's single percent applies to the second
+      category only.
 
     The first (r + 1) // 2 replicates form the first category of the
     two-category split, and a single percent always lands on the rest.
     """
     r = config.replicates_per_dataset
-    n_a = (r + 1) // 2
-    split = (0.0,) * n_a + (1.0,) * (r - n_a)
-    if config.covariate_kind == NO_COVARIATE:
-        kind, covariate = "homogeneity", None
+    if config.covariate_kind == CONTINUOUS_GRID:
+        covariate = tuple(map(float, config.grid))
+        percents = tuple(map(float, config.percents)) or (0.0,) * r
     else:
-        kind = "size" if gradient is None else "power"
-        covariate = split if config.covariate_kind == TWO_CATEGORY else tuple(map(float, config.grid))
-
-    if gradient is None:
-        percents = (0.0,) * r
-    elif config.covariate_kind == CONTINUOUS_GRID:
-        if np.isscalar(gradient):
-            raise ValueError("continuous-grid power needs one percent per replicate")
-        percents = tuple(float(g) for g in gradient)  # type: ignore[union-attr]
-        if len(percents) != r:
-            raise ValueError(f"gradient length {len(percents)} must equal replicates {r}")
-    elif np.isscalar(gradient):
+        n_a = (r + 1) // 2
+        split = (0.0,) * n_a + (1.0,) * (r - n_a)
+        covariate = split if config.covariate_kind == TWO_CATEGORY else None
         # 0 * g is 0 for every finite g >= 0, the only percents injection takes.
-        percents = tuple(float(gradient) * s for s in split)  # type: ignore[arg-type]
-    else:
-        raise ValueError(f"the {config.covariate_kind!r} design takes a single percent contrast")
+        contrast = float(config.percents[0]) if config.percents else 0.0
+        percents = tuple(contrast * s for s in split)
+    kind = "homogeneity" if covariate is None else "power" if config.percents else "size"
 
     probs = {pc: inject_richness_gradient(pop, pc).probabilities for pc in sorted(set(percents))}
     payload = _Payload(
@@ -536,6 +535,8 @@ def run_experiment(
         config=config,
     )
     n = config.n_datasets
+    # The pool starts all its processes at the first submit, so never more than there is work for.
+    workers = min(workers, n)
     if workers <= 1:
         results = [_run_one_dataset(payload, d) for d in range(n)]
     else:

@@ -14,6 +14,7 @@ import json
 import os
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,9 +294,9 @@ def test_criterion_05_estimated_vs_observed_direction():
     power_cfg = ExperimentConfig(
         replicates_per_dataset=10, n_datasets=1000,
         covariate_kind=TWO_CATEGORY, alpha_levels=(0.05, 0.10),
-        seed=2026, estimator="chao1",
+        seed=2026, estimator="chao1", percents=(10.0,),
     )
-    power_rep = run_experiment(pop, _B1_SIZES, power_cfg, 10.0)
+    power_rep = run_experiment(pop, _B1_SIZES, power_cfg)
     pow_betta = power_rep.rate_for(METHOD_BETTA, 0.05)
     pow_reg = power_rep.rate_for(METHOD_REGRESSION, 0.05)
     pow_gap, pow_gap_se = _paired_gap(power_rep, METHOD_BETTA, METHOD_REGRESSION, 0.05)
@@ -326,7 +327,7 @@ def test_criterion_06_power_monotonicity():
     )
     rates, ses = [], []
     for pct in (0.0, 5.0, 10.0, 20.0):
-        rep = run_experiment(pop, _B1_SIZES, cfg, pct)
+        rep = run_experiment(pop, _B1_SIZES, replace(cfg, percents=(pct,)))
         rates.append(rep.rate_for(METHOD_BETTA, 0.05))
         ses.append(rep.mc_se_for(METHOD_BETTA, 0.05))
     elapsed = time.perf_counter() - t0

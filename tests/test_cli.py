@@ -6,6 +6,7 @@ without subprocess plumbing; the external-estimator tests still spawn
 real shell commands through the estimator hook itself.
 """
 
+import argparse
 import json
 import math
 import warnings
@@ -30,6 +31,7 @@ from betta.cli import (
     REPORT_FILE,
     RESULT_FILE,
     SUMMARY_FILE,
+    build_parser,
     main,
 )
 from betta.simulate import (
@@ -327,9 +329,10 @@ class TestSimulate:
         assert main(["simulate", "power", "--input", FREQ, *SIM_COMMON, "--grid", "1,2,3,4,5",
                      "--percent", "0,0,5,10,20", "--out", str(out)]) == EXIT_OK
         config = ExperimentConfig(replicates_per_dataset=5, n_datasets=8,
-                                  grid=(1.0, 2.0, 3.0, 4.0, 5.0), alpha_levels=(0.05, 0.5), seed=21)
+                                  grid=(1.0, 2.0, 3.0, 4.0, 5.0), alpha_levels=(0.05, 0.5), seed=21,
+                                  percents=(0, 0, 5, 10, 20))
         report = run_experiment(population_from_table(read_frequency_table(FREQ)),
-                                SampleSizeDistribution((150,)), config, gradient=(0, 0, 5, 10, 20))
+                                SampleSizeDistribution((150,)), config)
         assert (out / REPORT_FILE).read_text() == write_report(report)
 
     def test_repeated_alpha_level_exits_usage(self, tmp_path, capsys):
@@ -471,6 +474,20 @@ class TestBootstrapSe:
                          "--out", str(out)]) == EXIT_OK
         assert (a / RESULT_FILE).read_bytes() == (b / RESULT_FILE).read_bytes()
 
+    def test_zero_reported_se_writes_a_null_ratio(self, tmp_path, capsys):
+        # observed richness claims an SE of 0, so the sd/se ratio is infinite.
+        out = tmp_path / "o"
+        assert main(["bootstrap-se", "--input", FREQ, "--estimator", "observed", "-b", "50",
+                     "--out", str(out)]) == EXIT_OK
+
+        def refuse(token):
+            raise AssertionError(f"result.json holds {token}, which is not JSON")
+
+        result = json.loads((out / RESULT_FILE).read_text(), parse_constant=refuse)
+        assert result["original_std_error"] == 0.0
+        assert result["ratio"] is None
+        assert "sd/se ratio: inf" in capsys.readouterr().out
+
 
 class TestEstimate:
     def test_chao1_row_and_summary(self, tmp_path, capsys):
@@ -574,6 +591,12 @@ class TestParser:
             ("--percent", "1_0", "float"),
             ("--replicates", "1_0", "int"),
             ("--seed", "1_2", "int"),
+            # An empty list or list item is refused, not dropped.
+            ("--sample-sizes", "", "int"),
+            ("--sample-sizes", "100,,200", "int"),
+            ("--grid", "1,2,3,4,5,", "float"),
+            ("--percent", ",", "float"),
+            ("--alphas", "", "float"),
         ],
     )
     def test_numeric_options_take_plain_numerals_only(self, tmp_path, capsys, option, value, kind):
@@ -584,8 +607,28 @@ class TestParser:
                   *(token for pair in args.items() for token in pair),
                   "--out", str(tmp_path / "o")])
         assert e.value.code == 2
-        assert f"not a plain {kind} numeral: '{value.split(',')[0]}'" in capsys.readouterr().err
+        bad = next(t for t in value.split(",") if not t.isdigit())
+        assert f"not a plain {kind} numeral: '{bad}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_the_parser_is_built_once(self, monkeypatch, capsys):
+        built = Counter()
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["parsers"] += 1
+            init(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        try:
+            assert main(["estimate", "--input", FREQ]) == EXIT_OK
+            first = built["parsers"]
+            assert main(["estimate", "--input", FREQ]) == EXIT_OK
+        finally:
+            build_parser.cache_clear()
+        assert first > 0
+        assert built["parsers"] == first
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as e:

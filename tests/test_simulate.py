@@ -10,6 +10,7 @@ as regression pins because the draw paths are part of the seed contract.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,17 +227,18 @@ class TestStudyKind:
     )
     def test_design_and_gradient_pick_the_kind(self, covariate_kind, gradient, kind, percents):
         grid = toy_config().grid if covariate_kind == CONTINUOUS_GRID else ()
-        cfg = toy_config(covariate_kind=covariate_kind, grid=grid, n_datasets=3)
-        report = run_experiment(toy_population(), TOY_SIZES, cfg, gradient)
+        given = () if gradient is None else tuple(np.atleast_1d(gradient))
+        cfg = toy_config(covariate_kind=covariate_kind, grid=grid, n_datasets=3, percents=given)
+        report = run_experiment(toy_population(), TOY_SIZES, cfg)
         assert report.kind == kind
         assert report.config_echo["kind"] == kind
         assert report.config_echo["percents"] == percents
 
     @pytest.mark.parametrize("covariate_kind", [TWO_CATEGORY, NO_COVARIATE])
     def test_sequence_gradient_needs_the_grid(self, covariate_kind):
-        cfg = toy_config(covariate_kind=covariate_kind, grid=())
-        with pytest.raises(ValueError, match="single percent"):
-            run_experiment(toy_population(), TOY_SIZES, cfg, (5.0,) * 6)
+        with pytest.raises(ValueError, match=f"the {covariate_kind!r} covariate design takes 1 "
+                                             "percent value"):
+            toy_config(covariate_kind=covariate_kind, grid=(), percents=(5.0,) * 6)
 
 
 class TestSizeExperiment:
@@ -287,6 +289,31 @@ class TestSizeExperiment:
         assert write_report(seq) == write_report(par)
         assert seq.p_values == par.p_values
 
+    def test_pool_never_outnumbers_the_datasets(self, monkeypatch):
+        # A fork pool starts every worker at the first submit; this one runs in-process.
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("betta.simulate.ProcessPoolExecutor", InProcessPool)
+        for n_datasets, pools in ((3, [3]), (1, [])):
+            opened.clear()
+            cfg = toy_config(n_datasets=n_datasets)
+            report = run_experiment(toy_population(), TOY_SIZES, cfg, workers=64)
+            assert opened == pools
+            assert report.p_values == run_experiment(toy_population(), TOY_SIZES, cfg).p_values
+
     def test_estimator_failures_trigger_redraws(self, monkeypatch):
         def flaky(table):
             if table.observed_richness % 2 == 1:
@@ -303,7 +330,7 @@ class TestPowerExperiment:
     def test_zero_gradient_reproduces_size_run(self):
         cfg = toy_config()
         size = run_experiment(toy_population(), TOY_SIZES, cfg)
-        power = run_experiment(toy_population(), TOY_SIZES, cfg, gradient=(0.0,) * 6)
+        power = run_experiment(toy_population(), TOY_SIZES, toy_config(percents=(0.0,) * 6))
         assert power.kind == "power"
         assert power.rows == size.rows
 
@@ -321,24 +348,17 @@ class TestPowerExperiment:
             alpha_levels=(0.05,), seed=9, estimator="chao1",
         )
         null = run_experiment(pop, sizes, cfg)
-        alt = run_experiment(pop, sizes, cfg, gradient=40.0)
+        alt = run_experiment(pop, sizes, replace(cfg, percents=(40.0,)))
         assert null.rate_for(METHOD_BETTA, 0.05) == 0.0
         assert null.rate_for(METHOD_REGRESSION, 0.05) == pytest.approx(1.0 / 30.0, rel=1e-12)
         assert alt.rate_for(METHOD_BETTA, 0.05) == 1.0
         assert alt.rate_for(METHOD_REGRESSION, 0.05) == 1.0
 
     def test_gradient_shape_errors(self):
-        pop, cfg = toy_population(), toy_config()
-        with pytest.raises(ValueError, match="one percent per replicate"):
-            run_experiment(pop, TOY_SIZES, cfg, gradient=5.0)
-        with pytest.raises(ValueError, match="length"):
-            run_experiment(pop, TOY_SIZES, cfg, gradient=(5.0,) * 4)
-        cfg2 = ExperimentConfig(
-            replicates_per_dataset=6, n_datasets=5, covariate_kind=TWO_CATEGORY,
-            alpha_levels=(0.05,), seed=1,
-        )
-        with pytest.raises(ValueError, match="single percent"):
-            run_experiment(pop, TOY_SIZES, cfg2, gradient=(5.0,) * 6)
+        for percents in ((5.0,), (5.0,) * 4):
+            with pytest.raises(ValueError, match="the 'continuous-grid' covariate design takes 6 "
+                                                 f"percent value\\(s\\), got {len(percents)}"):
+                toy_config(percents=percents)
 
 
 class TestHomogeneityExperiment:
@@ -361,7 +381,7 @@ class TestHomogeneityExperiment:
             singleton_weight=float(w[-1] / w.sum()),
         )
         alt = run_experiment(
-            pop, SampleSizeDistribution(observed_sizes=(3000,)), cfg, gradient=40.0
+            pop, SampleSizeDistribution(observed_sizes=(3000,)), replace(cfg, percents=(40.0,))
         )
         assert alt.rate_for(METHOD_HOMOGENEITY, 0.05) == 1.0
 
@@ -382,10 +402,10 @@ class TestHomogeneityExperiment:
     def test_rejects_negative_gradient(self):
         cfg = ExperimentConfig(
             replicates_per_dataset=6, n_datasets=5, covariate_kind=NO_COVARIATE,
-            alpha_levels=(0.05,), seed=1,
+            alpha_levels=(0.05,), seed=1, percents=(-3.0,),
         )
         with pytest.raises(ValueError, match=">= 0"):
-            run_experiment(toy_population(), TOY_SIZES, cfg, gradient=-3.0)
+            run_experiment(toy_population(), TOY_SIZES, cfg)
 
 
 class TestReportIO:
