@@ -10,9 +10,9 @@ group, with blocks
 
 The restricted log-likelihood, its score and its average information
 belong to ``model._ProfiledObjective``, which alone holds the per-group
-inverse. This module holds the fit policy: the confounding check, and a
-projected average-information Newton ascent (Gilmour, Thompson & Cullis
-1995) compared with the sigma_g_sq = 0 face, which is the flat fit.
+inverse. This module holds the fit policy: the confounding check, and the
+best of three searches by the one bounded Newton minimizer: the
+sigma_g_sq = 0 face, the sigma_u_sq = 0 edge and the interior.
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfoundingError
-from .model import BettaFit, Dataset, _boundary_wins, _ProfiledObjective
+from .model import (BettaFit, Dataset, _boundary_wins, _BOTH_VARIANCES, _ProfiledObjective,
+                    _SIGMA_G, _SIGMA_U)
 from .optimize import minimize_bounded
-
-# Newton iteration cap; a fit that hits it reports converged=False.
-NEWTON_MAX_ITER = 100
-# Newton stops once no component moves by more than this times U.
-NEWTON_TOL_SCALE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,48 +58,6 @@ def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
             )
 
 
-def _newton_ascent(objective: _ProfiledObjective):
-    """Maximize the REML over [0, U]^2 by projected average-information Newton steps.
-
-    Returns ((sigma_u_sq, sigma_g_sq), maximum, converged). The ascent
-    starts with half the estimates' sample variance in each component. A
-    component at zero whose score is <= 0 is held there; the step on the
-    others is halved until the REML does not fall, then projected into
-    the box. The ascent stops when no component moves by more than
-    NEWTON_TOL_SCALE * U, and reports converged=False if it first runs
-    NEWTON_MAX_ITER steps. Zero is then probed for sigma_u_sq and wins
-    ties, as in the flat fit.
-    """
-    upper = objective.upper
-    tol = NEWTON_TOL_SCALE * upper
-    theta = np.full(2, 0.5 * (objective.x0 or 0.0))
-    value, _, gram, resid = objective.components(*theta)
-    converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        score, information = objective.score_and_information(*theta, gram, resid)
-        free = (theta > 0.0) | (score > 0.0)
-        step = np.zeros(2)
-        step[free] = np.linalg.solve(information[free][:, free], score[free])
-        while True:
-            candidate = np.clip(theta + step, 0.0, upper)
-            if np.max(np.abs(candidate - theta)) <= tol:
-                converged = True
-                break
-            candidate_value, _, candidate_gram, candidate_resid = objective.components(*candidate)
-            if candidate_value >= value:
-                break
-            step = 0.5 * step
-        if converged:
-            break
-        theta, value, gram, resid = candidate, candidate_value, candidate_gram, candidate_resid
-    sigma_u_sq, sigma_g_sq = float(theta[0]), float(theta[1])
-    if sigma_u_sq > 0.0:
-        at_zero = objective.value(0.0, sigma_g_sq)
-        if _boundary_wins(at_zero, value):
-            sigma_u_sq, value = 0.0, at_zero
-    return (sigma_u_sq, sigma_g_sq), value, converged
-
-
 def fit_betta_random(dataset: Dataset) -> MixedFit:
     """Fit the grouped richness regression by restricted maximum likelihood.
 
@@ -122,18 +76,20 @@ def fit_betta_random(dataset: Dataset) -> MixedFit:
     Notes
     -----
     The objective is the flat fit's restricted log-likelihood with group
-    blocks diag(v_g) + sigma_g_sq * 1 1^T, at O(m p^2) per evaluation.
-    Both variances are estimated on [0, U]^2, with the flat fit's U, by a
-    projected Newton ascent on the joint REML score with the
-    average-information matrix in place of the Hessian, from half the
-    estimates' sample variance in each component, to a step of 1e-10 * U.
-    The sigma_g_sq = 0 face, the flat fit's bounded search, wins ties with
-    it, so a boundary group variance is reported as exactly zero.
-    converged is False if either search hit its cap. Where the group
-    variance is not identified only the face is searched (warned), and
-    the fit is the flat model's bit for bit: with a single group, whose
-    all-ones indicator lies in the intercept's span, and with groups of
-    one row each, where sigma_g_sq enters V only as a sum with sigma_u_sq.
+    blocks diag(v_g) + sigma_g_sq * 1 1^T, at O(m p^2) per evaluation. Both
+    variances are estimated on [0, U]^2, with the flat fit's U and Newton
+    search, to a step of 1e-10 * U, as the best of three candidates: the
+    sigma_g_sq = 0 face, which is the flat fit; the sigma_u_sq = 0 edge;
+    and the interior, with the average information (Gilmour, Thompson &
+    Cullis 1995) as the curvature. With e the face's sigma_u_sq, or
+    var(estimates) if that is zero, the edge starts at (0, e) and the
+    interior at (e/2, e/2). Ties go to the face, then to the edge, so a
+    boundary variance is reported as exactly zero. converged is the
+    winning candidate's flag. Where the group variance is not identified
+    only the face is searched (warned), and the fit is the flat model's
+    bit for bit: with a single group, whose all-ones indicator lies in the
+    intercept's span, and with groups of one row each, where sigma_g_sq
+    enters V only as a sum with sigma_u_sq.
     """
     groups = dataset.groups()
     if groups is None:
@@ -143,9 +99,7 @@ def fit_betta_random(dataset: Dataset) -> MixedFit:
         )
     objective = _ProfiledObjective(dataset, groups)
     _check_confounding(dataset, groups)
-    # The sigma_g_sq = 0 face is the flat fit.
-    sigma_u_sq, best, converged = objective.maximize(objective.value, minimize_bounded)
-    sigma_g_sq = 0.0
+    best = objective.maximize(minimize_bounded, (objective.start, 0.0), _SIGMA_U)
     n_groups = len(set(groups))
     if n_groups in (1, dataset.m):
         reason = ("only one group level" if n_groups == 1 else
@@ -157,12 +111,13 @@ def fit_betta_random(dataset: Dataset) -> MixedFit:
             stacklevel=2,
         )
     else:
-        (newton_u, newton_g), value, newton_converged = _newton_ascent(objective)
-        converged = converged and newton_converged
-        # The face wins ties, so a boundary group variance comes back as exactly zero.
-        if not _boundary_wins(best, value):
-            sigma_u_sq, sigma_g_sq = newton_u, newton_g
+        excess = best[0][0] or objective.start
+        for start, free in (((0.0, excess), _SIGMA_G), ((0.5 * excess, 0.5 * excess), _BOTH_VARIANCES)):
+            candidate = objective.maximize(minimize_bounded, start, free)
+            if not _boundary_wins(best[1], candidate[1]):
+                best = candidate
+    (sigma_u_sq, sigma_g_sq), _, converged = best
     return objective.fit_result(
         MixedFit, sigma_u_sq, sigma_g_sq, converged,
-        sigma_g_sq_hat=float(sigma_g_sq), n_groups=n_groups,
+        sigma_g_sq_hat=sigma_g_sq, n_groups=n_groups,
     )

@@ -11,8 +11,8 @@ component on top:
 The variance component is estimated by restricted maximum likelihood with
 the boundary constraint sigma_u_sq >= 0. For a fixed sigma_u_sq the
 coefficient vector has a closed weighted-least-squares form, so the fit
-reduces to a one-dimensional bounded search over sigma_u_sq. The same
-objective, with its score and information, serves ``betta.mixed``.
+reduces to a one-dimensional bounded Newton search over sigma_u_sq. The
+same objective, with its score and information, serves ``betta.mixed``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,11 @@ from .optimize import minimize_bounded
 
 STD_ERROR_FLOOR_SCALE = 1e-8
 CONDITION_WARN_THRESHOLD = 1e10
-BRACKET_TOL_SCALE = 1e-8
+# A variance search stops once no component moves by more than this times U.
+STEP_TOL_SCALE = 1e-10
 INTERCEPT_NAME = "(intercept)"
+# The components a variance search frees, as slices of (sigma_u_sq, sigma_g_sq).
+_SIGMA_U, _SIGMA_G, _BOTH_VARIANCES = slice(0, 1), slice(1, 2), slice(0, 2)
 
 
 @dataclass(frozen=True)
@@ -332,7 +335,7 @@ def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray)
 
 
 def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
-    """Upper bracket for the variance search.
+    """Upper bound of the variance search.
 
     Ten times the sample variance of the estimates comfortably exceeds any
     explainable between-observation variance; the smallest reported
@@ -357,14 +360,14 @@ class _ProfiledObjective:
     is their bounded variance search and ``fit_result`` their post-fit
     block. The marginal covariance is block diagonal by group, each block
     diag(v) + sigma_g_sq * 1 1^T with v_i = std_error_i^2 + sigma_u_sq.
-    The flat model's weighted least squares is computed first. With groups
-    and sigma_g_sq > 0, Sherman-Morrison per block, with
-    c_g = sigma_g_sq / (1 + sigma_g_sq * sum_g 1/v_i), corrects ln det V,
-    X^T V^-1 X, X^T V^-1 y and r^T V^-1 r by group sums of the weighted
-    rows, so an evaluation costs O(m p^2) and no m x m matrix is formed.
-    At sigma_g_sq = 0 every correction is an exact zero and is skipped:
-    the result and its cost are the flat model's. ``groups`` is
-    ``dataset.groups()`` for the grouped model and None for the flat one.
+    The flat model is weighted least squares with w = 1/v. With groups and
+    sigma_g_sq > 0, Sherman-Morrison per block gives, for a, b in [X, y] and
+    r, a^T V^-1 b = sum_i w_i (a_i - a_g)(b_i - b_g) + sum_g S_g a_g b_g /
+    (1 + sigma_g_sq S_g), a_g the w-weighted group means and S_g = sum_g w_i:
+    nothing cancels when a floored standard error makes one w_i huge. ln det V
+    gains sum_g ln(1 + sigma_g_sq S_g). An evaluation costs O(m p^2). At
+    sigma_g_sq = 0 the group terms are skipped: the result and its cost are
+    the flat model's. ``groups`` is ``dataset.groups()`` or None (flat).
     """
 
     def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
@@ -394,9 +397,7 @@ class _ProfiledObjective:
             self._xy1 = np.column_stack([self.x, self.y, np.ones(len(self.y))])
 
         self.upper = _search_upper_bound(self.y, self.variances)
-        start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
-        self.x0 = start if start > 0.0 else None
-        self.xatol = BRACKET_TOL_SCALE * self.upper
+        self.start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
 
     def _group_sums(self, block: np.ndarray) -> np.ndarray:
         """Group sums of an (m,) or (m, k) block, all columns in one bincount."""
@@ -408,54 +409,54 @@ class _ProfiledObjective:
         return sums.reshape((self.n_groups,) + block.shape[1:])
 
     def components(self, sigma_u_sq: float, sigma_g_sq: float = 0.0):
+        """(REML, beta, symmetrized X^T V^-1 X, r, w = 1/v, X * w) at the variances."""
         v = self.variances + sigma_u_sq
         w = 1.0 / v
         xw = self.x * w[:, None]
-        gram = xw.T @ self.x
-        rhs = xw.T @ self.y
         grouped = self.codes is not None and sigma_g_sq > 0.0
         if grouped:
+            # [X, y]^T V^-1 [X, y] about the weighted group means, so that nothing cancels.
             sums = self._group_sums(self._xy1 * w[:, None])      # w * [X, y, 1]
-            # A contiguous copy keeps the products below on their usual BLAS path.
-            xw_sums, wy_sums, w_sums = np.ascontiguousarray(sums[:, :-2]), sums[:, -2], sums[:, -1]
-            c = sigma_g_sq / (1.0 + sigma_g_sq * w_sums)
-            gram = gram - (xw_sums.T * c) @ xw_sums
-            rhs = rhs - xw_sums.T @ (c * wy_sums)
+            w_sums = sums[:, -1]
+            means = sums[:, :-1] / w_sums[:, None]
+            between = w_sums / (1.0 + sigma_g_sq * w_sums)
+            dev = self._xy1[:, :-1] - means[self.codes]
+            full = (dev * w[:, None]).T @ dev + (means.T * between) @ means
+            gram, rhs = full[:-1, :-1], full[:-1, -1]
+        else:
+            gram, rhs = xw.T @ self.x, xw.T @ self.y
         beta, gram, logdet = _solve_normal_equations(gram, rhs)
-        resid = self.y - self.x @ beta
-        total = float(np.sum(np.log(v) + resid * resid * w)) + logdet
-        if grouped:
-            wr_sums = self._group_sums(w * resid)
-            total += float(np.sum(np.log1p(sigma_g_sq * w_sums))) - float(c @ (wr_sums * wr_sums))
-        return -0.5 * total, beta, gram, resid
+        resid = dev_r = self.y - self.x @ beta
+        if grouped:                       # ln det V and r^T V^-1 r by the same split
+            r_means = self._group_sums(w * resid) / w_sums
+            dev_r = resid - r_means[self.codes]
+            logdet += float(np.sum(np.log1p(sigma_g_sq * w_sums)) + between @ (r_means * r_means))
+        total = float(np.sum(np.log(v) + dev_r * dev_r * w)) + logdet
+        return -0.5 * total, beta, gram, resid, w, xw
 
     def value(self, sigma_u_sq: float, sigma_g_sq: float = 0.0) -> float:
         return self.components(sigma_u_sq, sigma_g_sq)[0]
 
-    def score_and_information(self, sigma_u_sq: float, sigma_g_sq: float,
-                              gram: np.ndarray, resid: np.ndarray):
-        """Grouped REML score and average information in (sigma_u_sq, sigma_g_sq).
+    def score_and_information(self, sigma_g_sq: float, gram, resid, w, xw, free: slice):
+        """Grouped REML score and average information in the free variances.
 
-        gram and resid are ``components`` at the same point. With dV_k = I
-        and Z Z^T (Z the group indicators) and u = (P y, Z Z^T P y), the
-        score is (y^T P dV_k P y - tr(P dV_k)) / 2 and AI_kl = u_k^T P u_l / 2
+        gram, resid, w and xw are ``components`` at (sigma_u_sq, sigma_g_sq).
+        With dV_k = I and Z Z^T (Z the group indicators) and u = (P y, Z Z^T P y),
+        the score is (y^T P dV_k P y - tr(P dV_k)) / 2 and AI_kl = u_k^T P u_l / 2
         (Gilmour, Thompson & Cullis 1995). Products with V^-1 use the block
         inverse V^-1 M = w*M - w*c[g] * groupsum(w*M)[g] and
         Z^T V^-1 M = groupsum(w*M) / (1 + sigma_g_sq * S_g), S_g = groupsum(w).
         """
-        w = 1.0 / (self.variances + sigma_u_sq)
-        # Group sums of w * [X, r, w, 1]; the last column, made contiguous, is S_g.
-        wm = np.column_stack([self.x, resid, w, np.ones_like(w)]) * w[:, None]
-        sums = self._group_sums(wm)
-        w_sums = np.ascontiguousarray(sums[:, -1])
+        sums = self._group_sums(np.column_stack([xw, w * resid, w]))
+        xw_sums, wr_sums, w_sums = sums[:, :-2], sums[:, -2], sums[:, -1]   # Z^T W [X, r, 1]
         shrink = 1.0 / (1.0 + sigma_g_sq * w_sums)
         c = sigma_g_sq * shrink
-        v_inv = wm[:, :-2] - (w * c[self.codes])[:, None] * sums[self.codes, :-2]
-        a, py = v_inv[:, :-1], v_inv[:, -1]                 # V^-1 X and P y = V^-1 r
-        zv = sums[:, :-2] * shrink[:, None]
-        b, z_py = zv[:, :-1], zv[:, -1]                     # Z^T V^-1 X and Z^T P y
+        b, z_py = xw_sums * shrink[:, None], wr_sums * shrink    # Z^T V^-1 X and Z^T P y
+        wc = w * c[self.codes]
+        a = xw - wc[:, None] * xw_sums[self.codes]               # V^-1 X
+        py = w * resid - wc * wr_sums[self.codes]                # P y = V^-1 r
         ginv = np.linalg.inv(gram)
-        trace_p = float(w.sum() - c @ sums[:, -2] - (ginv * (a.T @ a)).sum())
+        trace_p = float(w.sum() - wc @ w - (ginv * (a.T @ a)).sum())
         trace_pzz = float(w_sums @ shrink - (ginv * (b.T @ b)).sum())
         score = 0.5 * np.array([py @ py - trace_p, z_py @ z_py - trace_pzz])
 
@@ -466,26 +467,53 @@ class _ProfiledObjective:
         u_v_u = np.array([[(w * py) @ py - c @ (wpy_sums * wpy_sums), cross],
                           [cross, (z_py * z_py) @ (w_sums * shrink)]])
         x_v_u = np.column_stack([a.T @ py, b.T @ z_py])
-        return score, 0.5 * (u_v_u - x_v_u.T @ ginv @ x_v_u)
+        information = 0.5 * (u_v_u - x_v_u.T @ ginv @ x_v_u)
+        return score[free], information[free, free]
 
-    def maximize(self, f, minimize) -> tuple[float, float, bool]:
-        """Maximize f over [0, U]; return (argmax, maximum, converged).
-
-        ``minimize`` is the bounded scalar minimizer to call. The
-        optimizer never lands exactly on the closed end of the interval,
-        so zero is probed as well and wins ties: a boundary optimum is
-        reported as exactly zero.
+    def newton_terms(self, theta, free: slice):
+        """The REML at theta = (sigma_u_sq, sigma_g_sq), its score in the free
+        components and a positive curvature there: the grouped average
+        information, or for sigma_u_sq alone at sigma_g_sq = 0 (the flat model)
+        the observed information 2 AI - tr(PP) / 2 if positive, else
+        AI = (Py)^T P (Py) / 2. There, with Py = w * r and A = G^-1 X^T W^2 X,
+        tr P = sum(w) - tr A and tr(PP) = sum(w^2) - 2 tr(G^-1 X^T W^3 X) + tr(A^2).
         """
-        result = minimize(lambda s: -f(s), 0.0, self.upper, xatol=self.xatol, x0=self.x0)
-        arg, best = result.x, -result.fx
-        at_zero = f(0.0)
-        if _boundary_wins(at_zero, best):
-            arg, best = 0.0, at_zero
-        return arg, best, result.converged
+        value, _, gram, resid, w, xw = self.components(*theta)
+        if free != _SIGMA_U or theta[1] > 0.0:
+            return (value, *self.score_and_information(theta[1], gram, resid, w, xw, free))
+        py = w * resid
+        ginv = np.linalg.inv(gram)
+        a = ginv @ (xw.T @ xw)
+        z = xw.T @ py
+        score = 0.5 * (py @ py - w.sum() + np.trace(a))
+        average = 0.5 * (w @ (py * py) - z @ ginv @ z)
+        trace_pp = w @ w - 2.0 * np.sum(ginv * ((xw * w[:, None]).T @ xw)) + np.sum(a * a.T)
+        observed = 2.0 * average - 0.5 * trace_pp
+        return value, np.array([score]), np.array([[observed if observed > 0.0 else average]])
+
+    def maximize(self, minimize, start, free: slice):
+        """Maximize the REML over the free components on [0, U] by ``minimize``
+        from ``start``, which holds the other; return ((sigma_u_sq, sigma_g_sq),
+        maximum, converged). A sigma_u_sq search probes 0, which wins ties."""
+        theta = np.array(start, dtype=float)
+
+        def negated(x):
+            theta[free] = x
+            value, score, curvature = self.newton_terms(theta, free)
+            return -value, -score, curvature
+
+        result = minimize(negated, 0.0, self.upper,
+                          xatol=STEP_TOL_SCALE * self.upper, x0=theta[free])
+        theta[free], best = result.x, -result.fx
+        if free == _SIGMA_U and theta[0] > 0.0:
+            at_zero = self.value(0.0, theta[1])
+            if _boundary_wins(at_zero, best):
+                theta[0], best = 0.0, at_zero
+        return (float(theta[0]), float(theta[1])), best, result.converged
 
     def fit_result(self, cls, sigma_u_sq: float, sigma_g_sq: float, converged: bool, **extra):
         """Build a ``cls`` (BettaFit or a subclass) at the fitted variances."""
-        value, beta, gram, resid = self.components(sigma_u_sq, sigma_g_sq)
+        value, beta, gram, resid = self.components(sigma_u_sq, sigma_g_sq)[:4]
         cond = float(np.linalg.cond(gram))
         if cond > CONDITION_WARN_THRESHOLD:
             warnings.warn(
@@ -531,17 +559,15 @@ def fit_betta(dataset: Dataset) -> BettaFit:
 
     Notes
     -----
-    The coefficient profile is closed-form at each candidate variance, so
-    only sigma_u_sq is searched, on [0, U] with
-    U = max(10 * var(estimates), min floored reported variance). The search
-    is a golden-section/parabolic hybrid started from the empirical variance
-    of the estimates (clamped into the interval) and stops when the bracket
-    is narrower than 1e-8 * U. Interval and tolerance both scale as the
-    estimates squared, so multiplying the estimates and standard errors by
-    c scales sigma_u_sq by c^2 and leaves the tests' p-values unchanged up
-    to rounding. The boundary sigma_u_sq = 0 is always evaluated explicitly
-    and wins ties, so homogeneous data come back with exactly zero.
+    Only sigma_u_sq is searched, the coefficients being closed-form at each
+    value, on [0, U] with U = max(10 * var(estimates), min floored reported
+    variance), by Newton steps from var(estimates), clamped into [0, U], to
+    a step of 1e-10 * U. Both scale as the estimates squared, so multiplying
+    the estimates and standard errors by c scales sigma_u_sq by c^2 and
+    leaves the tests' p-values unchanged up to rounding. sigma_u_sq = 0 is
+    always evaluated and wins ties, so homogeneous data give exactly zero.
     """
     objective = _ProfiledObjective(dataset)
-    sigma_u_sq, _, converged = objective.maximize(objective.value, minimize_bounded)
+    (sigma_u_sq, _), _, converged = objective.maximize(
+        minimize_bounded, (objective.start, 0.0), _SIGMA_U)
     return objective.fit_result(BettaFit, sigma_u_sq, 0.0, converged)

@@ -1,126 +1,91 @@
-"""Derivative-free bounded scalar minimization.
-
-A golden-section / successive-parabolic-interpolation hybrid (Brent's
-bounded method). The variance searches in this package need two guarantees
-that a stock optimizer does not expose directly: a bracket-width stopping
-rule stated in absolute units, and a caller-chosen first probe so the
-search can start at a moment-based guess.
-"""
+"""Bounded minimization by projected Newton steps, behind every variance search."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+import numpy as np
+
 # Iteration cap; a search that hits it returns converged=False.
-MAX_ITER = 500
+MAX_ITER = 100
+# One step shrinks a component's distance to the lower bound at most this many times ...
+MAX_SHRINK = 10.0
+# ... unless that distance is within this fraction of the box width, when it may reach the bound.
+LANDING_SCALE = 1e-6
+# Values this close, relative to their size, are equal up to rounding.
+ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
-class ScalarSearchResult:
-    x: float
+class SearchResult:
+    x: np.ndarray
     fx: float
-    converged: bool      # bracket width fell below xatol within MAX_ITER
-    n_iter: int
-    n_eval: int
+    converged: bool      # no step longer than xatol lowers f
 
 
-def minimize_bounded(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    *,
-    xatol: float,
-    x0: float | None = None,
-) -> ScalarSearchResult:
-    """Minimize f on [lower, upper]; stop when the bracket is narrower than xatol.
+def minimize_bounded(f, lower: float, upper: float, *, xatol: float, x0) -> SearchResult:
+    """Minimize f on [lower, upper]^k from x0, clipped into the box, until no
+    step longer than xatol is left.
 
-    Parameters
-    ----------
-    f : callable
-        Scalar function; assumed continuous, ideally unimodal on the interval.
-    lower, upper : float
-        Closed search interval, lower < upper.
-    xatol : float
-        Absolute bracket-width convergence rule: the search stops as soon
-        as upper - lower (current bracket) < xatol.
-    x0 : float, optional
-        First probe point. Falls back to the golden point when omitted or
-        outside the open interval.
+    f(x), x of shape (k,), returns (value, gradient, curvature), the last a
+    (k, k) Hessian or positive definite stand-in. A component at lower with
+    gradient >= 0 is held there; the others take the Newton step. Where that
+    does not descend, those with a positive gradient step toward lower and
+    the rest are held (for a REML without curvature, AI = 0, P y = 0 and the
+    likelihood falls, so a rise is rounding); before such a search ends, f
+    is probed xatol above the held ones and a fall beyond ROUNDING goes on.
+    The step is shortened as a whole until it leaves none above upper and
+    shrinks none's distance to lower more than MAX_SHRINK times (within
+    LANDING_SCALE of the box width the limiting component lands on lower),
+    then halved until f rises by no more than ROUNDING relative: near the
+    minimum the gradient still points the way when values tie.
     """
     if not (lower < upper):
         raise ValueError(f"empty search interval [{lower}, {upper}]")
     if not (xatol > 0.0):
         raise ValueError(f"xatol must be positive, got {xatol}")
 
-    a, b = float(lower), float(upper)
-    if x0 is not None and a < x0 < b:
-        x = float(x0)
-    else:
-        x = a + _GOLDEN * (b - a)
-    w = v = x
-    fx = f(x)
-    fw = fv = fx
-    n_eval = 1
-    d = e = 0.0
-
-    n_iter = 0
+    x = np.clip(np.array(x0, dtype=float), lower, upper)
+    fx, gradient, curvature = f(x)
+    landing = LANDING_SCALE * (upper - lower)
     converged = False
-    while n_iter < MAX_ITER:
-        n_iter += 1
-        if b - a < xatol:
+    for _ in range(MAX_ITER):
+        free = (x > lower) | (gradient < 0.0)
+        h, g = (curvature, gradient) if free.all() else (curvature[free][:, free], gradient[free])
+        step = np.zeros_like(x)
+        try:
+            step[free] = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            pass
+        held = None
+        if not step @ gradient < 0.0:
+            step[free] = (g > 0.0) * (lower - upper)
+            held = free & (gradient < 0.0)
+
+        fraction, limit = 1.0, None
+        for i, (xi, si) in enumerate(zip(x.tolist(), step.tolist())):
+            bound = upper if si > 0.0 else lower + (xi - lower) / MAX_SHRINK if xi - lower > landing else lower
+            if si == 0.0 or bound == xi:
+                step[i] = 0.0                     # a component at its bound stays there
+            elif (bound - xi) / si < fraction:
+                fraction, limit = (bound - xi) / si, (i, bound)
+        candidate = x + fraction * step
+        if limit is not None:
+            candidate[limit[0]] = limit[1]
+
+        while np.abs(candidate - x).max() > xatol:
+            candidate_fx, candidate_gradient, candidate_curvature = f(candidate)
+            if candidate_fx <= fx + ROUNDING * abs(fx):
+                x, fx, gradient, curvature = candidate, candidate_fx, candidate_gradient, candidate_curvature
+                break
+            candidate = 0.5 * (x + candidate)
+        else:                                     # no step longer than xatol is left
+            if held is not None and held.any():   # unless f falls within xatol along a held one
+                probe = np.minimum(x + xatol * held, upper)
+                probe_fx, probe_gradient, probe_curvature = f(probe)
+                if probe_fx < fx - ROUNDING * abs(fx):
+                    x, fx, gradient, curvature = probe, probe_fx, probe_gradient, probe_curvature
+                    continue
             converged = True
             break
-        mid = 0.5 * (a + b)
-        # Minimal step keeps probes distinct well below the stopping width.
-        tol = 0.25 * xatol
-
-        take_golden = True
-        if abs(e) > tol:
-            # Parabola through (x, fx), (w, fw), (v, fv).
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev = e
-            e = d
-            if abs(p) < abs(0.5 * q * e_prev) and p > q * (a - x) and p < q * (b - x):
-                d = p / q
-                u = x + d
-                # Reject steps that land on top of the bracket edges.
-                if (u - a) < 2.0 * tol or (b - u) < 2.0 * tol:
-                    d = tol if x < mid else -tol
-                take_golden = False
-        if take_golden:
-            e = (b - x) if x < mid else (a - x)
-            d = _GOLDEN * e
-
-        step = d if abs(d) >= tol else (tol if d > 0.0 else -tol)
-        u = x + step
-        fu = f(u)
-        n_eval += 1
-
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-    return ScalarSearchResult(x=x, fx=fx, converged=converged, n_iter=n_iter, n_eval=n_eval)
+    return SearchResult(x=x, fx=fx, converged=converged)

@@ -214,10 +214,14 @@ class ExperimentConfig:
                     f"grid length {len(self.grid)} must equal replicates_per_dataset "
                     f"{self.replicates_per_dataset} for {CONTINUOUS_GRID!r}"
                 )
+            if not all(math.isfinite(v) for v in self.grid):
+                raise ValueError(f"grid values must be finite, got {self.grid!r}")
             if len(set(self.grid)) < 2:
                 raise ValueError("grid must contain at least two distinct covariate values")
         elif self.grid:
             raise ValueError(f"grid is only meaningful for {CONTINUOUS_GRID!r}")
+        if not isinstance(self.percents, tuple):
+            raise ValueError(f"percents must be a tuple of percent values, got {self.percents!r}")
         if self.percents:
             count = self.replicates_per_dataset if self.covariate_kind == CONTINUOUS_GRID else 1
             if len(self.percents) != count:

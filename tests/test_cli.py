@@ -42,7 +42,8 @@ from betta.simulate import (
     run_experiment,
     write_report,
 )
-from betta.tables import read_estimates, read_frequency_table
+from betta.tables import read_estimates, read_frequency_table, write_estimates
+from test_mixed import random_grouped_problem
 
 DATA = Path(__file__).parent / "data"
 EST = str(DATA / "est.csv")
@@ -250,6 +251,17 @@ class TestFitRandom:
         assert result["sigma_g_sq"] == 0.0
         assert result["n_groups"] == 10
 
+    def test_maximum_on_the_sigma_u_edge_is_found(self, tmp_path):
+        # The REML maximum of this design lies on the sigma_u_sq = 0 edge,
+        # away from the interior's local maximum near (144, 55).
+        table = tmp_path / "edge.csv"
+        table.write_text(write_estimates(random_grouped_problem(1366)), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit-random", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        result = result_of(out)
+        assert result["sigma_u_sq"] == 0.0
+        assert result["sigma_g_sq"] == pytest.approx(127.44447, rel=1e-6)
+
     def test_missing_group_labels_drop_rows(self, tmp_path):
         table = tmp_path / "холes.csv"
         table.write_text(
@@ -373,10 +385,13 @@ class TestSimulate:
     # fixed-effect residuals, not the REML ones); its report rates held. The
     # power p-values were re-pinned when the variance search became
     # scale-free (bracket 1e-8 * U, not 1e-8 * (1 + U)): 5 of 24 moved by at
-    # most 2.5e-7 relative, each fit's REML value held, report.csv held.
+    # most 2.5e-7 relative, each fit's REML value held, report.csv held. They
+    # were re-pinned again when Brent's search gave way to Newton steps to
+    # 1e-10 * U: 9 of 24 moved by at most 2.1e-7 relative, no fit's REML fell
+    # by more than 3.2e-16 relative, report.csv held.
     LARGE_TABLE_DIGESTS = {
         "power": ("3527cb8c9daf746bd0a1ebbdf78d904ffbc3bd21651fa285bd1f210ca8e529a2",
-                  "78c99b93fdc91270ff3722f81585ead75a838ceff85e2641775fcd7679bb71c5"),
+                  "010bb7539465b7546a86403633f15e5c839693960446fcba0cd81026178c78e0"),
         "homogeneity": ("08e669cf970214876bbe727c670b782039961ca932df3168591ceac7c0c744ba",
                         "b9dbf22b3cc8dd240b00e27256a97f54f133c3eab0f9c4cd004e6b61c2cea0c9"),
     }
@@ -409,6 +424,14 @@ class TestSimulate:
                      "--two-category", "--estimator", "jackknife", "--out", str(out)])
         assert code == EXIT_USAGE
         assert "unknown estimator 'jackknife'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_grid_exits_2_before_out_is_made(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "size", "--input", FREQ, "--replicates", "5", "--datasets", "4",
+                     "--sample-sizes", "150", "--grid", "1,2,3,4,nan", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "grid values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("percent, source",

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from betta import Dataset, RichnessObservation, fit_betta
-from betta.errors import ConfoundingError
+from betta.errors import ConfoundingError, StdErrorFlooredWarning
 from betta.inference import global_test, wald_tests
 from betta.mixed import MixedFit, fit_betta_random
-from betta.model import _ProfiledObjective
-from betta.optimize import minimize_bounded
+from betta.model import _BOTH_VARIANCES, _SIGMA_U, _ProfiledObjective
+from brent import maximize_on
 from conftest import make_dataset, take_rows, with_groups
 
 
@@ -118,7 +118,7 @@ class TestVarianceRecovery:
         free = fit_betta_random(grouped)
         objective = _ProfiledObjective(grouped, grouped.groups())
         for pinned in (0.0, 1000.0, 10000.0):
-            _, best, _ = objective.maximize(lambda s: objective.value(s, pinned), minimize_bounded)
+            best = maximize_on(objective, lambda s: objective.value(s, pinned))
             assert best <= free.reml_value + 1e-9 * (1.0 + abs(free.reml_value))
 
 
@@ -190,25 +190,49 @@ class TestReductions:
 def test_fits_search_through_the_module_minimizers(monkeypatch):
     # bench/tracing.py counts objective evaluations by wrapping
     # betta.model.minimize_bounded (the flat fit) and
-    # betta.mixed.minimize_bounded (the grouped fit's sigma_g_sq = 0 face);
-    # a fit that stops searching through those names drops the traced
-    # run's per-evaluation metrics.
+    # betta.mixed.minimize_bounded (every search of the grouped fit: the
+    # sigma_g_sq = 0 face, the sigma_u_sq = 0 edge and the interior); a fit
+    # that stops searching through those names drops the traced run's
+    # per-evaluation metrics.
     import betta.mixed
     import betta.model
 
     evaluations = {}
+    searches = []        # (module, the (sigma_u_sq, sigma_g_sq) its evaluations computed)
+    active = []
     for module in (betta.model, betta.mixed):
         def counting(f, *args, _name=module.__name__, _search=module.minimize_bounded, **kwargs):
-            def counted(s):
+            points = []
+
+            def counted(x):
                 evaluations[_name] = evaluations.get(_name, 0) + 1
-                return f(s)
+                active.append(points)
+                try:
+                    return f(x)
+                finally:
+                    active.pop()
+            searches.append((_name, points))
             return _search(counted, *args, **kwargs)
         monkeypatch.setattr(module, "minimize_bounded", counting)
+    components = _ProfiledObjective.components
+
+    def recording(self, *theta):
+        if active:
+            active[-1].append(theta)
+        return components(self, *theta)
+
+    monkeypatch.setattr(_ProfiledObjective, "components", recording)
     grouped, _ = scenario_grouped()
     fit_betta(make_dataset(grouped.estimates(), grouped.std_errors()))
     assert evaluations.get("betta.model", 0) >= 1
     fit_betta_random(grouped)
-    assert evaluations.get("betta.mixed", 0) >= 1
+    assert evaluations.get("betta.mixed", 0) >= 3
+    kinds = [(name, {"face" if g == 0.0 else "edge" if u == 0.0 else "interior"
+                     for u, g in points}) for name, points in searches]
+    assert kinds[:3] == [("betta.model", {"face"}), ("betta.mixed", {"face"}),
+                         ("betta.mixed", {"edge"})]
+    assert kinds[3][0] == "betta.mixed" and "interior" in kinds[3][1]
+    assert len(kinds) == 4
 
 
 class TestInvariancesAndErrors:
@@ -301,19 +325,17 @@ def dense_reml(objective, sigma_u_sq, sigma_g_sq):
 
 
 def nested_search_fit(objective, reml):
-    """The grouped fit's former solver, kept as an oracle: an outer bounded
+    """The grouped fit's former solver, kept as an oracle: an outer Brent
     search over sigma_g_sq runs an inner one over sigma_u_sq at each probe,
     on reml(sigma_u_sq, sigma_g_sq); returns the maximized value."""
     cache = {}
 
     def profiled(sigma_g_sq):
         if sigma_g_sq not in cache:
-            cache[sigma_g_sq] = objective.maximize(
-                lambda s: reml(s, sigma_g_sq), minimize_bounded
-            )[1]
+            cache[sigma_g_sq] = maximize_on(objective, lambda s: reml(s, sigma_g_sq))
         return cache[sigma_g_sq]
 
-    return objective.maximize(profiled, minimize_bounded)[1]
+    return maximize_on(objective, profiled)
 
 
 def random_grouped_problem(seed):
@@ -339,12 +361,21 @@ class TestDenseOracle:
 
     def test_objective_matches_dense_covariance(self):
         worst_value = worst_beta = 0.0
-        for seed in self.SEEDS:
-            grouped = random_grouped_problem(seed)
-            objective = _ProfiledObjective(grouped, grouped.groups())
+        designs = [random_grouped_problem(seed) for seed in self.SEEDS]
+        # Two zero standard errors, floored to about 1e-6: at sigma_u_sq = 0 their
+        # weights reach 1e12, where a plain Sherman-Morrison correction cancels.
+        designs.append(make_dataset(
+            [102.0, 96.0, 90.0, 92.0, 132.0, 58.0, 128.0],
+            [13.261, 0.0, 10.755, 17.959, 3.076, 0.0, 1.192],
+            x=[[-0.243], [-1.646], [1.158], [1.096], [0.118], [-1.359], [-0.482]],
+            names=("x1",), groups=("g2", "g0", "g0", "g1", "g1", "g2", "g2")))
+        for grouped in designs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StdErrorFlooredWarning)
+                objective = _ProfiledObjective(grouped, grouped.groups())
             for sigma_u_sq in (0.0, 1.0, 300.0, 1e4):
                 for sigma_g_sq in (1e-3, 1.0, 100.0, 1e4, 1e6):
-                    value, beta, _, _ = objective.components(sigma_u_sq, sigma_g_sq)
+                    value, beta = objective.components(sigma_u_sq, sigma_g_sq)[:2]
                     ref_value, ref_beta = dense_reml(objective, sigma_u_sq, sigma_g_sq)
                     worst_value = max(worst_value, abs(value - ref_value) / abs(ref_value))
                     scale = 1.0 + float(np.max(np.abs(ref_beta)))
@@ -362,8 +393,8 @@ class TestDenseOracle:
             zzt = (objective.codes[:, None] == objective.codes[None, :]).astype(float)
             # sigma_g_sq = 0 is where the Newton's active set reads the score.
             for theta in ((0.0, 0.0), (30.0, 0.0), (0.0, 1.0), (30.0, 100.0), (300.0, 1e4)):
-                _, _, gram, resid = objective.components(*theta)
-                score, information = objective.score_and_information(*theta, gram, resid)
+                score, information = objective.score_and_information(
+                    theta[1], *objective.components(*theta)[2:], _BOTH_VARIANCES)
                 v_inv = np.linalg.inv(np.diag(objective.variances + theta[0]) + theta[1] * zzt)
                 p = v_inv - v_inv @ x @ np.linalg.solve(x.T @ v_inv @ x, x.T @ v_inv)
                 py = p @ y
@@ -371,6 +402,13 @@ class TestDenseOracle:
                 ref_score = [0.5 * (py @ d @ py - np.trace(p @ d)) for d in derivatives]
                 u = np.column_stack([d @ py for d in derivatives])
                 ref_information = 0.5 * u.T @ p @ u
+                if theta[1] == 0.0:
+                    # The flat terms: the observed information where it is positive, else AI.
+                    _, flat_score, curvature = objective.newton_terms(np.array(theta), _SIGMA_U)
+                    observed = py @ p @ py - 0.5 * np.trace(p @ p)
+                    expected = observed if observed > 0.0 else ref_information[0, 0]
+                    assert flat_score[0] == pytest.approx(ref_score[0], rel=1e-10)
+                    assert curvature[0, 0] == pytest.approx(expected, rel=1e-10)
                 worst_score = max(worst_score, float(np.max(np.abs(score - ref_score)))
                                   / float(np.max(np.abs(ref_score))))
                 worst_information = max(worst_information, float(np.max(np.abs(
@@ -413,9 +451,13 @@ def truth_grouped_problem(seed):
 
 class TestNewtonAscent:
     def test_never_below_the_nested_search(self):
+        # Two random designs whose maximum a lone interior Newton misses: at
+        # 1177 a step clipped straight to sigma_u_sq = 0 stays there, and at
+        # 1366 the maximum lies on the sigma_u_sq = 0 edge.
+        designs = [truth_grouped_problem(seed) for seed in range(200)]
+        designs += [random_grouped_problem(seed) for seed in (1177, 1366)]
         worst = -np.inf
-        for seed in range(200):
-            grouped = truth_grouped_problem(seed)
+        for grouped in designs:
             fit = fit_betta_random(grouped)
             objective = _ProfiledObjective(grouped, grouped.groups())
             oracle = nested_search_fit(objective, objective.value)
@@ -425,5 +467,5 @@ class TestNewtonAscent:
     def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
         grouped, _ = scenario_grouped()
         assert fit_betta_random(grouped).converged
-        monkeypatch.setattr("betta.mixed.NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr("betta.optimize.MAX_ITER", 1)
         assert fit_betta_random(grouped).converged is False

@@ -203,8 +203,9 @@ class TestInvariances:
 
     def test_scale_and_shift_leave_the_slope_test_unchanged(self):
         # Estimates and SEs times c, with and without a shift of 1e3 sd(y):
-        # the slope p-value and sigma_u_sq / c^2 hold to 1e-4 relative. An
-        # absolute bracket tolerance breaks this for small c.
+        # sigma_u_sq / c^2 holds to 1e-5 relative and the slope p-value to
+        # 1e-4, which rounding under the shift reaches within 10x. An
+        # absolute step tolerance breaks this for small c.
         rng = np.random.default_rng(2026)
         worst = 0.0
         for _ in range(200):
@@ -222,7 +223,7 @@ class TestInvariances:
             for shift in (0.0, 1e3 * float(np.std(y, ddof=1))):
                 for c in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6):
                     p_c, s_c = slope_test((y + shift) * c, se * c)
-                    assert abs(s_c / c**2 - s) <= 1e-4 * s
+                    assert abs(s_c / c**2 - s) <= 1e-5 * s
                     worst = max(worst, abs(p_c - p) / p)
         assert worst <= 1e-4
 
@@ -239,7 +240,7 @@ class TestInvariances:
         shift_noisiest = abs(drop(int(np.argmax(ses))) - fit.beta_hat[0])
         shift_tightest = abs(drop(int(np.argmin(ses))) - fit.beta_hat[0])
         assert shift_noisiest < shift_tightest
-        assert shift_noisiest == pytest.approx(0.22597852071885427, rel=1e-8)
+        assert shift_noisiest == pytest.approx(0.2259785692507137, rel=1e-8)
         assert shift_tightest == pytest.approx(5.578405558556312, rel=1e-8)
 
 

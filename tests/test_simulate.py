@@ -359,6 +359,8 @@ class TestPowerExperiment:
             with pytest.raises(ValueError, match="the 'continuous-grid' covariate design takes 6 "
                                                  f"percent value\\(s\\), got {len(percents)}"):
                 toy_config(percents=percents)
+        with pytest.raises(ValueError, match="percents must be a tuple of percent values, got 10.0"):
+            toy_config(covariate_kind=TWO_CATEGORY, grid=(), percents=10.0)
 
 
 class TestHomogeneityExperiment:
