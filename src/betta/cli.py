@@ -69,7 +69,8 @@ from .simulate import (
     run_experiment,
     write_report,
 )
-from .tables import _parse_number, read_estimates, read_frequency_table, write_estimates
+from .tables import (_parse_number, _unreadable, read_estimates, read_frequency_table,
+                     write_estimates)
 
 RESULT_FILE = "result.json"
 DIAGNOSTICS_FILE = "diagnostics.csv"
@@ -167,14 +168,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 # fit / fit-random
 # ----------------------------------------------------------------------------
 
-def _test_payload(result) -> dict:
-    return {
-        "statistic": result.statistic,
-        "dof": result.dof,
-        "p_value": result.p_value,
-        "kind": result.kind,
-    }
-
 def _summary_text(model: str, result: dict) -> str:
     lines = [
         f"model: {model}",
@@ -198,15 +191,16 @@ def _summary_text(model: str, result: dict) -> str:
     else:
         lines.append(f"global covariate test: chi2 = {g['statistic']:.6g}, dof = {g['dof']}, p = {g['p_value']:.6g}")
     q = result["homogeneity_test"]
-    if q is None:
-        lines.append("homogeneity test: not applicable (no residual degrees of freedom)")
-    else:
-        lines.append(f"homogeneity test: Q = {q['statistic']:.6g}, dof = {q['dof']}, p = {q['p_value']:.6g}")
+    lines.append(f"homogeneity test: Q = {q['statistic']:.6g}, dof = {q['dof']}, p = {q['p_value']:.6g}")
     return "\n".join(lines) + "\n"
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
     dataset = loaded.dataset
+    unreadable = _unreadable(dataset.ids(), starts_line=True)
+    if unreadable:
+        raise ValueError(
+            f"id {unreadable[0]!r} would not read back as itself from {DIAGNOSTICS_FILE}")
     out = _out_dir(args)
     # Both fits are read as module globals per call, so a patched one is the one run.
     if args.command == "fit-random":
@@ -227,16 +221,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "p_value": wald[j].p_value,
         })
     try:
-        global_payload = _test_payload(global_test(fit))
+        global_payload = asdict(global_test(fit))
     except NotApplicableError:
         global_payload = None
-    try:
-        with warnings.catch_warnings():
-            # The fit has already warned about the same floored errors.
-            warnings.simplefilter("ignore", StdErrorFlooredWarning)
-            homogeneity_payload = _test_payload(homogeneity_test(dataset))
-    except DegreesOfFreedomError:
-        homogeneity_payload = None
+    with warnings.catch_warnings():
+        # The fit has refused every design without residual degrees of freedom, so Q
+        # exists, and has already warned about the same floored errors.
+        warnings.simplefilter("ignore", StdErrorFlooredWarning)
+        homogeneity_payload = asdict(homogeneity_test(dataset))
     diagnostics = residual_diagnostics(fit, dataset)
 
     result = {
@@ -261,9 +253,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         for i, row in zip(diagnostics.ids, diagnostics.values.tolist())
     )
     diag_text = "\n".join(rows) + "\n"
-    lines = diag_text.splitlines()
-    if len(lines) != dataset.m + 1 or lines[0] != header:
-        raise BettaError(f"diagnostics file failed validation: {out / DIAGNOSTICS_FILE}")
 
     summary = _summary_text(model, result)
     _write_bundle(args, out, {RESULT_FILE: _json_text(result), DIAGNOSTICS_FILE: diag_text,
@@ -276,17 +265,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ----------------------------------------------------------------------------
 
-def _covariate_kind(args: argparse.Namespace) -> tuple[str, tuple[float, ...]]:
-    grid = getattr(args, "grid", None)
-    two_category = getattr(args, "two_category", False)
-    if grid is not None and two_category:
-        raise ValueError("choose one covariate design: --grid or --two-category, not both")
-    if grid is not None:
-        return CONTINUOUS_GRID, grid
-    if two_category:
-        return TWO_CATEGORY, ()
-    raise ValueError("a covariate design is required: --grid v1,...,vR or --two-category")
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
@@ -295,14 +273,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     size_list = args.sample_sizes if args.sample_sizes else (table.total_reads,)
     sizes = SampleSizeDistribution(observed_sizes=tuple(size_list))
 
+    # argparse requires one covariate design for size and power, and --percent for power.
     if args.mode == "homogeneity":
         kind, grid = NO_COVARIATE, ()
+    elif args.two_category:
+        kind, grid = TWO_CATEGORY, ()
     else:
-        kind, grid = _covariate_kind(args)
+        kind, grid = CONTINUOUS_GRID, args.grid
     # The size parser has no --percent; the design and the percents pick the study.
     percents = getattr(args, "percent", None) or ()
-    if args.mode == "power" and not percents:
-        raise ValueError("power needs --percent")
     config = ExperimentConfig(
         replicates_per_dataset=args.replicates,
         n_datasets=args.datasets,
@@ -430,16 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write per-dataset p-values")
     shared.add_argument("--out", required=True, help="output directory")
     covariate = argparse.ArgumentParser(add_help=False)
-    covariate.add_argument("--grid", type=_floats_arg, default=None,
-                           help="continuous covariate values, one per replicate")
-    covariate.add_argument("--two-category", action="store_true",
-                           help="0/1 covariate across two half-dataset categories")
+    design = covariate.add_mutually_exclusive_group(required=True)
+    design.add_argument("--grid", type=_floats_arg, default=None,
+                        help="continuous covariate values, one per replicate")
+    design.add_argument("--two-category", action="store_true",
+                        help="0/1 covariate across two half-dataset categories")
 
     sim_sub.add_parser("size", parents=[shared, covariate],
                        help="type-I error of the covariate tests").set_defaults(func=_cmd_simulate)
     power = sim_sub.add_parser("power", parents=[shared, covariate],
                                help="power against injected rare-taxon gradients")
-    power.add_argument("--percent", type=_floats_arg, default=None,
+    power.add_argument("--percent", type=_floats_arg, required=True,
                        help="percent extra taxa: one per replicate with --grid, one value "
                             "for the second category with --two-category")
     power.set_defaults(func=_cmd_simulate)

@@ -36,21 +36,20 @@ class MixedFit(BettaFit):
     n_groups: int
 
 
-def _check_confounding(dataset: Dataset, groups: tuple[str, ...]) -> None:
+def _check_confounding(objective: _ProfiledObjective, names: tuple[str, ...]) -> None:
     """Reject covariates that the random intercepts could absorb entirely.
 
     A non-intercept column that is constant within every group lies in the
     span of the group indicators, so its coefficient and the group effects
-    are not separable.
+    are not separable. The design and the group codes are the objective's.
     """
-    if dataset.p == 0:
-        return
-    xc = dataset.covariate_matrix()
-    labels = np.array(groups, dtype=object)
-    _, first, codes = np.unique(labels, return_index=True, return_inverse=True)
-    # A column is constant within every group when each row equals its group's first row.
-    constant_within_all = np.all(xc == xc[first][codes], axis=0)
-    for name, confounded in zip(dataset.covariate_names, constant_within_all.tolist()):
+    xc, codes = objective.x[:, 1:], objective.codes
+    # Some row of each group stands for it: a column is constant within
+    # every group when each row equals its group's chosen row exactly.
+    chosen = np.empty(objective.n_groups, dtype=int)
+    chosen[codes] = np.arange(len(codes))
+    constant_within_all = np.all(xc == xc[chosen][codes], axis=0)
+    for name, confounded in zip(names, constant_within_all.tolist()):
         if confounded:
             raise ConfoundingError(
                 f"covariate {name!r} is constant within every group and therefore "
@@ -98,9 +97,9 @@ def fit_betta_random(dataset: Dataset) -> MixedFit:
             "(an estimates table supplies them in a 'group' column)"
         )
     objective = _ProfiledObjective(dataset, groups)
-    _check_confounding(dataset, groups)
+    _check_confounding(objective, dataset.covariate_names)
     best = objective.maximize(minimize_bounded, (objective.start, 0.0), _SIGMA_U)
-    n_groups = len(set(groups))
+    n_groups = objective.n_groups
     if n_groups in (1, dataset.m):
         reason = ("only one group level" if n_groups == 1 else
                   "every group holds one observation, so sigma_g_sq adds to sigma_u_sq")

@@ -517,7 +517,11 @@ def run_experiment(
 
     The first (r + 1) // 2 replicates form the first category of the
     two-category split, and a single percent always lands on the rest.
+    workers is the number of processes, at least 1; it never changes the
+    report.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     r = config.replicates_per_dataset
     if config.covariate_kind == CONTINUOUS_GRID:
         covariate = tuple(map(float, config.grid))
@@ -541,7 +545,7 @@ def run_experiment(
     n = config.n_datasets
     # The pool starts all its processes at the first submit, so never more than there is work for.
     workers = min(workers, n)
-    if workers <= 1:
+    if workers == 1:
         results = [_run_one_dataset(payload, d) for d in range(n)]
     else:
         # map pickles each chunk as one message, so the payload travels once per chunk.

@@ -73,18 +73,12 @@ def normal_quantile(p: float) -> float:
         x = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
             (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
         )
-    elif p <= 1.0 - p_low:
+    else:
         q = p - 0.5
         r = q * q
         a, b, c, d, e, f = _ACKLAM_A
         x = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / (
             ((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        a, b, c, d, e, f = _ACKLAM_C
-        x = -(((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
         )
     # One Halley step: u = (F(x) - p) / phi(x); x <- x - u / (1 + x*u/2).
     err = normal_cdf(x) - p

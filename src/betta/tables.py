@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
@@ -344,13 +344,24 @@ def read_estimates(
     return LoadedEstimates(dataset=dataset, n_dropped=n_dropped)
 
 
-def _unreadable(text: str) -> bool:
-    """Whether a cell holding text reads back as something else.
+def _unreadable(cells: Sequence[str], starts_line: bool = False) -> list[str]:
+    """The cells of a column that would not read back as themselves, in order.
 
     _records splits the input into lines, strips each line and each field,
-    and splits fields on commas.
+    and splits fields on commas, so a cell must be nonempty, unpadded, on
+    one line and free of commas; a cell that starts a line (an id) must not
+    start with '#' either. The column is checked as one text, which costs
+    less than a check cell by cell; only a column that fails is searched.
     """
-    return text.splitlines() != [text] or text != text.strip() or "," in text
+    cells = list(cells)
+    text = "\n".join(cells)
+    if (text.splitlines() == cells and "" not in cells and "," not in text
+            and list(map(str.strip, cells)) == cells
+            and not (starts_line and (text.startswith("#") or "\n#" in text))):
+        return []
+    if len(cells) == 1:
+        return cells
+    return [c for c in cells if _unreadable([c], starts_line)]
 
 
 def write_estimates(data: Dataset) -> str:
@@ -365,10 +376,10 @@ def write_estimates(data: Dataset) -> str:
     """
     labels = data.groups()
     names = data.covariate_names
-    faults = [("covariate name", n) for n in names if _unreadable(n) or "\t" in n
+    faults = [("covariate name", n) for n in names if _unreadable([n]) or "\t" in n
               or n in (*_RESERVED, GROUP_COLUMN)]
-    faults += [("id", i) for i in data.ids() if _unreadable(i) or i.startswith("#")]
-    faults += [("group label", g) for g in labels or () if _unreadable(g) or g in MISSING_TOKENS]
+    faults += [("id", i) for i in _unreadable(data.ids(), starts_line=True)]
+    faults += [("group label", g) for g in labels or () if _unreadable([g]) or g in MISSING_TOKENS]
     if faults:
         what, text = faults[0]
         raise ValueError(

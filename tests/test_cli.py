@@ -7,6 +7,7 @@ real shell commands through the estimator hook itself.
 """
 
 import argparse
+import itertools
 import json
 import math
 import warnings
@@ -190,6 +191,19 @@ class TestFit:
         assert main(["fit", "--input", str(table), "--out", str(tmp_path / "o")]) == EXIT_USAGE
         assert "'a=y' appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "fit-random"])
+    def test_id_that_diagnostics_cannot_hold_exits_2(self, tmp_path, capsys, command):
+        # A tab-delimited table reads the id 'a,b' back as itself; diagnostics.csv cannot.
+        table = tmp_path / "tabs.tsv"
+        table.write_text("id\testimate\tstd_error\tgroup\n"
+                         "a,b\t10.0\t1.0\tg1\nc\t12.0\t1.5\tg1\n"
+                         "d\t20.0\t1.0\tg2\ne\t25.0\t2.0\tg2\n")
+        out = tmp_path / "o"
+        assert main([command, "--input", str(table), "--out", str(out)]) == EXIT_USAGE
+        message = f"id 'a,b' would not read back as itself from {DIAGNOSTICS_FILE}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_bundles_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["fit", "--input", EST, "--out", str(a)]) == EXIT_OK
@@ -324,12 +338,16 @@ class TestSimulate:
             (["--grid", "1,2,3,4,5"], ["--percent", "10"], "'continuous-grid'"),
             (["--grid", "1,2,3,4,5"], ["--percent", "0,0,5,5"], "'continuous-grid'"),
             (["--two-category"], ["--percent", "5,10"], "'two-category'"),
-            (["--two-category"], [], "needs --percent"),
         ):
             code = main(["simulate", "power", "--input", FREQ, *SIM_COMMON, *design, *percent,
                          "--out", str(tmp_path / "o")])
             assert code == EXIT_USAGE
             assert named in capsys.readouterr().err
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "power", "--input", FREQ, *SIM_COMMON, "--two-category",
+                  "--out", str(tmp_path / "o")])
+        assert e.value.code == 2
+        assert "the following arguments are required: --percent" in capsys.readouterr().err
         code = main(["simulate", "homogeneity", "--input", FREQ, *SIM_COMMON,
                      "--percent", "5,10", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
@@ -355,13 +373,18 @@ class TestSimulate:
         assert not (tmp_path / "o").exists()
 
     def test_covariate_design_is_mandatory_and_exclusive(self, tmp_path, capsys):
-        code = main(["simulate", "size", "--input", FREQ, *SIM_COMMON,
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        assert "covariate design" in capsys.readouterr().err
-        code = main(["simulate", "size", "--input", FREQ, *SIM_COMMON,
-                     "--grid", "1,2,3,4,5", "--two-category", "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
+        # argparse refuses both before the table is read and before --out is made.
+        designs = (([], "one of the arguments --grid --two-category is required"),
+                   (["--grid", "1,2,3,4,5", "--two-category"],
+                    "argument --two-category: not allowed with argument --grid"))
+        for mode, (design, named) in itertools.product((["size"], ["power", "--percent", "0"]),
+                                                       designs):
+            with pytest.raises(SystemExit) as e:
+                main(["simulate", *mode, "--input", FREQ, *SIM_COMMON, *design,
+                      "--out", str(tmp_path / "o")])
+            assert e.value.code == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_homogeneity_has_no_covariate_flags(self, tmp_path):
         # The homogeneity subparser simply does not accept covariate designs.

@@ -148,6 +148,22 @@ class TestFitAgainstGrid:
         best = max(objective.value(float(s)) for s in grid)
         assert fit.reml_value >= best - 1e-9 * abs(best)
 
+    def test_boundary_maximum_beats_an_interior_one(self):
+        # The mirror case: the likelihood falls from 0 to a dip near 75 and
+        # rises to a lower interior maximum near 358, where the Newton search
+        # from var(estimates) settles. Only the probe at zero finds the maximum.
+        ds = make_dataset(
+            [179.0, 121.8, 125.4, 51.1, 157.5, 139.4],
+            [20.7, 18.3, 9.7, 27.3, 3.4, 7.2],
+            x=[[0.67], [0.71], [0.47], [-1.23], [3.08], [1.89]],
+            names=("x",),
+        )
+        objective = _ProfiledObjective(ds)
+        assert objective.value(0.0) > objective.value(358.0) > objective.value(75.0)
+        fit = fit_betta(ds)
+        assert fit.sigma_u_sq_hat == 0.0
+        assert fit.reml_value == objective.value(0.0)
+
     def test_boundary_probe_returns_exact_zero(self, rng_dataset):
         # Tight errors around a flat mean: the optimum is on the boundary and
         # must come back as 0.0, not a tiny positive residue of the search.
@@ -445,6 +461,22 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"one label per id \(3\), got 1"):
             Dataset.from_columns(ids=["a", "b", "c"], estimates=[1.0, 2.0, 3.0],
                                  std_errors=[1.0, 1.0, 1.0], groups=["g"])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"covariates": [[1.0], [2.0]], "covariate_names": ("x",)},
+             r"covariates must be 3 rows of 1 numbers"),
+            ({"estimates": [1.0, 2.0]},
+             r"estimates must hold one value per id \(3\), got shape \(2,\)"),
+        ],
+        ids=["covariate-rows", "estimates"],
+    )
+    def test_columns_of_another_length_are_refused(self, columns, message):
+        spec = {"ids": ["a", "b", "c"], "estimates": [1.0, 2.0, 3.0],
+                "std_errors": [1.0, 1.0, 1.0], **columns}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset.from_columns(**spec)
 
     def test_columns_are_stored_once_and_read_only(self):
         ds = make_dataset([1.0, 2.0, 3.0], [0.5, 0.5, 1.0], x=[[1.0], [2.0], [4.0]], names=("x",))

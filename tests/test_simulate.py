@@ -289,6 +289,11 @@ class TestSizeExperiment:
         assert write_report(seq) == write_report(par)
         assert seq.p_values == par.p_values
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(toy_population(), TOY_SIZES, toy_config(), workers=workers)
+
     def test_pool_never_outnumbers_the_datasets(self, monkeypatch):
         # A fork pool starts every worker at the first submit; this one runs in-process.
         opened = []
