@@ -502,7 +502,7 @@ class _ProfiledObjective:
             value, score, curvature = self.newton_terms(theta, free)
             return -value, -score, curvature
 
-        result = minimize(negated, 0.0, self.upper,
+        result = minimize(negated, self.upper,
                           xatol=STEP_TOL_SCALE * self.upper, x0=theta[free])
         theta[free], best = result.x, -result.fx
         if free == _SIGMA_U and theta[0] > 0.0:

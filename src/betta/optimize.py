@@ -8,9 +8,9 @@ import numpy as np
 
 # Iteration cap; a search that hits it returns converged=False.
 MAX_ITER = 100
-# One step shrinks a component's distance to the lower bound at most this many times ...
+# One step shrinks a component's distance to 0 at most this many times ...
 MAX_SHRINK = 10.0
-# ... unless that distance is within this fraction of the box width, when it may reach the bound.
+# ... unless that distance is within this fraction of the box width, when it may reach 0.
 LANDING_SCALE = 1e-6
 # Values this close, relative to their size, are equal up to rounding.
 ROUNDING = 1e-14
@@ -23,34 +23,34 @@ class SearchResult:
     converged: bool      # no step longer than xatol lowers f
 
 
-def minimize_bounded(f, lower: float, upper: float, *, xatol: float, x0) -> SearchResult:
-    """Minimize f on [lower, upper]^k from x0, clipped into the box, until no
+def minimize_bounded(f, upper: float, *, xatol: float, x0) -> SearchResult:
+    """Minimize f on [0, upper]^k from x0, clipped into the box, until no
     step longer than xatol is left.
 
     f(x), x of shape (k,), returns (value, gradient, curvature), the last a
-    (k, k) Hessian or positive definite stand-in. A component at lower with
+    (k, k) Hessian or positive definite stand-in. A component at 0 with
     gradient >= 0 is held there; the others take the Newton step. Where that
-    does not descend, those with a positive gradient step toward lower and
+    does not descend, those with a positive gradient step toward 0 and
     the rest are held (for a REML without curvature, AI = 0, P y = 0 and the
     likelihood falls, so a rise is rounding); before such a search ends, f
     is probed xatol above the held ones and a fall beyond ROUNDING goes on.
     The step is shortened as a whole until it leaves none above upper and
-    shrinks none's distance to lower more than MAX_SHRINK times (within
-    LANDING_SCALE of the box width the limiting component lands on lower),
-    then halved until f rises by no more than ROUNDING relative: near the
-    minimum the gradient still points the way when values tie.
+    shrinks none more than MAX_SHRINK times (within LANDING_SCALE * upper
+    of 0 the limiting component lands on 0), then halved until f rises by
+    no more than ROUNDING relative: near the minimum the gradient still
+    points the way when values tie.
     """
-    if not (lower < upper):
-        raise ValueError(f"empty search interval [{lower}, {upper}]")
+    if not (upper > 0.0):
+        raise ValueError(f"empty search interval [0, {upper}]")
     if not (xatol > 0.0):
         raise ValueError(f"xatol must be positive, got {xatol}")
 
-    x = np.clip(np.array(x0, dtype=float), lower, upper)
+    x = np.clip(np.array(x0, dtype=float), 0.0, upper)
     fx, gradient, curvature = f(x)
-    landing = LANDING_SCALE * (upper - lower)
+    landing = LANDING_SCALE * upper
     converged = False
     for _ in range(MAX_ITER):
-        free = (x > lower) | (gradient < 0.0)
+        free = (x > 0.0) | (gradient < 0.0)
         h, g = (curvature, gradient) if free.all() else (curvature[free][:, free], gradient[free])
         step = np.zeros_like(x)
         try:
@@ -59,12 +59,12 @@ def minimize_bounded(f, lower: float, upper: float, *, xatol: float, x0) -> Sear
             pass
         held = None
         if not step @ gradient < 0.0:
-            step[free] = (g > 0.0) * (lower - upper)
+            step[free] = (g > 0.0) * -upper
             held = free & (gradient < 0.0)
 
         fraction, limit = 1.0, None
         for i, (xi, si) in enumerate(zip(x.tolist(), step.tolist())):
-            bound = upper if si > 0.0 else lower + (xi - lower) / MAX_SHRINK if xi - lower > landing else lower
+            bound = upper if si > 0.0 else xi / MAX_SHRINK if xi > landing else 0.0
             if si == 0.0 or bound == xi:
                 step[i] = 0.0                     # a component at its bound stays there
             elif (bound - xi) / si < fraction:

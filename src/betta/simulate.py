@@ -70,6 +70,10 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
     def child(self, *indices: int) -> "RngStream":
         return RngStream(seed=self.seed, path=self.path + tuple(int(i) for i in indices))
 
@@ -227,8 +231,9 @@ class ExperimentConfig:
             if len(self.percents) != count:
                 raise ValueError(f"the {self.covariate_kind!r} covariate design takes {count} "
                                  f"percent value(s), got {len(self.percents)}")
-        # Checks the name only: a 'cmd:' command does not run here.
+        # Checks the name and the seed only: a 'cmd:' command does not run here.
         resolve_estimator(self.estimator)
+        RngStream(self.seed)
 
 
 @dataclass(frozen=True)
@@ -592,11 +597,11 @@ def parametric_bootstrap_se(
     if b < 50:
         raise ValueError(f"b must be at least 50 bootstrap resamples, got {b}")
     estimator_fn = resolve_estimator(estimator)
+    stream = RngStream(seed)
     original = estimator_fn(table)
     probabilities = population_from_table(table).probabilities
     # One observed size: its draw, rng.integers(1), leaves the generator as it was.
     sizes = SampleSizeDistribution((table.total_reads,))
-    stream = RngStream(seed)
     values: list[float] = []
     failures = 0
     for i in range(b):

@@ -459,7 +459,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("percent, source",
                              [("-5", "freq"), ("nan", "freq"), ("5", "no-singletons")])
-    def test_bad_percent_exits_2_before_out_is_made(self, tmp_path, capsys, percent, source):
+    def test_bad_percent_exits_2_and_leaves_no_out(self, tmp_path, capsys, percent, source):
         table = FREQ
         if source == "no-singletons":
             table = tmp_path / "no1.csv"
@@ -626,6 +626,39 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, a
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+SIM_SIZE = ["simulate", "size", "--input", FREQ, *SIM_COMMON, "--grid", "1,2,3,4,5"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["bootstrap-se", "--input", FREQ, "-b", "10"], EXIT_USAGE, "at least 50"),
+        (["bootstrap-se", "--input", FREQ, "--estimator", "jackknife"], EXIT_USAGE,
+         "unknown estimator 'jackknife'"),
+        (["bootstrap-se", "--input", FREQ, "--seed", "-1"], EXIT_USAGE, "got -1"),
+        ([*SIM_SIZE, "--seed", "-1"], EXIT_USAGE, "got -1"),
+        ([*SIM_SIZE, "--workers", "0"], EXIT_USAGE, "workers must be >= 1, got 0"),
+        (["fit-random", "--input", EST], EXIT_USAGE, "group"),
+        (["fit", "--input", "constant.csv"], EXIT_RANK_DEFICIENT, "collinear column(s): x"),
+        ([*SIM_SIZE, "--estimator", "cmd:echo not-a-pair"], EXIT_ESTIMATOR, "estimate,std_error"),
+    ],
+    ids=["bootstrap-b-10", "bootstrap-estimator", "bootstrap-seed", "simulate-seed",
+         "simulate-workers", "fit-random-no-group", "fit-constant-covariate", "simulate-cmd"],
+)
+def test_failed_run_leaves_no_directory_it_made(tmp_path, capsys, monkeypatch, argv, code, message):
+    # A run that fails removes each directory it made, innermost first, and
+    # leaves one that was there before it.
+    monkeypatch.chdir(tmp_path)
+    Path("constant.csv").write_text("id,estimate,std_error,x\n"
+                                    "a,10.0,1.0,1\nb,20.0,1.5,1\nc,30.0,1.0,1\nd,35.0,2.0,1\n")
+    Path("kept").mkdir()
+    for out in ("o", "a/b/c", "kept"):
+        assert main([*argv, "--out", out]) == code
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["constant.csv", "kept"]
+    assert not any(Path("kept").iterdir())
 
 
 class TestParser:

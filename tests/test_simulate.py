@@ -84,6 +84,13 @@ class TestRngStream:
         y = RngStream(7).child(1).generator().integers(0, 2**63, 4)
         assert x.tolist() != y.tolist()
 
+    def test_seed_is_a_non_negative_integer(self):
+        # A study's config owns a seed, so it refuses a bad one when it is built.
+        with pytest.raises(ValueError, match="non-negative integer, got -1"):
+            RngStream(-1)
+        with pytest.raises(ValueError, match="non-negative integer, got -1"):
+            toy_config(seed=-1)
+
 
 class TestPopulations:
     def test_from_table_expands_categories(self):
@@ -533,6 +540,12 @@ class TestBootstrap:
     def test_minimum_resamples(self):
         with pytest.raises(ValueError, match="at least 50"):
             parametric_bootstrap_se(BOOT_TABLE, "chao1", 49, seed=1)
+
+    def test_negative_seed_runs_no_estimator(self, tmp_path):
+        marker = tmp_path / "ran"
+        with pytest.raises(ValueError, match="non-negative integer, got -1"):
+            parametric_bootstrap_se(BOOT_TABLE, f"cmd:touch {marker}; echo 1,1", 50, -1)
+        assert not marker.exists()
 
     def test_excessive_failures_are_unstable(self, monkeypatch):
         calls = {"n": 0}
