@@ -68,7 +68,7 @@ from .simulate import (
     run_experiment,
     write_report,
 )
-from .tables import (_parse_number, _unreadable, read_estimates, read_frequency_table,
+from .tables import (_parse_number, _table_text, read_estimates, read_frequency_table,
                      write_estimates)
 
 RESULT_FILE = "result.json"
@@ -109,10 +109,13 @@ def _ints_arg(text: str) -> tuple[int, ...]:
     return tuple(_int_arg(t) for t in text.split(","))
 
 def _columns_arg(text: str) -> tuple[str, ...]:
-    # 'none' (or an empty value) requests an intercept-only model.
+    # 'none' (or an empty value) requests an intercept-only model; an empty item is refused.
     if text.strip().lower() in ("", "none"):
         return ()
-    return tuple(t.strip() for t in text.split(",") if t.strip() != "")
+    names = tuple(t.strip() for t in text.split(","))
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty column name in {text!r}")
+    return names
 
 
 # ----------------------------------------------------------------------------
@@ -196,10 +199,6 @@ def _summary_text(model: str, result: dict) -> str:
 def _cmd_fit(args: argparse.Namespace) -> int:
     loaded = read_estimates(args.input, covariates=args.covariates, group=args.group)
     dataset = loaded.dataset
-    unreadable = _unreadable(dataset.ids(), starts_line=True)
-    if unreadable:
-        raise ValueError(
-            f"id {unreadable[0]!r} would not read back as itself from {DIAGNOSTICS_FILE}")
     out = _out_dir(args)
     # Both fits are read as module globals per call, so a patched one is the one run.
     if args.command == "fit-random":
@@ -243,16 +242,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "homogeneity_test": homogeneity_payload,
         **extra,
     }
-
-    header = ",".join(("id", *DIAGNOSTIC_COLUMNS))
-    rows = [header]
-    # tolist() gives Python floats, whose repr is the plain round-tripping form.
-    rows.extend(
-        i + "," + ",".join(map(repr, row))
-        for i, row in zip(diagnostics.ids, diagnostics.values.tolist())
-    )
-    diag_text = "\n".join(rows) + "\n"
-
+    # The writer refuses an id that would not read back as itself.
+    diag_text = _table_text(("id", *DIAGNOSTIC_COLUMNS), diagnostics.ids, diagnostics.values.T)
     summary = _summary_text(model, result)
     _write_bundle(args, out, {RESULT_FILE: _json_text(result), DIAGNOSTICS_FILE: diag_text,
                               SUMMARY_FILE: summary})

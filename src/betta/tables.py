@@ -97,13 +97,14 @@ def _read_source(source: Source) -> str:
     """The text of an input: a str or Path is a file path, anything with .read() a stream."""
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        # A leading byte order mark is not part of the first cell.
+        return (data.decode("utf-8") if isinstance(data, bytes) else data).removeprefix("\ufeff")
     if not isinstance(source, (str, Path)):
         raise TypeError(f"expected a file path or a readable stream, got {type(source).__name__}")
     path = Path(source)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {source}")
-    return path.read_text(encoding="utf-8")
+    return path.read_text(encoding="utf-8-sig")
 
 
 def _records(source: Source):
@@ -272,8 +273,7 @@ def read_estimates(
     for required in _RESERVED:
         if required not in header:
             raise ParseError(f"missing mandatory column {required!r} in header")
-    col = {name: i for i, name in enumerate(header)}
-    if len(col) != len(header):
+    if len(set(header)) != len(header):
         raise ParseError("duplicate column names in header")
 
     group_col = group
@@ -292,16 +292,13 @@ def read_estimates(
             if c not in header:
                 raise ParseError(f"covariate column {c!r} not in header")
 
-    def column(name: str) -> list[str]:
-        k = col[name]
-        return [fields[k] for fields in rows]
-
+    columns = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
     # A missing or non-numeral cell parses to None, which becomes NaN here.
-    y = np.array([_parse_number(t) for t in column("estimate")], dtype=float)
-    se = np.array([_parse_number(t) for t in column("std_error")], dtype=float)
+    y = np.array([_parse_number(t) for t in columns["estimate"]], dtype=float)
+    se = np.array([_parse_number(t) for t in columns["std_error"]], dtype=float)
     usable = np.isfinite(y) & np.isfinite(se) & (se >= 0.0)
-    cov_tokens = [column(c) for c in cov_cols]
-    labels = None if group_col is None else column(group_col)
+    cov_tokens = [columns[c] for c in cov_cols]
+    labels = None if group_col is None else columns[group_col]
     for tokens in cov_tokens if labels is None else [*cov_tokens, labels]:
         usable &= [t not in MISSING_TOKENS for t in tokens]
 
@@ -332,7 +329,7 @@ def read_estimates(
             out_names.append(f"{name}={level}")
             out_columns.append(np.array([t == level for t in tokens], dtype=float))
 
-    ids = column("id")
+    ids = columns["id"]
     dataset = Dataset.from_columns(
         ids=[ids[i] for i in keep],
         estimates=y[keep],
@@ -364,6 +361,23 @@ def _unreadable(cells: Sequence[str], starts_line: bool = False) -> list[str]:
     return [c for c in cells if _unreadable([c], starts_line)]
 
 
+def _table_text(header: Sequence[str], ids: Sequence[str], numbers, labels=None) -> str:
+    """The header line, then per id a line of the id, the repr of each 1-d array in
+    numbers at that row, and its label when labels are given. An id that _records
+    would not read back as itself is a ValueError naming it.
+    """
+    unreadable = _unreadable(ids, starts_line=True)
+    if unreadable:
+        raise ValueError(f"id {unreadable[0]!r} would not read back as itself: an id must be "
+                         "nonempty, unpadded, on one line, free of commas and not start with '#'")
+    # Joined column by column, which costs less than formatting row by row; tolist()
+    # gives Python floats, whose repr is the plain round-tripping form.
+    columns = [ids, *(map(repr, column.tolist()) for column in numbers)]
+    if labels is not None:
+        columns.append(labels)
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
 def write_estimates(data: Dataset) -> str:
     """Serialize a dataset back to the estimates-table format.
 
@@ -378,23 +392,16 @@ def write_estimates(data: Dataset) -> str:
     names = data.covariate_names
     faults = [("covariate name", n) for n in names if _unreadable([n]) or "\t" in n
               or n in (*_RESERVED, GROUP_COLUMN)]
-    faults += [("id", i) for i in _unreadable(data.ids(), starts_line=True)]
     faults += [("group label", g) for g in labels or () if _unreadable([g]) or g in MISSING_TOKENS]
     if faults:
         what, text = faults[0]
         raise ValueError(
-            f"{what} {text!r} would not read back as itself: ids, group labels and covariate "
-            "names must be nonempty, unpadded, on one line and free of commas; an id must not "
-            "start with '#', a group label must not be 'NA', and a covariate name must be "
-            "free of tabs and not a reserved column name"
+            f"{what} {text!r} would not read back as itself: group labels and covariate names "
+            "must be nonempty, unpadded, on one line and free of commas; a group label must "
+            "not be 'NA', and a covariate name must be free of tabs and not a reserved column name"
         )
     header = ["id", "estimate", "std_error", *names]
     if labels is not None:
         header.append(GROUP_COLUMN)
     numbers = (data.estimates(), data.std_errors(), *data.covariate_matrix().T)
-    # tolist() gives Python floats, whose repr is the plain round-tripping form.
-    columns = [data.ids(), *([repr(v) for v in c.tolist()] for c in numbers)]
-    if labels is not None:
-        columns.append(labels)
-    lines = [",".join(header), *(",".join(fields) for fields in zip(*columns))]
-    return "\n".join(lines) + "\n"
+    return _table_text(header, data.ids(), numbers, labels)

@@ -286,7 +286,8 @@ def test_criterion_05_estimated_vs_observed_direction():
         covariate_kind=TWO_CATEGORY, alpha_levels=(0.05, 0.10),
         seed=2026, estimator="chao1",
     )
-    size_rep = run_experiment(pop, _B1_SIZES, size_cfg)
+    # Two workers give byte-identical reports (criterion 8) in about half the time.
+    size_rep = run_experiment(pop, _B1_SIZES, size_cfg, workers=2)
     size_betta = size_rep.rate_for(METHOD_BETTA, 0.10)
     size_reg = size_rep.rate_for(METHOD_REGRESSION, 0.10)
     size_gap, size_gap_se = _paired_gap(size_rep, METHOD_REGRESSION, METHOD_BETTA, 0.10)
@@ -296,7 +297,7 @@ def test_criterion_05_estimated_vs_observed_direction():
         covariate_kind=TWO_CATEGORY, alpha_levels=(0.05, 0.10),
         seed=2026, estimator="chao1", percents=(10.0,),
     )
-    power_rep = run_experiment(pop, _B1_SIZES, power_cfg)
+    power_rep = run_experiment(pop, _B1_SIZES, power_cfg, workers=2)
     pow_betta = power_rep.rate_for(METHOD_BETTA, 0.05)
     pow_reg = power_rep.rate_for(METHOD_REGRESSION, 0.05)
     pow_gap, pow_gap_se = _paired_gap(power_rep, METHOD_BETTA, METHOD_REGRESSION, 0.05)
@@ -327,7 +328,7 @@ def test_criterion_06_power_monotonicity():
     )
     rates, ses = [], []
     for pct in (0.0, 5.0, 10.0, 20.0):
-        rep = run_experiment(pop, _B1_SIZES, replace(cfg, percents=(pct,)))
+        rep = run_experiment(pop, _B1_SIZES, replace(cfg, percents=(pct,)), workers=2)
         rates.append(rep.rate_for(METHOD_BETTA, 0.05))
         ses.append(rep.mc_se_for(METHOD_BETTA, 0.05))
     elapsed = time.perf_counter() - t0

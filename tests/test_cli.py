@@ -15,9 +15,10 @@ from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from betta import fit_betta
+from betta import fit_betta, fit_betta_random
 from betta.cli import (
     DIAGNOSTICS_FILE,
     ESTIMATE_FILE,
@@ -35,6 +36,7 @@ from betta.cli import (
     build_parser,
     main,
 )
+from betta.inference import DIAGNOSTIC_COLUMNS, residual_diagnostics
 from betta.simulate import (
     ExperimentConfig,
     SampleSizeDistribution,
@@ -51,6 +53,14 @@ EST = str(DATA / "est.csv")
 GRP = str(DATA / "grp.csv")
 FREQ = str(DATA / "freq.csv")
 
+# sha256 of diagnostics.csv from `fit` on est.csv and `fit-random` on grp.csv, taken
+# while the file was still formatted row by row; like TestSimulate.LARGE_TABLE_DIGESTS,
+# any change to the fits, the diagnostics or the writer moves them.
+DIAGNOSTICS_DIGESTS = {
+    "fit": "3e0997cafd83c0a39fc1769fc959a26435525d0671f20f181d3e20697c599c7d",
+    "fit-random": "7fe2eac36a61b61edeec7b9386dea5ec523a4dcbaca59fb3f36cc46ffbab47e4",
+}
+
 
 def _power_law_table_text(taxa: int = 6000, reads: int = 40_000, exponent: float = 0.75) -> str:
     """A frequency-count table of `taxa` taxa whose abundances follow k^-exponent."""
@@ -62,6 +72,18 @@ def _power_law_table_text(taxa: int = 6000, reads: int = 40_000, exponent: float
 
 def result_of(out) -> dict:
     return json.loads((out / RESULT_FILE).read_text())
+
+
+def assert_diagnostics_read_back(out, fit, dataset) -> None:
+    """Every diagnostics.csv cell reads back as residual_diagnostics(fit, dataset), bit for bit."""
+    expected = residual_diagnostics(fit, dataset)
+    lines = (out / DIAGNOSTICS_FILE).read_text().splitlines()
+    assert lines[0] == ",".join(("id", *DIAGNOSTIC_COLUMNS))
+    cells = [line.split(",") for line in lines[1:]]
+    assert tuple(row[0] for row in cells) == expected.ids
+    values = np.array([[float(c) for c in row[1:]] for row in cells])
+    assert values.shape == expected.values.shape
+    assert values.tobytes() == np.ascontiguousarray(expected.values).tobytes()
 
 
 class TestFit:
@@ -87,6 +109,7 @@ class TestFit:
         assert first[0] == "s1"
         # repr round trip: the file reproduces the library floats exactly.
         assert float(first[5]) == fit.fitted[0]
+        assert_diagnostics_read_back(out, fit, ds)
 
         summary = (out / SUMMARY_FILE).read_text()
         assert summary.startswith("model: betta\n")
@@ -120,12 +143,21 @@ class TestFit:
         assert result["global_test"] is None  # intercept-only
 
     def test_intercept_only_via_covariates_none(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert main(["fit", "--input", EST, "--covariates", "none", "--out", str(out)]) == EXIT_OK
-        result = result_of(out)
-        assert result["p"] == 0
-        assert result["global_test"] is None
-        assert "not applicable" in capsys.readouterr().out
+        for value in ("none", ""):
+            out = tmp_path / f"o{value}"
+            assert main(["fit", "--input", EST, "--covariates", value, "--out", str(out)]) == EXIT_OK
+            result = result_of(out)
+            assert result["p"] == 0
+            assert result["global_test"] is None
+            assert "not applicable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [",", "depth,", ",depth", "depth, ,std_error"])
+    def test_empty_covariate_item_is_refused(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as e:
+            main(["fit", "--input", EST, "--covariates", value, "--out", str(tmp_path / "o")])
+        assert e.value.code == EXIT_USAGE
+        assert f"argument --covariates: empty column name in {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_saturated_design_exits_not_identified(self, tmp_path, capsys):
         # id as a categorical covariate gives 5 coefficients for 5 rows.
@@ -200,9 +232,17 @@ class TestFit:
                          "d\t20.0\t1.0\tg2\ne\t25.0\t2.0\tg2\n")
         out = tmp_path / "o"
         assert main([command, "--input", str(table), "--out", str(out)]) == EXIT_USAGE
-        message = f"id 'a,b' would not read back as itself from {DIAGNOSTICS_FILE}"
+        # The writer checks the ids, so the fit has run first; --out is still removed.
+        message = "id 'a,b' would not read back as itself: an id must be nonempty"
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, table", [("fit", EST), ("fit-random", GRP)])
+    def test_diagnostics_bytes_are_pinned(self, tmp_path, command, table):
+        out = tmp_path / "o"
+        assert main([command, "--input", table, "--out", str(out)]) == EXIT_OK
+        digest = sha256((out / DIAGNOSTICS_FILE).read_bytes()).hexdigest()
+        assert digest == DIAGNOSTICS_DIGESTS[command]
 
     def test_rerun_bundles_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -221,6 +261,8 @@ class TestFitRandom:
         assert result["n_groups"] == 3
         assert result["sigma_g_sq"] >= 0.0
         assert [c["name"] for c in result["coefficients"]] == ["(intercept)", "treat"]
+        ds = read_estimates(GRP).dataset
+        assert_diagnostics_read_back(out, fit_betta_random(ds), ds)
 
     def test_requires_group_column(self, tmp_path, capsys):
         code = main(["fit-random", "--input", EST, "--out", str(tmp_path / "o")])

@@ -204,6 +204,14 @@ class TestFrequencyTableParsing:
         with pytest.raises(TypeError, match="file path or a readable stream"):
             read_frequency_table(["1,20", "2,10"])
 
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        # With the mark kept, '\ufeff1' is no numeral and the singleton row reads as a header.
+        text = "1,30\n2,12\n3,6\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for source in (path, io.BytesIO(path.read_bytes()), io.StringIO("\ufeff" + text)):
+            assert read_frequency_table(source).entries == ((1, 30), (2, 12), (3, 6))
+
     def test_write_read_round_trip(self):
         t = FrequencyCountTable(entries=((1, 30), (2, 12), (20, 1)))
         text = write_frequency_table(t)
@@ -292,6 +300,14 @@ class TestReadEstimates:
         assert loaded.n_dropped == 1
         assert loaded.dataset.m == 2
         assert loaded.dataset.ids() == ("a", "c")
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        # With the mark kept, the first header cell is '\ufeffid' and 'id' is missing.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ESTIMATES_CSV.encode("utf-8"))
+        plain = read_estimates(io.StringIO(ESTIMATES_CSV))
+        for source in (path, io.BytesIO(path.read_bytes()), io.StringIO("\ufeff" + ESTIMATES_CSV)):
+            assert read_estimates(source) == plain
 
     def test_too_few_usable_rows(self):
         text = "id,estimate,std_error\na,1.0,0.5\nb,NA,0.5\n"
