@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -107,19 +108,19 @@ def _read_source(source: Source) -> str:
     return path.read_text(encoding="utf-8-sig")
 
 
-def _records(source: Source):
-    """Yield (line_number, fields) for every non-blank, non-comment line.
+def _lines(source: Source) -> tuple[Sequence[int], list[str], str]:
+    """The line numbers and the text of every non-blank, non-comment line, and the delimiter.
 
-    The delimiter is a tab if the first such line has one, else a comma.
+    Each line is stripped. The delimiter is a tab if the first such line
+    has one, else a comma; each reader splits the lines on it and strips
+    the fields it reads.
     """
-    delimiter: str | None = None
-    for number, raw in enumerate(_read_source(source).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if delimiter is None:
-            delimiter = "\t" if "\t" in line else ","
-        yield number, [f.strip() for f in line.split(delimiter)]
+    lines = list(map(str.strip, _read_source(source).splitlines()))
+    kept = [bool(line) and line[0] != "#" for line in lines]
+    numbers = range(1, len(lines) + 1)
+    if not all(kept):
+        numbers, lines = list(compress(numbers, kept)), list(compress(lines, kept))
+    return numbers, lines, "\t" if lines and "\t" in lines[0] else ","
 
 
 def _parse_number(token: str, kind=float):
@@ -137,6 +138,22 @@ def _parse_number(token: str, kind=float):
         return None
 
 
+def _parse_column(tokens: Sequence[str]) -> np.ndarray | None:
+    """tokens as a float array, or None when any of them is not what _parse_number reads.
+
+    One check of the joined column for non-ASCII text and '_', then one
+    NumPy parse, which hands each str to float(): the same values and
+    refusals as _parse_number(token) cell by cell, at a fraction of the cost.
+    """
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return np.array(tokens, dtype=float)
+        except ValueError:
+            pass
+    return None
+
+
 def read_frequency_table(source: Source) -> FrequencyCountTable:
     """Parse a two-column (abundance, count) table from a path or a stream.
 
@@ -149,16 +166,19 @@ def read_frequency_table(source: Source) -> FrequencyCountTable:
     rows: dict[int, int] = {}
     first_line: dict[int, int] = {}
     saw_content = False
-    for number, fields in _records(source):
+    numbers, lines, delimiter = _lines(source)
+    for number, line in zip(numbers, lines):
+        fields = line.split(delimiter)
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields, got {len(fields)}", number)
-        j, f = _parse_number(fields[0], int), _parse_number(fields[1], int)
+        a, b = map(str.strip, fields)
+        j, f = _parse_number(a, int), _parse_number(b, int)
         if j is None or f is None:
             if not saw_content:
                 # A single leading non-numeric line is a header.
                 saw_content = True
                 continue
-            raise ParseError(f"non-integer fields {fields[0]!r}, {fields[1]!r}", number)
+            raise ParseError(f"non-integer fields {a!r}, {b!r}", number)
         saw_content = True
         if j < 1 or f < 1:
             raise ParseError(f"abundance and count must be >= 1, got ({j}, {f})", number)
@@ -247,29 +267,28 @@ def read_estimates(
     header names the columns: id, estimate and std_error are mandatory;
     remaining columns are covariates unless one is named 'group' (or
     selected by the group argument), which supplies every row's group
-    label. Missing cells are "NA" or empty. Rows with a missing or
-    non-finite estimate, std_error, selected covariate, or group label are
-    dropped and counted; so are rows whose estimate or std_error is not a
-    plain ASCII numeral.
+    label. The group column is none of id, estimate and std_error, and
+    not a selected covariate either. Missing cells are "NA" or empty. Rows
+    with a missing or non-finite estimate, std_error, selected covariate, or
+    group label are dropped and counted; so are rows whose estimate or
+    std_error is not a plain ASCII numeral.
 
-    A covariate column whose non-missing values are all plain ASCII
-    numerals is numeric; any other column is categorical and expands to one 0/1
-    indicator per level beyond the reference, the reference being the
+    A covariate column that holds plain ASCII numerals on every row with no
+    missing cell is numeric; any other column is categorical and expands to
+    one 0/1 indicator per level beyond the reference, the reference being the
     first level in sorted order. Indicator columns are named
     '<column>=<level>'. Levels come from the rows that survive every drop,
     so a level seen only in a dropped row adds no column.
     """
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    for number, fields in _records(source):
-        if header is None:
-            header = fields
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", number)
-        rows.append(fields)
-    if header is None:
+    line_numbers, lines, delimiter = _lines(source)
+    if not lines:
         raise EmptyTableError("estimates table input is empty")
+    header = [name.strip() for name in lines[0].split(delimiter)]
+    # A line with n delimiters has n + 1 fields.
+    counts = list(map(str.count, lines, repeat(delimiter)))
+    if counts.count(len(header) - 1) < len(lines):
+        bad = next(i for i, count in enumerate(counts) if count != len(header) - 1)
+        raise ParseError(f"expected {len(header)} fields, got {counts[bad] + 1}", line_numbers[bad])
     for required in _RESERVED:
         if required not in header:
             raise ParseError(f"missing mandatory column {required!r} in header")
@@ -281,6 +300,8 @@ def read_estimates(
         group_col = GROUP_COLUMN
     if group_col is not None and group_col not in header:
         raise ParseError(f"group column {group_col!r} not in header")
+    if group_col in _RESERVED:
+        raise ParseError(f"column {group_col!r} is mandatory and cannot be the group column")
 
     if covariates is None:
         cov_cols = [c for c in header if c not in _RESERVED and c != group_col]
@@ -291,52 +312,76 @@ def read_estimates(
                 raise ParseError("column 'estimate' is the response and cannot be a covariate")
             if c not in header:
                 raise ParseError(f"covariate column {c!r} not in header")
+            if c == group_col:
+                raise ParseError(f"column {c!r} is the group column and cannot be a covariate")
 
-    columns = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
-    # A missing or non-numeral cell parses to None, which becomes NaN here.
-    y = np.array([_parse_number(t) for t in columns["estimate"]], dtype=float)
-    se = np.array([_parse_number(t) for t in columns["std_error"]], dtype=float)
+    # The data lines are split as one text, since a list per row costs time in
+    # the garbage collector and adds to the peak memory. Every line has
+    # len(header) fields, so column j is every len(header)-th cell from cell j.
+    m = len(lines) - 1
+    cells = delimiter.join(islice(lines, 1, None)).split(delimiter) if m else []
+    del lines
+    columns = {name: list(map(str.strip, cells[j::len(header)])) for j, name in enumerate(header)}
+    del cells
+
+    # A column of plain numerals parses as a whole; only a column with a missing
+    # or non-numeral cell goes cell by cell, and such a cell becomes NaN.
+    responses = []
+    for tokens in (columns["estimate"], columns["std_error"]):
+        values = _parse_column(tokens)
+        responses.append(np.array([_parse_number(t) for t in tokens], dtype=float)
+                         if values is None else values)
+    y, se = responses
     usable = np.isfinite(y) & np.isfinite(se) & (se >= 0.0)
-    cov_tokens = [columns[c] for c in cov_cols]
+    ids = columns["id"]
     labels = None if group_col is None else columns[group_col]
-    for tokens in cov_tokens if labels is None else [*cov_tokens, labels]:
-        usable &= [t not in MISSING_TOKENS for t in tokens]
+    # Each covariate as its tokens, until a numeric one's values replace them.
+    cov_columns: list[list[str] | np.ndarray] = [columns[c] for c in cov_cols]
+    del columns
+    for tokens in cov_columns if labels is None else [*cov_columns, labels]:
+        if not MISSING_TOKENS.isdisjoint(tokens):
+            usable &= np.array([t not in MISSING_TOKENS for t in tokens], dtype=bool)
 
     # A column is numeric when it holds numerals on every row with no missing
-    # cell (None otherwise); its non-finite values then drop their rows too.
-    present = np.flatnonzero(usable).tolist()
-    numbers = []
-    for tokens in cov_tokens:
-        values = [_parse_number(t) for t in tokens]
-        numbers.append(None if None in [values[i] for i in present] else np.array(values, dtype=float))
-    for values in numbers:
-        if values is not None:
+    # cell; its non-finite values then drop their rows too.
+    present = usable.tolist()
+    for j, tokens in enumerate(cov_columns):
+        parsed = _parse_column(list(compress(tokens, present)))
+        if parsed is not None:
+            cov_columns[j] = np.full(m, np.nan)
+            cov_columns[j][usable] = parsed
+    for values in cov_columns:
+        if isinstance(values, np.ndarray):
             usable &= np.isfinite(values)
-    keep = np.flatnonzero(usable).tolist()
-    n_dropped = len(rows) - len(keep)
-    if len(keep) < 2:
+    n_dropped = m - int(np.count_nonzero(usable))
+    if m - n_dropped < 2:
         raise EmptyTableError(f"fewer than 2 usable rows after dropping {n_dropped}")
 
+    keep = usable.tolist()
     out_names: list[str] = []
     out_columns: list[np.ndarray] = []
-    for name, all_tokens, values in zip(cov_cols, cov_tokens, numbers):
-        if values is not None:
+    for name, column in zip(cov_cols, cov_columns):
+        if isinstance(column, np.ndarray):
             out_names.append(name)
-            out_columns.append(values[keep])
+            out_columns.append(column[usable])
             continue
-        tokens = [all_tokens[i] for i in keep]
-        for level in sorted(set(tokens))[1:]:
-            out_names.append(f"{name}={level}")
-            out_columns.append(np.array([t == level for t in tokens], dtype=float))
+        tokens = list(compress(column, keep))
+        levels = sorted(set(tokens))
+        if len(levels) > 1:
+            # One code per row, the reference level's being 0; column k - 1 of the
+            # block is the indicator of level k.
+            code = dict(zip(levels, range(len(levels))))
+            codes = np.fromiter(map(code.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+            out_names += [f"{name}={level}" for level in levels[1:]]
+            out_columns.append((codes[:, None] == np.arange(1, len(levels))).astype(float))
 
-    ids = columns["id"]
     dataset = Dataset.from_columns(
-        ids=[ids[i] for i in keep],
-        estimates=y[keep],
-        std_errors=se[keep],
+        ids=list(compress(ids, keep)),
+        estimates=y[usable],
+        std_errors=se[usable],
         covariates=np.column_stack(out_columns) if out_columns else None,
         covariate_names=out_names,
-        groups=None if labels is None else [labels[i] for i in keep],
+        groups=None if labels is None else list(compress(labels, keep)),
     )
     return LoadedEstimates(dataset=dataset, n_dropped=n_dropped)
 
@@ -344,8 +389,8 @@ def read_estimates(
 def _unreadable(cells: Sequence[str], starts_line: bool = False) -> list[str]:
     """The cells of a column that would not read back as themselves, in order.
 
-    _records splits the input into lines, strips each line and each field,
-    and splits fields on commas, so a cell must be nonempty, unpadded, on
+    read_estimates splits the input into lines, strips each line, splits it
+    on commas and strips each cell, so a cell must be nonempty, unpadded, on
     one line and free of commas; a cell that starts a line (an id) must not
     start with '#' either. The column is checked as one text, which costs
     less than a check cell by cell; only a column that fails is searched.
@@ -363,8 +408,8 @@ def _unreadable(cells: Sequence[str], starts_line: bool = False) -> list[str]:
 
 def _table_text(header: Sequence[str], ids: Sequence[str], numbers, labels=None) -> str:
     """The header line, then per id a line of the id, the repr of each 1-d array in
-    numbers at that row, and its label when labels are given. An id that _records
-    would not read back as itself is a ValueError naming it.
+    numbers at that row, and its label when labels are given. An id that
+    read_estimates would not read back as itself is a ValueError naming it.
     """
     unreadable = _unreadable(ids, starts_line=True)
     if unreadable:

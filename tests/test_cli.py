@@ -205,6 +205,14 @@ class TestFit:
         table.write_text("id,estimate,std_error\na,1.0,0.5\nb,NA,0.5\n")
         assert main(["fit", "--input", str(table), "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("header", ["id,estimate,std_error", "id,estimate,std_error,x"])
+    def test_header_only_table_exits_2(self, tmp_path, capsys, header):
+        table = tmp_path / "e.csv"
+        table.write_text(header + "\n")
+        assert main(["fit", "--input", str(table), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "fewer than 2 usable rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_nonfinite_covariate_row_is_dropped(self, tmp_path):
         table = tmp_path / "inf.csv"
         table.write_text(
@@ -279,6 +287,16 @@ class TestFitRandom:
         code = main(["fit-random", "--input", str(table), "--group", "patient", "--out", str(out)])
         assert code == EXIT_OK
         assert result_of(out)["n_groups"] == 2
+
+    @pytest.mark.parametrize("options, column", [(["--group", "estimate"], "estimate"),
+                                                 (["--group", "id"], "id"),
+                                                 (["--covariates", "treat", "--group", "treat"], "treat"),
+                                                 (["--covariates", "treat,group"], "group")])
+    def test_ambiguous_group_column_exits_2(self, tmp_path, capsys, options, column):
+        code = main(["fit-random", "--input", GRP, *options, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert f"column {column!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_single_level_warns_and_reduces(self, tmp_path):
         table = tmp_path / "one.csv"

@@ -3,7 +3,9 @@ estimator registry (built-ins plus the external-command hook)."""
 
 import io
 import math
+import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,14 +27,20 @@ from betta.estimators import (
     resolve_estimator,
 )
 from betta.tables import (
+    _RESERVED,
     FrequencyCountTable,
+    _parse_column,
+    _parse_number,
     chao1,
     read_estimates,
     read_frequency_table,
     write_estimates,
     write_frequency_table,
 )
+import cell_reader
 from conftest import with_groups
+
+GRP = Path(__file__).parent / "data" / "grp.csv"
 
 
 def _count_arrays(dtype, low: int, high: int):
@@ -314,6 +322,23 @@ class TestReadEstimates:
         with pytest.raises(EmptyTableError, match="fewer than 2"):
             read_estimates(io.StringIO(text))
 
+    @pytest.mark.parametrize("header", ["id,estimate,std_error", "id,estimate,std_error,x",
+                                        "id,estimate,std_error,group"])
+    def test_header_only_table_has_too_few_rows(self, header):
+        with pytest.raises(EmptyTableError, match="fewer than 2 usable rows after dropping 0"):
+            read_estimates(io.StringIO(header + "\n"))
+
+    def test_group_column_is_neither_mandatory_nor_a_covariate(self):
+        # The responses would be the labels and the real group column a covariate.
+        for column in _RESERVED:
+            with pytest.raises(ParseError, match=f"{column!r} is mandatory and cannot be the group"):
+                read_estimates(GRP, group=column)
+        with pytest.raises(ParseError, match="'treat' is the group column and cannot be a covariate"):
+            read_estimates(GRP, covariates=("treat",), group="treat")
+        # The same holds for a group column found by its name.
+        with pytest.raises(ParseError, match="'group' is the group column"):
+            read_estimates(GRP, covariates=("treat", "group"))
+
     def test_categorical_expansion_sorted_reference(self):
         text = "id,estimate,std_error,trt\na,1.0,0.5,B\nb,2.0,0.5,A\nc,3.0,0.5,B\n"
         ds = read_estimates(io.StringIO(text)).dataset
@@ -485,6 +510,98 @@ class TestReadEstimates:
         text = "id,estimate,std_error,a,a=y\ns1,1.0,1.0,x,0.5\ns2,2.0,1.0,y,1.5\n"
         with pytest.raises(ValueError, match="'a=y' appears more than once"):
             read_estimates(io.StringIO(text))
+
+
+# Tokens at the edges of what float() reads, and text it refuses.
+_EDGE_TOKENS = [
+    "inf", "-inf", "+inf", "infinity", "-Infinity", "INF", "nan", "-nan", "+NaN", "1e999",
+    "-1e999", "1e-400", "5e-324", "-0", "+1", "-1", ".5", "-.5", "+.5", "5.", "0.1",
+    "1.7976931348623157e308", "1_0", "1e1_0", "\uff11\uff12", "\u0663", "1e5\x00", "\x001",
+    "NaN(1)", "0x10", "", "NA", "1,5", "1 5", "e5", "1e", "-", "+", ".", "in", "abc",
+]
+
+
+@pytest.mark.parametrize("token", _EDGE_TOKENS)
+def test_column_parser_reads_each_token_as_parse_number_does(token):
+    expected = _parse_number(token)
+    for column in ([token], ["1.5", token, "-2"]):
+        values = _parse_column(column)
+        if expected is None:
+            assert values is None
+        else:
+            assert values.dtype == np.float64 and values.shape == (len(column),)
+            assert values.tobytes() == np.array([_parse_number(t) for t in column]).tobytes()
+
+
+def test_column_parser_reads_a_whole_column_of_edge_tokens():
+    numerals = [t for t in _EDGE_TOKENS if _parse_number(t) is not None]
+    assert _parse_column(numerals).tobytes() == np.array(list(map(float, numerals))).tobytes()
+    assert _parse_column([]).shape == (0,)
+
+
+def _dirty_table(rng: random.Random) -> tuple[str, dict]:
+    """A small estimates table with the faults a reader must handle, and its arguments."""
+    names = ["id", "estimate", "std_error"]
+    if rng.random() < 0.05:
+        names.remove(rng.choice(names))
+    names += rng.sample(["x", "y", "site", "group", "treat", "site=b", "x"], rng.randint(0, 3))
+    rng.shuffle(names)
+    numerals = ["1", "2.5", "-3", ".5", "1e3", "+2", "7", "0", "-0.0", "12.25", "3"]
+    odd = ["NA", "", " NA ", "inf", "-inf", "nan", "1e999", "1_0", "\uff11\uff12", "0x10",
+           "abc", "NaN(1)", " 4.5 ", "-1"]
+    labels = ["a", "b", "c", "b ", "NA", ""]
+
+    def cell(name: str, row: int) -> str:
+        if name == "id":
+            return rng.choice([f"s{row}", f"s{row}", "NA", "", "s0"])
+        pool = labels if name in ("site", "group", "treat") and rng.random() < 0.8 else numerals
+        return rng.choice(odd) if rng.random() < 0.08 else rng.choice(pool)
+
+    delimiter = "\t" if rng.random() < 0.1 else ","
+    lines = [delimiter.join(names)]
+    for row in range(rng.randint(0, 8)):
+        fields = [cell(name, row) for name in names]
+        if rng.random() < 0.03:
+            fields = fields[:-1] if rng.random() < 0.5 else [*fields, "9"]
+        lines.append(delimiter.join(fields))
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["# note", "", "   ", "#a,b"]))
+    if rng.random() < 0.02:
+        lines = lines[: rng.randint(0, 1)]
+    # Mostly the extra columns, sometimes a column no selection may name.
+    extra = [name for name in names if name not in _RESERVED]
+    wrong = [*_RESERVED, "nope"]
+    kwargs = {}
+    if rng.random() < 0.3:
+        pool = extra + wrong if rng.random() < 0.2 else extra
+        kwargs["covariates"] = tuple(rng.sample(pool, min(len(pool), rng.randint(0, 2))))
+    if rng.random() < 0.25:
+        kwargs["group"] = rng.choice(extra + wrong if rng.random() < 0.2 or not extra else extra)
+    return "\n".join(lines) + "\n", kwargs
+
+
+def _outcome(reader, text: str, kwargs: dict):
+    try:
+        loaded = reader(io.StringIO(text), **kwargs)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    ds = loaded.dataset
+    return (loaded.n_dropped, ds.ids(), ds.groups(), ds.covariate_names,
+            *(getattr(ds, column)().tobytes() for column in
+              ("estimates", "std_errors", "covariate_matrix")))
+
+
+def test_column_reader_matches_the_cell_reader_on_dirty_tables():
+    rng = random.Random(20)
+    kinds = Counter()
+    for _ in range(2500):
+        text, kwargs = _dirty_table(rng)
+        expected = _outcome(cell_reader.read_estimates, text, kwargs)
+        assert _outcome(read_estimates, text, kwargs) == expected, (text, kwargs)
+        kinds[expected[0] if isinstance(expected[0], type) else "read"] += 1
+    # Every kind of outcome occurs, and many tables read.
+    assert kinds["read"] > 800
+    assert {ParseError, EmptyTableError, ValueError} <= set(kinds)
 
 
 # Cell text that stresses the reader's splitting, stripping and missing-value rules.
