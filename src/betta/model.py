@@ -334,8 +334,8 @@ def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray)
     return _solve_normal_equations(xw.T @ x, xw.T @ y)[0]
 
 
-def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
-    """Upper bound of the variance search.
+def _search_upper_bound(sample_var: float, variances: np.ndarray) -> float:
+    """Upper bound of the variance search, from the estimates' sample variance.
 
     Ten times the sample variance of the estimates comfortably exceeds any
     explainable between-observation variance; the smallest reported
@@ -343,7 +343,6 @@ def _search_upper_bound(y: np.ndarray, variances: np.ndarray) -> float:
     the estimates happen to be constant. Both terms scale as the data
     squared, so the interval does too.
     """
-    sample_var = float(np.var(y, ddof=1))
     return max(10.0 * sample_var, float(np.min(variances)))
 
 
@@ -396,8 +395,9 @@ class _ProfiledObjective:
             self._bins = {1: codes}                         # _group_sums' bins, by width
             self._xy1 = np.column_stack([self.x, self.y, np.ones(len(self.y))])
 
-        self.upper = _search_upper_bound(self.y, self.variances)
-        self.start = min(max(float(np.var(self.y, ddof=1)), 0.0), self.upper)
+        # The search starts from the sample variance, which is inside [0, upper].
+        self.start = float(np.var(self.y, ddof=1))
+        self.upper = _search_upper_bound(self.start, self.variances)
 
     def _group_sums(self, block: np.ndarray) -> np.ndarray:
         """Group sums of an (m,) or (m, k) block, all columns in one bincount."""

@@ -10,13 +10,14 @@ the a+1 ridge, a Lentz continued fraction on the right. Target accuracy is
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EPS = 1e-16
-_MAX_ITER = 600
+_TINY = 1e-300
 
 
 def normal_cdf(x: float) -> float:
@@ -86,42 +87,61 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
+def _term_budget(size: float) -> int:
+    """Terms allowed to a series or continued fraction whose largest shape is size.
+
+    About 9.2 sqrt(size) are needed near the switch point. Past size 1e8, or
+    at inf or NaN, the prefactor's rounding alone exceeds 1e-7: the budget
+    stops growing there, so such input fails instead of hanging.
+    """
+    return 600 + math.ceil(10.0 * math.sqrt(min(1e8, size)))
+
+
+def _lentz(c: float, d: float, terms, budget: int, stride: int = 1) -> float | None:
+    """Modified Lentz continued fraction (Numerical Recipes 5.2) from C = c, f = D = 1/d.
+
+    Each (a_n, b_n) of terms multiplies f by C_n D_n; convergence is tested
+    after every stride-th term. None if budget terms do not converge.
+    """
+    h = d = 1.0 / (_TINY if abs(d) < _TINY else d)
+    for n, (an, bn) in zip(range(1, budget + 1), terms):
+        d = an * d + bn
+        if abs(d) < _TINY:
+            d = _TINY
+        c = bn + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS and n % stride == 0:
+            return h
+    return None
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a+1)."""
-    term = 1.0 / a
-    total = term
+    """P(a, x) over x^a e^-x / Gamma(a), by power series (x < a+1)."""
+    term = total = 1.0 / a
     denom = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_term_budget(a)):
         denom += 1.0
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
     raise NumericalError(f"incomplete gamma series did not converge (a={a}, x={x})")
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a+1)."""
-    tiny = 1e-300
+    """Q(a, x) over x^a e^-x / Gamma(a), by continued fraction (x >= a+1)."""
+    def terms(b):
+        for i in count(1):
+            b += 2.0
+            yield -i * (i - a), b
     b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    raise NumericalError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
+    if (h := _lentz(1.0 / _TINY, b, terms(b), _term_budget(a))) is None:
+        raise NumericalError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
+    return h
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
@@ -132,10 +152,11 @@ def regularized_gamma_q(a: float, x: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        q = 1.0 - _lower_gamma_series(a, x)
+        q = 1.0 - prefactor * _lower_gamma_series(a, x)
     else:
-        q = _upper_gamma_cf(a, x)
+        q = prefactor * _upper_gamma_cf(a, x)
     return min(1.0, max(0.0, q))
 
 
@@ -163,41 +184,19 @@ def chisq_upper_tail(x: float, dof: int) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Lentz continued fraction for the regularized incomplete beta."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise NumericalError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+    """Continued fraction for the regularized incomplete beta, in even and odd terms.
+
+    Convergence is tested after each odd term only: testing after every term
+    moves the last bits of many values (8% of 30 000 random arguments).
+    """
+    def terms():
+        for m in count(1):
+            m2 = 2 * m
+            yield m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)), 1.0
+            yield -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)), 1.0
+    if (h := _lentz(1.0, 1.0 - (a + b) * x / (a + 1.0), terms(), 2 * _term_budget(max(a, b)), 2)) is None:
+        raise NumericalError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+    return h
 
 
 def regularized_inc_beta(a: float, b: float, x: float) -> float:

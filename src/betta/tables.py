@@ -157,11 +157,11 @@ def _parse_column(tokens: Sequence[str]) -> np.ndarray | None:
 def read_frequency_table(source: Source) -> FrequencyCountTable:
     """Parse a two-column (abundance, count) table from a path or a stream.
 
-    Comma-delimited with tab auto-detection, '#' comment lines, optional
-    single header line. Duplicate abundances and nonpositive or
-    non-integer values (anything but a plain ASCII integer) are parse
-    errors carrying the 1-based line number.
-    Rows may arrive in any order; the table is stored ascending.
+    Comma-delimited with tab auto-detection, '#' comment lines, and an
+    optional header: a first line whose abundance cell is not a numeral.
+    Duplicate abundances and nonpositive or non-integer values (anything
+    but a plain ASCII integer) are parse errors carrying the 1-based line
+    number. Rows may arrive in any order; the table is stored ascending.
     """
     rows: dict[int, int] = {}
     first_line: dict[int, int] = {}
@@ -174,8 +174,9 @@ def read_frequency_table(source: Source) -> FrequencyCountTable:
         a, b = map(str.strip, fields)
         j, f = _parse_number(a, int), _parse_number(b, int)
         if j is None or f is None:
-            if not saw_content:
-                # A single leading non-numeric line is a header.
+            if not saw_content and _parse_number(a) is None:
+                # A leading line whose abundance is no numeral is a header;
+                # any other bad line, the first one too, is an error.
                 saw_content = True
                 continue
             raise ParseError(f"non-integer fields {a!r}, {b!r}", number)

@@ -178,6 +178,19 @@ class TestHomogeneity:
         # its coefficients is larger (13.53).
         assert old_homogeneity_statistic(ds) > res.statistic * (1.0 + 1e-3)
 
+    def test_p_value_at_its_own_null_with_many_rows(self):
+        # A homogeneous table of 25 000 rows puts Q next to its dof, where
+        # the chi-square tail needs about 9.2 sqrt(dof / 2) terms. Expected
+        # p: mpmath at 50 digits for the statistic below.
+        m = 25_000
+        rng = np.random.default_rng(5)
+        se = rng.uniform(5.0, 20.0, m)
+        y = 100.0 + rng.standard_normal(m) * se
+        res = homogeneity_test(Dataset.from_columns([str(i) for i in range(m)], y, se))
+        assert res.dof == m - 1
+        assert res.statistic == pytest.approx(24714.408357087523, rel=1e-9)
+        assert res.p_value == pytest.approx(0.89878089568832903, rel=0.0, abs=1e-9)
+
     def test_reported_errors_only_in_denominator(self):
         # Data with real extra scatter: sigma_u_sq_hat > 0, and Q must be
         # larger than it would be if the fitted variance were added in.

@@ -121,7 +121,7 @@ class TestFitAgainstGrid:
         assert fit.sigma_u_sq_hat == pytest.approx(3753.110215186053, rel=1e-9)
         assert fit.reml_value == pytest.approx(-43.46985545357679, rel=1e-12)
 
-        upper = _search_upper_bound(ds.estimates(), floored_variances(ds))
+        upper = _search_upper_bound(float(np.var(ds.estimates(), ddof=1)), floored_variances(ds))
         grid = np.linspace(0.0, upper, 1000)
         objective = _ProfiledObjective(ds)
         vals = [objective.value(float(s)) for s in grid]

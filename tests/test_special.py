@@ -20,6 +20,8 @@ from betta.special import (
     normal_cdf,
     normal_quantile,
     normal_two_sided_p,
+    regularized_gamma_q,
+    regularized_inc_beta,
     student_t_two_sided_p,
 )
 
@@ -61,6 +63,64 @@ STUDENT_T_SF_TABLE = [
     (12.0, 6, 1.0153703097686596e-05),
 ]
 
+# Around the null, x/dof in {0.99, 1, 1 + 3/dof, 1.01}: near x = dof the
+# series and the fraction need about 9.2 sqrt(dof/2) terms.
+CHISQ_LARGE_DOF_TABLE = [
+    (10890.0, 11000, 0.77023105506847227),
+    (11000.0, 11000, 0.49820688598566119),
+    (11003.0, 11000, 0.49013965335708199),
+    (11110.0, 11000, 0.2285431985524915),
+    (19800.0, 20000, 0.84134880780643534),
+    (20000.0, 20000, 0.4986701916600448),
+    (20003.0, 20000, 0.49268678043657283),
+    (20200.0, 20000, 0.15865124955282038),
+    (99000.0, 100000, 0.9875216843619172),
+    (100000.0, 100000, 0.49940529189520669),
+    (100003.0, 100000, 0.49672917039368171),
+    (101000.0, 100000, 0.01286884037723367),
+    (990000.0, 1000000, 0.99999999999934998),
+    (1000000.0, 1000000, 0.4998119368033945),
+    (1000003.0, 1000000, 0.49896565447325443),
+    (1010000.0, 1000000, 9.0685288232620769e-13),
+]
+
+# I_x(a, b): the shapes at x = 1/2, then pairs of x on either side of the
+# series switch x = (a + 1) / (a + b + 2), then two tails.
+INC_BETA_TABLE = [
+    (0.5, 4.0, 0.5, 0.97779609585952275),
+    (1.0, 4.5, 0.5, 0.95580582617584078),
+    (1.5, 7.25, 0.5, 0.98431456818966984),
+    (2.0, 2.0, 0.5, 0.5),
+    (7.25, 1.5, 0.5, 0.015685431810330156),
+    (3.5, 2.25, 0.55, 0.36871735616304459),
+    (3.5, 2.25, 0.6, 0.45860360052105481),
+    (0.3, 12.5, 0.08, 0.91732130680100746),
+    (0.3, 12.5, 0.1, 0.94332843575017552),
+    (25.0, 0.5, 0.94, 0.080086364579454101),
+    (25.0, 0.5, 0.95, 0.11104701911643949),
+    (40.5, 60.25, 0.4, 0.48912563710178275),
+    (40.5, 60.25, 0.41, 0.57009674497108726),
+    (5.0, 3.5, 1e-3, 3.5118137944786074e-14),
+    (2.5, 30.0, 0.02, 0.059227522536110412),
+    (2.5, 30.0, 0.25, 0.99662178110133478),
+]
+
+# Q(a, x) at non-half-integer a, on both sides of the series switch x = a + 1.
+GAMMA_Q_TABLE = [
+    (0.3, 0.01, 0.72075900364098514),
+    (0.3, 1.25, 0.059133854285370415),
+    (0.3, 1.35, 0.051543515563204577),
+    (0.3, 6.0, 0.00021437117071891481),
+    (2.7, 0.5, 0.97424300526275863),
+    (2.7, 3.6, 0.24323728758474807),
+    (2.7, 3.8, 0.21363231503285862),
+    (2.7, 15.0, 2.2117866188574213e-5),
+    (17.5, 8.0, 0.9975498055755793),
+    (17.5, 18.4, 0.38552017380890156),
+    (17.5, 18.6, 0.36805238270121528),
+    (17.5, 40.0, 2.2347308682753192e-5),
+]
+
 NORMAL_QUANTILE_TABLE = [
     (0.975, 1.9599639845400538),
     (0.025, -1.9599639845400543),
@@ -80,6 +140,25 @@ def test_normal_cdf_oracle(x, expected):
 @pytest.mark.parametrize("x,dof,expected", CHISQ_UPPER_TABLE)
 def test_chisq_upper_tail_oracle(x, dof, expected):
     assert chisq_upper_tail(x, dof) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("x,dof,expected", CHISQ_LARGE_DOF_TABLE)
+def test_chisq_upper_tail_at_large_dof(x, dof, expected):
+    # At dof = 10^6 the prefactor x^a e^-x / Gamma(a) alone carries ~1e-10.
+    tol = 1e-9 if dof >= 1_000_000 else 1e-10
+    assert chisq_upper_tail(x, dof) == pytest.approx(expected, rel=0.0, abs=tol)
+
+
+@pytest.mark.parametrize("a,b,x,expected", INC_BETA_TABLE)
+def test_regularized_inc_beta_oracle(a, b, x, expected):
+    assert regularized_inc_beta(a, b, x) == pytest.approx(expected, rel=1e-12)
+    # Reflection: I_x(a, b) = 1 - I_{1-x}(b, a), reached through the other branch.
+    assert regularized_inc_beta(b, a, 1.0 - x) == pytest.approx(1.0 - expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("a,x,expected", GAMMA_Q_TABLE)
+def test_regularized_gamma_q_oracle(a, x, expected):
+    assert regularized_gamma_q(a, x) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("t,dof,expected", STUDENT_T_SF_TABLE)

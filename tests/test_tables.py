@@ -184,8 +184,17 @@ class TestFrequencyTableParsing:
             with pytest.raises(ParseError, match="non-integer") as e:
                 read_frequency_table(io.StringIO(f"2,3\n{line}\n"))
             assert e.value.line_number == 2
-        # The first line may still be a header, whatever it holds.
+        # A first line whose abundance cell is no plain numeral is a header.
         assert read_frequency_table(io.StringIO(f"{cell},5\n2,3\n")).entries == ((2, 3),)
+
+    @pytest.mark.parametrize("first", ["1,30x", "1,", "1.0,20", "1\t20,5"])
+    def test_mistyped_first_row_is_not_a_header(self, first):
+        # A first line whose abundance cell is a numeral is data: a typo in
+        # it is an error naming line 1, not a row dropped as a header.
+        rest = "2,10\n3,5\n" if "\t" not in first else "2\t10\n3\t5\n"
+        with pytest.raises(ParseError, match="non-integer") as e:
+            read_frequency_table(io.StringIO(f"{first}\n{rest}"))
+        assert e.value.line_number == 1
 
     def test_empty_inputs(self):
         with pytest.raises(EmptyTableError):
