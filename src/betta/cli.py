@@ -57,17 +57,6 @@ from .inference import (
 )
 from .mixed import fit_betta_random
 from .model import INTERCEPT_NAME, Dataset, fit_betta
-from .simulate import (
-    CONTINUOUS_GRID,
-    NO_COVARIATE,
-    TWO_CATEGORY,
-    ExperimentConfig,
-    SampleSizeDistribution,
-    parametric_bootstrap_se,
-    population_from_table,
-    run_experiment,
-    write_report,
-)
 from .tables import (_parse_number, _table_text, read_estimates, read_frequency_table,
                      write_estimates)
 
@@ -256,21 +245,24 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # Only the Monte Carlo commands load the study module, on their first run.
+    from . import simulate
+
     table = read_frequency_table(args.input)
-    pop = population_from_table(table)
+    pop = simulate.population_from_table(table)
     size_list = args.sample_sizes if args.sample_sizes else (table.total_reads,)
-    sizes = SampleSizeDistribution(observed_sizes=tuple(size_list))
+    sizes = simulate.SampleSizeDistribution(observed_sizes=tuple(size_list))
 
     # argparse requires one covariate design for size and power, and --percent for power.
     if args.mode == "homogeneity":
-        kind, grid = NO_COVARIATE, ()
+        kind, grid = simulate.NO_COVARIATE, ()
     elif args.two_category:
-        kind, grid = TWO_CATEGORY, ()
+        kind, grid = simulate.TWO_CATEGORY, ()
     else:
-        kind, grid = CONTINUOUS_GRID, args.grid
+        kind, grid = simulate.CONTINUOUS_GRID, args.grid
     # The size parser has no --percent; the design and the percents pick the study.
     percents = getattr(args, "percent", None) or ()
-    config = ExperimentConfig(
+    config = simulate.ExperimentConfig(
         replicates_per_dataset=args.replicates,
         n_datasets=args.datasets,
         covariate_kind=kind,
@@ -281,9 +273,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         percents=percents,
     )
     out = _out_dir(args)
-    report = run_experiment(pop, sizes, config, workers=args.workers)
+    report = simulate.run_experiment(pop, sizes, config, workers=args.workers)
 
-    text = write_report(report)
+    text = simulate.write_report(report)
     files = {REPORT_FILE: text}
     if args.dump_pvalues:
         lines = ["method,dataset,p_value"]
@@ -300,9 +292,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------------
 
 def _cmd_bootstrap_se(args: argparse.Namespace) -> int:
+    from . import simulate
+
     table = read_frequency_table(args.input)
     out = _out_dir(args)
-    summary = parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
+    summary = simulate.parametric_bootstrap_se(table, args.estimator, args.resamples, args.seed)
     result = asdict(summary)
     if not math.isfinite(summary.ratio):  # a reported SE of 0
         result["ratio"] = None

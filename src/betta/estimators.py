@@ -11,7 +11,6 @@ numerals; a nonzero exit status means failure for that table.
 from __future__ import annotations
 
 import math
-import subprocess
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +44,8 @@ class ExternalCommandEstimator:
     command: str
 
     def __call__(self, table: FrequencyCountTable) -> RichnessEstimate:
+        import subprocess  # only a cmd: estimator starts a process
+
         try:
             proc = subprocess.run(
                 self.command,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Union
@@ -523,7 +522,7 @@ def run_experiment(
     The first (r + 1) // 2 replicates form the first category of the
     two-category split, and a single percent always lands on the rest.
     workers is the number of processes, at least 1; it never changes the
-    report.
+    report. Only workers > 1 imports the process pool, on its first call.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -553,6 +552,8 @@ def run_experiment(
     if workers == 1:
         results = [_run_one_dataset(payload, d) for d in range(n)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # map pickles each chunk as one message, so the payload travels once per chunk.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one_dataset, [payload] * n, range(n),

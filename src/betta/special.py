@@ -201,7 +201,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 
 def regularized_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0 or x < 0.0 or x > 1.0:
+    if not (a > 0.0 and b > 0.0 and 0.0 <= x <= 1.0):  # NaN fails every comparison
         raise NumericalError(f"regularized_inc_beta: invalid arguments a={a!r}, b={b!r}, x={x!r}")
     if x == 0.0:
         return 0.0
@@ -220,6 +220,8 @@ def regularized_inc_beta(a: float, b: float, x: float) -> float:
 
 def student_t_two_sided_p(t: float, dof: int) -> float:
     """Two-sided p-value for an observed t statistic."""
+    if math.isnan(t):
+        raise NumericalError(f"student_t_two_sided_p: statistic must be a number, got {t!r}")
     if math.isinf(t):
         return 0.0
     return min(1.0, regularized_inc_beta(0.5 * dof, 0.5, dof / (dof + t * t)))

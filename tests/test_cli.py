@@ -676,8 +676,9 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, a
     def never(*args, **kwargs):
         raise AssertionError("the work ran before --out was made")
 
-    for name in ("fit_betta", "fit_betta_random", "run_experiment", "parametric_bootstrap_se"):
-        monkeypatch.setattr(f"betta.cli.{name}", never)
+    for name in ("cli.fit_betta", "cli.fit_betta_random", "simulate.run_experiment",
+                 "simulate.parametric_bootstrap_se"):
+        monkeypatch.setattr(f"betta.{name}", never)
     taken = tmp_path / "taken"
     taken.write_text("")
     for out in (taken, taken / "below"):

@@ -63,6 +63,62 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
+def test_a_fit_loads_no_study_pool_or_subprocess(tmp_path):
+    # Only simulate and bootstrap-se load the study module, only --workers > 1
+    # the process pool and only a cmd: estimator subprocess.
+    code = (
+        "import sys, betta.cli; betta.cli.build_parser(); rare = sys.argv[1].split(); "
+        "print(*[m for m in rare if m in sys.modules]); "
+        "betta.cli.main(['fit', '--input', 'tests/data/est.csv', '--out', sys.argv[2]]); "
+        "print(*[m for m in rare if m in sys.modules])"
+    )
+    rare = "betta.simulate concurrent.futures.process multiprocessing subprocess"
+    lines = run_python(["-c", code, rare, str(tmp_path / "out")]).splitlines()
+    assert lines[0] == ""
+    assert lines[-1] == ""
+
+
+def test_one_worker_loads_no_process_pool():
+    code = (
+        "import io, sys\n"
+        "from betta import *\n"
+        "from betta.simulate import CONTINUOUS_GRID\n"
+        "pop = population_from_table(read_frequency_table(io.StringIO('1,20\\n2,10\\n5,3')))\n"
+        "config = ExperimentConfig(replicates_per_dataset=6, n_datasets=4,\n"
+        "    covariate_kind=CONTINUOUS_GRID, grid=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0),\n"
+        "    alpha_levels=(0.05,), seed=5, estimator='chao1')\n"
+        "sizes = SampleSizeDistribution(observed_sizes=(200, 250))\n"
+        "run_experiment(pop, sizes, config, workers=1)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    assert run_python(["-c", code]).split() == ["False"]
+
+
+def test_exports_load_on_first_use():
+    # Run before anything else in the interpreter has imported a submodule.
+    code = """
+import importlib, sys
+import betta
+assert not [m for m in sys.modules if m.startswith("betta.")]
+assert set(betta.__all__) == {"__version__", *betta._MODULE_OF}
+assert set(betta.__all__) <= set(dir(betta))
+assert betta.simulate is importlib.import_module("betta.simulate")
+try:
+    betta.no_such_name
+except AttributeError as exc:
+    assert "'no_such_name'" in str(exc), exc
+else:
+    raise AssertionError("betta.no_such_name resolved")
+names = {}
+exec("from betta import *", names)
+for name, module in betta._MODULE_OF.items():
+    assert names[name] is getattr(importlib.import_module(f"betta.{module}"), name), name
+print(len(names) - 1)
+"""
+    # from betta import * binds every name in __all__; exec adds __builtins__.
+    assert run_python(["-c", code]).split() == [str(len(betta.__all__))]
+
+
 def test_every_exported_name_has_a_caller():
     # A name is used when the package (outside __init__.py), the README or a
     # demo mentions it on a line other than its own def or class line.

@@ -318,7 +318,7 @@ class TestSizeExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("betta.simulate.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         for n_datasets, pools in ((3, [3]), (1, [])):
             opened.clear()
             cfg = toy_config(n_datasets=n_datasets)

@@ -262,3 +262,21 @@ def test_quantile_endpoints_and_domain():
     for bad in (-0.2, 1.5, math.nan):
         with pytest.raises(NumericalError):
             normal_quantile(bad)
+
+
+@pytest.mark.parametrize(
+    "a, b, x",
+    [(math.nan, 2.0, 0.3), (2.0, math.nan, 0.3), (2.0, 2.0, math.nan), (0.5, 0.5, math.nan)],
+)
+def test_inc_beta_refuses_nan_at_once(a, b, x):
+    # NaN fails every comparison, so a check written as "reject if below the
+    # domain" lets it through to a continued fraction that never converges.
+    with pytest.raises(NumericalError, match="regularized_inc_beta: invalid arguments"):
+        regularized_inc_beta(a, b, x)
+
+
+def test_student_t_names_a_nan_statistic():
+    with pytest.raises(NumericalError, match="student_t_two_sided_p: statistic must be a number, got nan"):
+        student_t_two_sided_p(math.nan, 5)
+    with pytest.raises(NumericalError, match="regularized_inc_beta: invalid arguments"):
+        student_t_two_sided_p(1.0, math.nan)
