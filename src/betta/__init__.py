@@ -27,7 +27,7 @@ _EXPORTS = {
         "BootstrapUnstableError", "StdErrorFlooredWarning", "IllConditionedWarning",
     ),
     "model": (
-        "RichnessObservation", "Dataset", "BettaFit", "fit_betta",
+        "RichnessObservation", "Dataset", "BettaFit", "fit_betta", "fit_betta_batch",
         "floored_variances", "INTERCEPT_NAME",
     ),
     "inference": (

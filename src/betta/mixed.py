@@ -118,5 +118,5 @@ def fit_betta_random(dataset: Dataset) -> MixedFit:
     (sigma_u_sq, sigma_g_sq), _, converged = best
     return objective.fit_result(
         MixedFit, sigma_u_sq, sigma_g_sq, converged,
-        sigma_g_sq_hat=sigma_g_sq, n_groups=n_groups,
+        sigma_g_sq_hat=float(sigma_g_sq), n_groups=n_groups,
     )

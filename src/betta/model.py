@@ -317,14 +317,15 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
-    """Solve gram @ beta = rhs by Cholesky; return (beta, symmetrized gram, log det gram)."""
-    gram = 0.5 * (gram + gram.T)
+    """Solve gram @ beta = rhs by Cholesky, for one system or a stack of them;
+    return (beta, symmetrized gram, log det gram)."""
+    gram = 0.5 * (gram + gram.swapaxes(-1, -2))
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("weighted design Gram matrix is not positive definite") from exc
-    beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    beta = np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
+    logdet = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     return beta, gram, logdet
 
 
@@ -334,8 +335,9 @@ def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray)
     return _solve_normal_equations(xw.T @ x, xw.T @ y)[0]
 
 
-def _search_upper_bound(sample_var: float, variances: np.ndarray) -> float:
-    """Upper bound of the variance search, from the estimates' sample variance.
+def _search_upper_bound(sample_var, variances: np.ndarray):
+    """Upper bound of the variance search, from the estimates' sample variance
+    (a scalar and its (m,) variances, or one of each per dataset).
 
     Ten times the sample variance of the estimates comfortably exceeds any
     explainable between-observation variance; the smallest reported
@@ -343,7 +345,7 @@ def _search_upper_bound(sample_var: float, variances: np.ndarray) -> float:
     the estimates happen to be constant. Both terms scale as the data
     squared, so the interval does too.
     """
-    return max(10.0 * sample_var, float(np.min(variances)))
+    return np.maximum(10.0 * sample_var, variances.min(axis=-1))
 
 
 def _boundary_wins(boundary: float, interior: float) -> bool:
@@ -352,12 +354,33 @@ def _boundary_wins(boundary: float, interior: float) -> bool:
     return boundary >= interior - 1e-12 * (1.0 + abs(interior))
 
 
-class _ProfiledObjective:
-    """Profiled restricted log-likelihood of one dataset, in canonical order.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, for each row of stacked vectors; each is the
+    one BLAS dot that a 1-D a @ b runs."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Building it runs the checks and set-up both fits share; ``maximize``
-    is their bounded variance search and ``fit_result`` their post-fit
-    block. The marginal covariance is block diagonal by group, each block
+
+def _total(a: np.ndarray) -> np.ndarray:
+    """The sum of each (k, k) matrix of a, each summed as np.sum of one contiguous matrix."""
+    return a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+class _ProfiledObjective:
+    """Profiled restricted log-likelihood of one dataset, or of a stack of
+    datasets that share one design, each in its canonical order.
+
+    Building it runs the checks and set-up both fits share, once per
+    stack; ``maximize`` is their bounded variance search and ``fit_result``
+    their post-fit block. Built from one Dataset, it holds that dataset's
+    arrays: the design x (m, k), the estimates y and the floored variances
+    (m,), the search's start and upper bound U (scalars). Built from a
+    sequence of datasets, each array gains a leading axis of length D, and
+    the searches run in lockstep. The flat terms are written over that
+    leading axis, and each dataset's rows pass through the same per-matrix
+    kernels (``@``, Cholesky, solve, inverse) with or without it, so a
+    dataset's values do not depend on D or on the datasets beside it.
+
+    The marginal covariance is block diagonal by group, each block
     diag(v) + sigma_g_sq * 1 1^T with v_i = std_error_i^2 + sigma_u_sq.
     The flat model is weighted least squares with w = 1/v. With groups and
     sigma_g_sq > 0, Sherman-Morrison per block gives, for a, b in [X, y] and
@@ -366,25 +389,37 @@ class _ProfiledObjective:
     nothing cancels when a floored standard error makes one w_i huge. ln det V
     gains sum_g ln(1 + sigma_g_sq S_g). An evaluation costs O(m p^2). At
     sigma_g_sq = 0 the group terms are skipped: the result and its cost are
-    the flat model's. ``groups`` is ``dataset.groups()`` or None (flat).
+    the flat model's. ``groups`` is ``dataset.groups()`` of one dataset, or
+    None (flat).
     """
 
-    def __init__(self, dataset: Dataset, groups: tuple[str, ...] | None = None):
-        if dataset.m < 2:
-            raise ValueError(f"fitting needs at least 2 observations, got {dataset.m}")
-        x_full = dataset.design_matrix()
-        _check_full_rank(x_full, (INTERCEPT_NAME,) + dataset.covariate_names)
-        if dataset.m == dataset.p + 1:
+    def __init__(self, datasets: Dataset | Sequence[Dataset], groups: tuple[str, ...] | None = None):
+        single = isinstance(datasets, Dataset)
+        stack = (datasets,) if single else tuple(datasets)
+        first = stack[0]
+        if first.m < 2:
+            raise ValueError(f"fitting needs at least 2 observations, got {first.m}")
+        x_full = first.design_matrix()
+        _check_full_rank(x_full, (INTERCEPT_NAME,) + first.covariate_names)
+        if first.m == first.p + 1:
             raise UnidentifiableError(
-                f"only {dataset.m} observations for {dataset.p + 1} coefficients; with no "
+                f"only {first.m} observations for {first.p + 1} coefficients; with no "
                 "residual degrees of freedom the restricted likelihood is flat and the "
                 "variance component cannot be identified"
             )
+        if not all(np.array_equal(ds.design_matrix(), x_full) for ds in stack[1:]):
+            raise ValueError("the datasets of one objective must share one design matrix")
 
-        self.order = _canonical_order(dataset)
+        n, m = len(stack), first.m
+        orders = np.array([_canonical_order(ds) for ds in stack])
+        # Entry (d, i) in canonical order is entry self._flat[d * m + i] of the
+        # datasets' columns laid end to end.
+        self._flat = (orders + m * np.arange(n)[:, None]).ravel()
+        self.order = orders[0] if single else orders
+        shape = self.order.shape
         self.x = x_full[self.order]
-        self.y = dataset.estimates()[self.order]
-        self.variances = floored_variances(dataset)[self.order]
+        self.y = np.concatenate([ds.estimates() for ds in stack])[self._flat].reshape(shape)
+        self.variances = np.concatenate([floored_variances(ds) for ds in stack])[self._flat].reshape(shape)
         self.codes = None
         if groups is not None:
             # Object arrays keep labels as Python strings; fixed-width NumPy
@@ -396,7 +431,7 @@ class _ProfiledObjective:
             self._xy1 = np.column_stack([self.x, self.y, np.ones(len(self.y))])
 
         # The search starts from the sample variance, which is inside [0, upper].
-        self.start = float(np.var(self.y, ddof=1))
+        self.start = np.var(self.y, axis=-1, ddof=1)
         self.upper = _search_upper_bound(self.start, self.variances)
 
     def _group_sums(self, block: np.ndarray) -> np.ndarray:
@@ -408,11 +443,12 @@ class _ProfiledObjective:
         sums = np.bincount(bins, weights=block.ravel(), minlength=self.n_groups * k)
         return sums.reshape((self.n_groups,) + block.shape[1:])
 
-    def components(self, sigma_u_sq: float, sigma_g_sq: float = 0.0):
-        """(REML, beta, symmetrized X^T V^-1 X, r, w = 1/v, X * w) at the variances."""
-        v = self.variances + sigma_u_sq
+    def components(self, sigma_u_sq, sigma_g_sq=0.0):
+        """(REML, beta, symmetrized X^T V^-1 X, r, w = 1/v, X * w) at the
+        variances; for a stack, at one sigma_u_sq per dataset or a shared one."""
+        v = self.variances + np.asarray(sigma_u_sq)[..., None]
         w = 1.0 / v
-        xw = self.x * w[:, None]
+        xw = self.x * w[..., None]
         grouped = self.codes is not None and sigma_g_sq > 0.0
         if grouped:
             # [X, y]^T V^-1 [X, y] about the weighted group means, so that nothing cancels.
@@ -422,19 +458,21 @@ class _ProfiledObjective:
             between = w_sums / (1.0 + sigma_g_sq * w_sums)
             dev = self._xy1[:, :-1] - means[self.codes]
             full = (dev * w[:, None]).T @ dev + (means.T * between) @ means
-            gram, rhs = full[:-1, :-1], full[:-1, -1]
+            gram, rhs = full[:-1, :-1], full[:-1, -1:]
         else:
-            gram, rhs = xw.T @ self.x, xw.T @ self.y
+            xt = xw.swapaxes(-1, -2)
+            gram, rhs = xt @ self.x, xt @ self.y[..., None]
         beta, gram, logdet = _solve_normal_equations(gram, rhs)
-        resid = dev_r = self.y - self.x @ beta
+        beta = beta[..., 0]
+        resid = dev_r = self.y - (self.x @ beta[..., None])[..., 0]
         if grouped:                       # ln det V and r^T V^-1 r by the same split
             r_means = self._group_sums(w * resid) / w_sums
             dev_r = resid - r_means[self.codes]
             logdet += float(np.sum(np.log1p(sigma_g_sq * w_sums)) + between @ (r_means * r_means))
-        total = float(np.sum(np.log(v) + dev_r * dev_r * w)) + logdet
+        total = (np.log(v) + dev_r * dev_r * w).sum(axis=-1) + logdet
         return -0.5 * total, beta, gram, resid, w, xw
 
-    def value(self, sigma_u_sq: float, sigma_g_sq: float = 0.0) -> float:
+    def value(self, sigma_u_sq, sigma_g_sq=0.0):
         return self.components(sigma_u_sq, sigma_g_sq)[0]
 
     def score_and_information(self, sigma_g_sq: float, gram, resid, w, xw, free: slice):
@@ -471,74 +509,87 @@ class _ProfiledObjective:
         return score[free], information[free, free]
 
     def newton_terms(self, theta, free: slice):
-        """The REML at theta = (sigma_u_sq, sigma_g_sq), its score in the free
-        components and a positive curvature there: the grouped average
-        information, or for sigma_u_sq alone at sigma_g_sq = 0 (the flat model)
-        the observed information 2 AI - tr(PP) / 2 if positive, else
-        AI = (Py)^T P (Py) / 2. There, with Py = w * r and A = G^-1 X^T W^2 X,
-        tr P = sum(w) - tr A and tr(PP) = sum(w^2) - 2 tr(G^-1 X^T W^3 X) + tr(A^2).
+        """The REML at theta = (sigma_u_sq, sigma_g_sq), one row per dataset of
+        a stack, its score in the free components and a positive curvature
+        there: the grouped average information, or for sigma_u_sq alone at
+        sigma_g_sq = 0 (the flat model) the observed information 2 AI - tr(PP) / 2
+        if positive, else AI = (Py)^T P (Py) / 2. There, with Py = w * r and
+        A = G^-1 X^T W^2 X, tr P = sum(w) - tr A and
+        tr(PP) = sum(w^2) - 2 tr(G^-1 X^T W^3 X) + tr(A^2).
         """
-        value, _, gram, resid, w, xw = self.components(*theta)
-        if free != _SIGMA_U or theta[1] > 0.0:
+        value, _, gram, resid, w, xw = self.components(theta[..., 0], theta[..., 1])
+        if self.codes is not None and (free != _SIGMA_U or theta[1] > 0.0):
             return (value, *self.score_and_information(theta[1], gram, resid, w, xw, free))
         py = w * resid
         ginv = np.linalg.inv(gram)
-        a = ginv @ (xw.T @ xw)
-        z = xw.T @ py
-        score = 0.5 * (py @ py - w.sum() + np.trace(a))
-        average = 0.5 * (w @ (py * py) - z @ ginv @ z)
-        trace_pp = w @ w - 2.0 * np.sum(ginv * ((xw * w[:, None]).T @ xw)) + np.sum(a * a.T)
+        xt = xw.swapaxes(-1, -2)
+        a = ginv @ (xt @ xw)
+        z = xt @ py[..., None]
+        score = 0.5 * (_dot(py, py) - w.sum(axis=-1) + a.trace(axis1=-2, axis2=-1))
+        average = 0.5 * (_dot(w, py * py) - (z.swapaxes(-1, -2) @ ginv @ z)[..., 0, 0])
+        trace_pp = (_dot(w, w) - 2.0 * _total(ginv * ((xw * w[..., None]).swapaxes(-1, -2) @ xw))
+                    + _total(a * a.swapaxes(-1, -2)))
         observed = 2.0 * average - 0.5 * trace_pp
-        return value, np.array([score]), np.array([[observed if observed > 0.0 else average]])
+        curvature = np.where(observed > 0.0, observed, average)
+        return value, score[..., None], curvature[..., None, None]
 
     def maximize(self, minimize, start, free: slice):
         """Maximize the REML over the free components on [0, U] by ``minimize``
         from ``start``, which holds the other; return ((sigma_u_sq, sigma_g_sq),
-        maximum, converged). A sigma_u_sq search probes 0, which wins ties."""
-        theta = np.array(start, dtype=float)
+        maximum, converged). For a stack, start's components are shared or one
+        per dataset, the D searches run in lockstep, and the variances come
+        back as a (D, 2) array. A sigma_u_sq search probes 0, which wins ties."""
+        theta = np.empty(np.shape(self.start) + (2,))
+        theta[..., 0], theta[..., 1] = start
 
         def negated(x):
-            theta[free] = x
-            value, score, curvature = self.newton_terms(theta, free)
+            point = theta.copy()
+            point[..., free] = x
+            value, score, curvature = self.newton_terms(point, free)
             return -value, -score, curvature
 
         result = minimize(negated, self.upper,
-                          xatol=STEP_TOL_SCALE * self.upper, x0=theta[free])
-        theta[free], best = result.x, -result.fx
-        if free == _SIGMA_U and theta[0] > 0.0:
-            at_zero = self.value(0.0, theta[1])
-            if _boundary_wins(at_zero, best):
-                theta[0], best = 0.0, at_zero
-        return (float(theta[0]), float(theta[1])), best, result.converged
+                          xatol=STEP_TOL_SCALE * self.upper, x0=theta[..., free])
+        theta[..., free], best = result.x, -result.fx
+        if free == _SIGMA_U:
+            positive = theta[..., 0] > 0.0
+            if positive.any():
+                at_zero = self.value(0.0, theta[..., 1])
+                wins = positive & _boundary_wins(at_zero, best)
+                theta[..., 0], best = np.where(wins, 0.0, theta[..., 0]), np.where(wins, at_zero, best)
+        return theta, best, result.converged
 
-    def fit_result(self, cls, sigma_u_sq: float, sigma_g_sq: float, converged: bool, **extra):
-        """Build a ``cls`` (BettaFit or a subclass) at the fitted variances."""
+    def fit_result(self, cls, sigma_u_sq, sigma_g_sq, converged, **extra):
+        """Build a ``cls`` (BettaFit or a subclass) at the fitted variances; for
+        a stack, a list of one per dataset, from one sigma_u_sq and converged
+        flag per dataset."""
         value, beta, gram, resid = self.components(sigma_u_sq, sigma_g_sq)[:4]
-        cond = float(np.linalg.cond(gram))
-        if cond > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
-                "coefficient covariance may be unreliable",
-                IllConditionedWarning,
-                stacklevel=3,
-            )
+        for cond in np.ravel(np.linalg.cond(gram)).tolist():
+            if cond > CONDITION_WARN_THRESHOLD:
+                warnings.warn(
+                    f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
+                    "coefficient covariance may be unreliable",
+                    IllConditionedWarning,
+                    stacklevel=3,
+                )
         beta_cov = np.linalg.inv(gram)
-        beta_cov = 0.5 * (beta_cov + beta_cov.T)
+        beta_cov = 0.5 * (beta_cov + beta_cov.swapaxes(-1, -2))
 
-        fitted = np.empty(len(self.y))
-        std_residuals = np.empty(len(self.y))
-        fitted[self.order] = self.x @ beta
-        std_residuals[self.order] = resid / np.sqrt(self.variances)
-        return cls(
-            beta_hat=beta,
-            sigma_u_sq_hat=float(sigma_u_sq),
-            beta_cov=beta_cov,
-            reml_value=float(value),
-            fitted=fitted,
-            std_residuals=std_residuals,
-            converged=converged,
-            **extra,
-        )
+        fitted = np.empty(self.y.size)
+        std_residuals = np.empty(self.y.size)
+        fitted[self._flat] = (self.x @ beta[..., None]).ravel()
+        std_residuals[self._flat] = (resid / np.sqrt(self.variances)).ravel()
+        fitted, std_residuals = fitted.reshape(self.y.shape), std_residuals.reshape(self.y.shape)
+        if self.y.ndim == 1:
+            return cls(beta_hat=beta, sigma_u_sq_hat=float(sigma_u_sq), beta_cov=beta_cov,
+                       reml_value=float(value), fitted=fitted, std_residuals=std_residuals,
+                       converged=converged, **extra)
+        n = len(beta)
+        return [cls(beta_hat=b, sigma_u_sq_hat=s, beta_cov=c, reml_value=r, fitted=f,
+                    std_residuals=e, converged=ok, **extra)
+                for b, s, c, r, f, e, ok in zip(beta, np.broadcast_to(sigma_u_sq, n).tolist(), beta_cov,
+                                                value.tolist(), fitted, std_residuals,
+                                                np.broadcast_to(converged, n).tolist())]
 
 
 def fit_betta(dataset: Dataset) -> BettaFit:
@@ -571,3 +622,20 @@ def fit_betta(dataset: Dataset) -> BettaFit:
     (sigma_u_sq, _), _, converged = objective.maximize(
         minimize_bounded, (objective.start, 0.0), _SIGMA_U)
     return objective.fit_result(BettaFit, sigma_u_sq, 0.0, converged)
+
+
+def fit_betta_batch(datasets: Sequence[Dataset]) -> list[BettaFit]:
+    """fit_betta of each of several datasets that share one design matrix.
+
+    The same objective and search as fit_betta, with a leading axis over
+    the datasets: the design is checked once, and the searches run in
+    lockstep, so NumPy's fixed cost per call is paid once per step of the
+    whole batch, not once per dataset. Each fit is bit for bit the one
+    fit_betta returns for its dataset alone, whatever the batch holds. An
+    error in any dataset's fit is raised for the batch.
+    """
+    if not datasets:
+        return []
+    objective = _ProfiledObjective(datasets)
+    theta, _, converged = objective.maximize(minimize_bounded, (objective.start, 0.0), _SIGMA_U)
+    return objective.fit_result(BettaFit, theta[:, 0], 0.0, converged)

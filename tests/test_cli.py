@@ -479,8 +479,14 @@ class TestSimulate:
                         "b9dbf22b3cc8dd240b00e27256a97f54f133c3eab0f9c4cd004e6b61c2cea0c9"),
     }
 
-    @pytest.mark.parametrize("experiment", ["power", "homogeneity"])
-    def test_large_table_output_bytes_are_pinned(self, tmp_path, experiment):
+    # One worker fits the 12 datasets as one batch, three workers in 12 batches of one.
+    @pytest.mark.parametrize("experiment, workers", [
+        pytest.param("power", 1, id="power"),
+        pytest.param("homogeneity", 1, id="homogeneity"),
+        pytest.param("power", 3, id="power-workers3"),
+        pytest.param("homogeneity", 3, id="homogeneity-workers3"),
+    ])
+    def test_large_table_output_bytes_are_pinned(self, tmp_path, experiment, workers):
         table = tmp_path / "powerlaw.csv"
         table.write_text(_power_law_table_text(), encoding="utf-8")
         design = ["--two-category", "--percent", "10"] if experiment == "power" else []
@@ -488,7 +494,7 @@ class TestSimulate:
         code = main(["simulate", experiment, "--input", str(table), *design,
                      "--replicates", "10", "--datasets", "12",
                      "--sample-sizes", "9500,10000,10500", "--seed", "17",
-                     "--dump-pvalues", "--out", str(out)])
+                     "--workers", str(workers), "--dump-pvalues", "--out", str(out)])
         assert code == EXIT_OK
         digests = tuple(sha256((out / name).read_bytes()).hexdigest()
                         for name in (REPORT_FILE, PVALUES_FILE))

@@ -150,3 +150,40 @@ def test_two_components_hold_and_shrink_at_most_tenfold():
     a = [x[0] for x in seen]
     assert all(new >= old / 10.0 * (1.0 - 1e-15) for old, new in zip(a, a[1:]) if old > 1e-5)
     assert a[-2] <= 1e-5 and a[-1] == 0.0
+
+
+def test_lockstep_problems_step_as_they_do_alone():
+    # Five problems, each with its own box and tolerance, in one batched f:
+    # an interior minimum, a concave fall onto 0, a flat rise probed to the
+    # top, accepted quartic steps and a Newton step cut back to the top.
+    problems = [
+        (quadratic(3.2), 10.0, 1e-10, 8.0),
+        (scalar(math.log1p, lambda t: 1.0 / (1.0 + t), lambda t: -1.0 / (1.0 + t) ** 2), 5.0, 1e-9, 2.0),
+        (scalar(lambda t: -t, lambda t: -1.0, lambda t: 0.0), 2.0, 0.1, 0.5),
+        (scalar(lambda t: (t - 0.5) ** 4, lambda t: 4.0 * (t - 0.5) ** 3, lambda t: 12.0 * (t - 0.5) ** 2),
+         1.0, 1e-14, 0.9),
+        (quadratic(6.0), 3.0, 1e-9, 1.0),
+    ]
+    alone, seen_alone = [], []
+    for f, upper, xatol, x0 in problems:
+        seen = []
+        alone.append(minimize_bounded(lambda x, f=f, seen=seen: (seen.append(x[0]), f(x))[1],
+                                      upper, xatol=xatol, x0=[x0]))
+        seen_alone.append(seen)
+
+    seen_together = [[] for _ in problems]
+
+    def batched(points):
+        for seen, point in zip(seen_together, points):
+            seen.append(point[0])
+        values, gradients, curvatures = zip(*(f(point) for (f, *_), point in zip(problems, points)))
+        return np.array(values), np.array(gradients), np.array(curvatures)
+
+    upper, xatol, x0 = (np.array([p[i] for p in problems]) for i in (1, 2, 3))
+    together = minimize_bounded(batched, upper, xatol=xatol, x0=x0[:, None])
+    assert together.x[:, 0].tolist() == [r.x[0] for r in alone]
+    assert together.fx.tolist() == [r.fx for r in alone]
+    assert together.converged.tolist() == [r.converged for r in alone]
+    for own, shared in zip(seen_alone, seen_together):
+        # A finished problem is evaluated again at its last point.
+        assert shared == own + [own[-1]] * (len(shared) - len(own))

@@ -10,17 +10,25 @@ as regression pins because the draw paths are part of the seed contract.
 
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import betta.model
 from betta.errors import (
     BootstrapUnstableError,
+    ConvergenceError,
     EstimatorFailure,
     GradientUndefinedError,
+    IllConditionedWarning,
+    NumericalError,
     ParseError,
+    StdErrorFlooredWarning,
 )
+from betta.inference import wald_tests
+from betta.model import Dataset, fit_betta, fit_betta_batch
 from betta.simulate import (
     CONTINUOUS_GRID,
     METHOD_BETTA,
@@ -420,6 +428,173 @@ class TestHomogeneityExperiment:
         )
         with pytest.raises(ValueError, match=">= 0"):
             run_experiment(toy_population(), TOY_SIZES, cfg)
+
+
+def draw_datasets(pop, sizes, config, indices):
+    """Datasets `indices` of a size or power study, rebuilt from public functions
+    in the program's order: each replicate's stream, its redraws, chao1, the design."""
+    r = config.replicates_per_dataset
+    if config.covariate_kind == CONTINUOUS_GRID:
+        covariate = list(config.grid)
+        percents = list(config.percents) or [0.0] * r
+    else:
+        n_a = (r + 1) // 2
+        covariate = [0.0] * n_a + [1.0] * (r - n_a)
+        percents = [(config.percents[0] if config.percents else 0.0) * c for c in covariate]
+    probabilities = [inject_richness_gradient(pop, pc).probabilities for pc in percents]
+    datasets = []
+    for d in indices:
+        stream = RngStream(config.seed).child(d)
+        estimates = []
+        for k in range(r):
+            attempt = 0
+            while True:
+                try:
+                    estimates.append(chao1(_draw_replicate(probabilities[k], sizes,
+                                                           stream.child(k, attempt))))
+                    break
+                except EstimatorFailure:
+                    attempt += 1
+        datasets.append(Dataset.from_columns(
+            ids=[f"d{d}r{k}" for k in range(r)],
+            estimates=[e.estimate for e in estimates], std_errors=[e.std_error for e in estimates],
+            covariates=np.array(covariate)[:, None], covariate_names=("x",)))
+    return datasets
+
+
+def fit_outcome(fit):
+    """Every bit a study reads from a fit: coefficients, variance, covariance,
+    REML, convergence and the Wald p-values."""
+    return (fit.beta_hat.tobytes(), fit.sigma_u_sq_hat, fit.beta_cov.tobytes(), fit.reml_value,
+            fit.converged, [t.p_value for t in wald_tests(fit)])
+
+
+class TestBatchedFits:
+    # Datasets 0-61 of the toy size study hold zero reported SEs (floored
+    # in the fit) and, at 15 and 31, searches whose held-component probe
+    # fires; at 290 and 375 the search ends above 0 and the zero probe wins.
+    TOY_DATASETS = (*range(62), 290, 375)
+
+    def test_fits_do_not_depend_on_the_batch(self, monkeypatch):
+        datasets = draw_datasets(toy_population(), TOY_SIZES, toy_config(), self.TOY_DATASETS)
+        searches = []
+        search = betta.model.minimize_bounded
+
+        def spy(f, upper, *, xatol, x0):
+            points = []
+
+            def recorded(x):
+                points.append(x.copy())
+                return f(x)
+            result = search(recorded, upper, xatol=xatol, x0=x0)
+            searches.append((points, result, xatol, upper))
+            return result
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StdErrorFlooredWarning)
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            monkeypatch.setattr(betta.model, "minimize_bounded", spy)
+            alone = [fit_betta(ds) for ds in datasets]
+            monkeypatch.setattr(betta.model, "minimize_bounded", search)
+            expected = [fit_outcome(fit) for fit in alone]
+            for size in (1, 7, 64):
+                for offset in (0, 5, 33):
+                    shifted = datasets[offset:] + datasets[:offset]
+                    fits = [fit for i in range(0, 64, size) for fit in fit_betta_batch(shifted[i:i + size])]
+                    outcomes = [fit_outcome(fit) for fit in fits]
+                    assert outcomes[64 - offset:] + outcomes[:64 - offset] == expected, (size, offset)
+
+        def probed(points, xatol, upper):
+            xs = [float(p[0]) for p in points]
+            return any(x == min(earlier + xatol, upper) for i, x in enumerate(xs) for earlier in xs[:i])
+
+        assert any((ds.std_errors() == 0.0).any() for ds in datasets)
+        assert [i for i, (points, _, xatol, upper) in enumerate(searches) if probed(points, xatol, upper)] == [15, 31]
+        assert [i for i, ((_, result, _, _), fit) in enumerate(zip(searches, alone))
+                if result.x[0] > 0.0 and fit.sigma_u_sq_hat == 0.0] == [62, 63]
+
+    def test_a_batch_shares_one_design(self):
+        datasets = draw_datasets(toy_population(), TOY_SIZES, toy_config(), range(2))
+        other = Dataset.from_columns(datasets[1].ids(), datasets[1].estimates(), datasets[1].std_errors(),
+                                     covariates=datasets[1].covariate_matrix() * 2.0, covariate_names=("x",))
+        with pytest.raises(ValueError, match="share one design matrix"):
+            fit_betta_batch([datasets[0], other])
+
+    @pytest.mark.parametrize("design", [
+        dict(),
+        dict(covariate_kind=TWO_CATEGORY, grid=(), percents=(40.0,)),
+    ], ids=["size", "power"])
+    @pytest.mark.parametrize("workers, max_chunk", [(1, None), (1, 5), (3, None)],
+                             ids=["1", "1-chunks-of-5", "3"])
+    def test_each_p_value_is_its_dataset_fitted_alone(self, monkeypatch, design, workers, max_chunk):
+        # The pipeline that the benchmark's traced run rebuilds: each dataset
+        # fitted by fit_betta and tested by wald_tests on its own.
+        if max_chunk is not None:
+            monkeypatch.setattr("betta.simulate._MAX_CHUNK", max_chunk)
+        config = toy_config(n_datasets=24, **design)
+        report = run_experiment(toy_population(), TOY_SIZES, config, workers=workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StdErrorFlooredWarning)
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            alone = [wald_tests(fit_betta(ds))[1].p_value
+                     for ds in draw_datasets(toy_population(), TOY_SIZES, config, range(24))]
+        assert report.p_values[METHOD_BETTA] == tuple(alone)
+
+
+class TestStudyErrors:
+    # With 6 replicates a dataset takes 6 estimates; from the fourth dataset
+    # on, every redraw fails, so dataset 3 reaches the redraw cap.
+    @staticmethod
+    def fail_from_dataset_3(monkeypatch):
+        estimates = []
+
+        def estimator(table):
+            if len(estimates) >= 3 * 6:
+                raise EstimatorFailure("no estimate")
+            estimates.append(chao1(table))
+            return estimates[-1]
+        monkeypatch.setattr("betta.simulate.resolve_estimator", lambda spec: estimator)
+
+    @pytest.mark.parametrize("failure, error, message", [
+        ("fit", NumericalError, "not positive definite"),
+        ("convergence", ConvergenceError, "did not converge"),
+    ])
+    def test_a_failing_fit_comes_before_a_later_redraw_cap(self, monkeypatch, failure, error, message):
+        def fit_or_fail(dataset):
+            if not dataset.ids()[0].startswith("d2r"):
+                return fit_betta(dataset)
+            if failure == "fit":
+                raise NumericalError("weighted design Gram matrix is not positive definite")
+            return replace(fit_betta(dataset), converged=False)
+
+        self.fail_from_dataset_3(monkeypatch)
+        monkeypatch.setattr("betta.simulate.fit_betta", fit_or_fail)
+        monkeypatch.setattr("betta.simulate.fit_betta_batch", lambda datasets: list(map(fit_or_fail, datasets)))
+        with pytest.raises(error, match=message):
+            run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=6))
+
+    def test_the_redraw_cap_names_its_dataset(self, monkeypatch):
+        self.fail_from_dataset_3(monkeypatch)
+        with pytest.raises(EstimatorFailure, match=r"1000 consecutive redraws \(dataset 3, replicate 0\)"):
+            run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=6))
+
+    @pytest.mark.parametrize("error, refits", [(NumericalError, 6), (TypeError, 0)])
+    def test_an_error_of_the_batch_alone_is_raised(self, monkeypatch, error, refits):
+        # A fit error sends the chunk to one-at-a-time fits; when all of them
+        # succeed, the batch's own error is raised. Any other error is raised at once.
+        fitted = []
+
+        def fit_alone(dataset):
+            fitted.append(dataset)
+            return fit_betta(dataset)
+
+        def batch(datasets):
+            raise error("the batch alone fails")
+        monkeypatch.setattr("betta.simulate.fit_betta", fit_alone)
+        monkeypatch.setattr("betta.simulate.fit_betta_batch", batch)
+        with pytest.raises(error, match="the batch alone fails"):
+            run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=6))
+        assert len(fitted) == refits
 
 
 class TestReportIO:
