@@ -8,7 +8,7 @@ something to soak up. Everything prints; nothing is written to disk.
 
 import numpy as np
 
-from betta import Dataset, RichnessObservation, fit_betta
+from betta import Dataset, fit_betta
 from betta.inference import (
     DIAGNOSTIC_COLUMNS,
     global_test,
@@ -24,16 +24,13 @@ true_richness = 400.0 + 120.0 * depth
 claimed_se = np.array([25.0, 30.0, 8.0, 35.0, 9.0, 28.0])
 noise = rng.normal(0.0, 60.0, depth.size)  # extra spread the SEs do not admit
 
-obs = tuple(
-    RichnessObservation(
-        id=f"sample{i}",
-        estimate=float(true_richness[i] + noise[i] + rng.normal(0.0, claimed_se[i])),
-        std_error=float(claimed_se[i]),
-        covariates=(float(depth[i]),),
-    )
-    for i in range(depth.size)
+ds = Dataset.from_columns(
+    ids=[f"sample{i}" for i in range(depth.size)],
+    estimates=true_richness + noise + rng.normal(0.0, claimed_se),
+    std_errors=claimed_se,
+    covariates=depth[:, None],
+    covariate_names=("depth",),
 )
-ds = Dataset(observations=obs, covariate_names=("depth",))
 
 fit = fit_betta(ds)
 print(f"sigma_u^2 (excess variance): {fit.sigma_u_sq_hat:.1f}")

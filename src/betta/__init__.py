@@ -27,8 +27,7 @@ _EXPORTS = {
         "BootstrapUnstableError", "StdErrorFlooredWarning", "IllConditionedWarning",
     ),
     "model": (
-        "RichnessObservation", "Dataset", "BettaFit", "fit_betta", "fit_betta_batch",
-        "floored_variances", "INTERCEPT_NAME",
+        "Dataset", "BettaFit", "fit_betta", "fit_betta_batch", "floored_variances", "INTERCEPT_NAME",
     ),
     "inference": (
         "TestResult", "wald_tests", "global_test", "homogeneity_test",

@@ -17,7 +17,6 @@ same objective, with its score and information, serves ``betta.mixed``.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -44,26 +43,14 @@ _SIGMA_U, _SIGMA_G, _BOTH_VARIANCES = slice(0, 1), slice(1, 2), slice(0, 2)
 
 @dataclass(frozen=True)
 class RichnessObservation:
-    """One sampling unit: a richness estimate, its reported standard error,
-    covariate values, and an optional grouping label."""
+    """One sampling unit as a record, read and checked only by
+    ``Dataset(observations=...)``."""
 
     id: str
     estimate: float
     std_error: float
     covariates: tuple[float, ...] = ()
     group: str | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.estimate):
-            raise ValueError(f"observation {self.id!r}: estimate must be finite, got {self.estimate!r}")
-        if not math.isfinite(self.std_error) or self.std_error < 0.0:
-            raise ValueError(
-                f"observation {self.id!r}: std_error must be finite and >= 0, got {self.std_error!r}"
-            )
-        if any(not math.isfinite(v) for v in self.covariates):
-            raise ValueError(f"observation {self.id!r}: covariates must be finite")
-        if self.group == "":
-            raise ValueError(f"observation {self.id!r}: a group label must be a non-empty string")
 
 
 def _covariate_block(covariates, ids: tuple[str, ...], p: int) -> np.ndarray:
@@ -101,9 +88,6 @@ class Dataset:
     design matrix) and the group labels, a tuple or None. The arrays are
     read-only, so the accessors hand them out without copying. Either
     every observation carries a group label or none does.
-
-    ``Dataset(observations=rows, covariate_names=names)`` builds one from
-    RichnessObservation rows and ``Dataset.from_columns`` from columns.
     """
 
     covariate_names: tuple[str, ...]
@@ -114,7 +98,7 @@ class Dataset:
     _groups: tuple[str, ...] | None
 
     def __init__(
-        self, observations: Sequence[RichnessObservation], covariate_names: Sequence[str] = ()
+        self, observations: Sequence[RichnessObservation], covariate_names: Sequence[str]
     ) -> None:
         rows = tuple(observations)
         self._store(
@@ -139,9 +123,9 @@ class Dataset:
         """Build a dataset from columns; the arrays are copied.
 
         covariates is (m, p) array-like, p = len(covariate_names), or None
-        when p = 0. groups holds one label per row, or is None; labels that
-        are all None mean an ungrouped dataset. Invalid input raises the
-        same ValueError a RichnessObservation or the row constructor would.
+        when p = 0. groups holds one label per id, or is None; labels that
+        are all None mean an ungrouped dataset. Invalid input is a
+        ValueError, which names the first faulty observation if there is one.
         """
         dataset = cls.__new__(cls)
         dataset._store(ids, estimates, std_errors, covariates, covariate_names, groups)
@@ -172,12 +156,14 @@ class Dataset:
         if labels is not None and "" in labels:
             first = min(first, labels.index(""))
         if first < m:
-            # The first faulty row, built as a row, raises its own error.
-            RichnessObservation(
-                id=ids[first], estimate=float(y[first]), std_error=float(se[first]),
-                covariates=tuple(x[first].tolist()),
-                group=None if labels is None else labels[first],
-            )
+            name = f"observation {ids[first]!r}"
+            if not np.isfinite(y[first]):
+                raise ValueError(f"{name}: estimate must be finite, got {float(y[first])!r}")
+            if not (np.isfinite(se[first]) and se[first] >= 0.0):
+                raise ValueError(f"{name}: std_error must be finite and >= 0, got {float(se[first])!r}")
+            if not np.isfinite(x[first]).all():
+                raise ValueError(f"{name}: covariates must be finite")
+            raise ValueError(f"{name}: a group label must be a non-empty string")
         if labels is not None:
             n_unlabelled = labels.count(None)
             if n_unlabelled == m:

@@ -591,9 +591,9 @@ def run_experiment(
         n_a = (r + 1) // 2
         split = (0.0,) * n_a + (1.0,) * (r - n_a)
         covariate = split if config.covariate_kind == TWO_CATEGORY else None
-        # 0 * g is 0 for every finite g >= 0, the only percents injection takes.
+        # Selected, not multiplied: inf * 0 is nan, and injection names the contrast.
         contrast = float(config.percents[0]) if config.percents else 0.0
-        percents = tuple(contrast * s for s in split)
+        percents = tuple(contrast if s else 0.0 for s in split)
     kind = "homogeneity" if covariate is None else "power" if config.percents else "size"
 
     probs = {pc: inject_richness_gradient(pop, pc).probabilities for pc in sorted(set(percents))}

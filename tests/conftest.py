@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from betta import Dataset, RichnessObservation
+from betta import Dataset
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail verdicts survive pytest's output capture.
@@ -26,25 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def make_dataset(y, se, x=None, names=(), ids=None, groups=None):
-    """Build a Dataset (plain lists in, betta types out)."""
-    y = np.asarray(y, dtype=float)
-    se = np.asarray(se, dtype=float)
+    """Build a Dataset from columns (plain lists or arrays); ids default to s0, s1, ..."""
     m = len(y)
-    if ids is None:
-        ids = [f"s{i}" for i in range(m)]
-    obs = []
-    for i in range(m):
-        cov = tuple(float(v) for v in np.atleast_2d(x)[i]) if x is not None else ()
-        kwargs = {}
-        if groups is not None:
-            kwargs["group"] = groups[i]
-        obs.append(
-            RichnessObservation(
-                id=ids[i], estimate=float(y[i]), std_error=float(se[i]),
-                covariates=cov, **kwargs,
-            )
-        )
-    return Dataset(observations=tuple(obs), covariate_names=tuple(names))
+    return Dataset.from_columns(
+        ids=[f"s{i}" for i in range(m)] if ids is None else ids, estimates=y, std_errors=se,
+        covariates=x, covariate_names=names, groups=groups,
+    )
 
 
 def take_rows(dataset, index):

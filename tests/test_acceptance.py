@@ -22,7 +22,7 @@ import pytest
 
 from conftest import make_dataset, record_criterion
 
-from betta import Dataset, RichnessObservation, fit_betta
+from betta import fit_betta
 from betta.cli import EXIT_OK, PVALUES_FILE, REPORT_FILE, main
 from betta.inference import global_test, homogeneity_test, wald_tests
 from betta.mixed import fit_betta_random

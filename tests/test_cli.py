@@ -537,6 +537,16 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("study, design", [("power", ["--two-category"]), ("homogeneity", [])])
+    def test_infinite_percent_is_named_as_inf(self, tmp_path, capsys, study, design):
+        # Injection names the contrast it refuses: inf, not the nan of inf * 0.
+        out = tmp_path / "o"
+        code = main(["simulate", study, "--input", FREQ, *SIM_COMMON, *design,
+                     "--percent", "inf", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: percent_extra must be finite and >= 0, got inf\n"
+        assert not out.exists()
+
     def test_estimator_that_declines_every_redraw_exits_5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("betta.simulate._MAX_REDRAW_ATTEMPTS", 3)
         code = main(["simulate", "size", "--input", FREQ, "--replicates", "3",

@@ -6,6 +6,7 @@ cases recompute each statistic through an independent formula and demand
 double-precision agreement.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,26 @@ class TestGlobal:
         ds = rng_dataset(3)
         with pytest.raises(NotApplicableError):
             global_test(fit_betta(ds))
+
+    @pytest.mark.parametrize(
+        "slope_variance, outcome",
+        [(0.0, "slope covariance is singular"), (-1.0, "came out negative"), (-1e12, 0.0)],
+    )
+    def test_singular_or_negative_slope_covariance(self, rng_dataset, slope_variance, outcome):
+        # The slope variance is scaled so that the statistic is
+        # slope^2 / variance = 1 / slope_variance: a singular block and a
+        # negative statistic are refused, and a negative one within 1e-10
+        # of zero is rounding, reported as 0.
+        fit = fit_betta(rng_dataset(5, with_covariate=True))
+        cov = fit.beta_cov.copy()
+        cov[1, 1] = slope_variance * fit.beta_hat[1] ** 2
+        bent = dataclasses.replace(fit, beta_cov=cov)
+        if isinstance(outcome, str):
+            with pytest.raises(NumericalError, match=outcome):
+                global_test(bent)
+        else:
+            res = global_test(bent)
+            assert (res.statistic, res.p_value) == (outcome, 1.0)
 
 
 def old_homogeneity_statistic(ds):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betta import Dataset, RichnessObservation, fit_betta
+from betta import Dataset, fit_betta
 from betta.errors import (
     DesignMatrixError,
     IllConditionedWarning,
@@ -24,6 +24,7 @@ from betta.errors import (
 )
 from betta.inference import wald_tests
 from betta.model import (
+    RichnessObservation,
     _canonical_order,
     _ProfiledObjective,
     _search_upper_bound,
@@ -306,19 +307,17 @@ class TestErrorsAndWarnings:
 
     def test_nonfinite_inputs_are_rejected(self):
         with pytest.raises(ValueError):
-            RichnessObservation(id="s", estimate=math.nan, std_error=1.0)
+            Dataset.from_columns(ids=["s"], estimates=[math.nan], std_errors=[1.0])
         with pytest.raises(ValueError):
-            RichnessObservation(id="s", estimate=1.0, std_error=-2.0)
+            Dataset.from_columns(ids=["s"], estimates=[1.0], std_errors=[-2.0])
         with pytest.raises(ValueError):
-            RichnessObservation(id="s", estimate=1.0, std_error=1.0, covariates=(math.inf,))
+            Dataset.from_columns(ids=["s"], estimates=[1.0], std_errors=[1.0],
+                                 covariates=[[math.inf]], covariate_names=("x",))
 
     def test_covariate_layout_is_enforced(self):
-        obs = (
-            RichnessObservation(id="a", estimate=1.0, std_error=1.0, covariates=(1.0,)),
-            RichnessObservation(id="b", estimate=2.0, std_error=1.0),
-        )
         with pytest.raises(ValueError, match="covariates"):
-            Dataset(observations=obs, covariate_names=("x",))
+            Dataset.from_columns(ids=["a", "b"], estimates=[1.0, 2.0], std_errors=[1.0, 1.0],
+                                 covariates=[(1.0,), ()], covariate_names=("x",))
 
 
 @settings(max_examples=60, deadline=None)

@@ -152,6 +152,25 @@ def test_two_components_hold_and_shrink_at_most_tenfold():
     assert a[-2] <= 1e-5 and a[-1] == 0.0
 
 
+def test_singular_free_block_beside_a_held_component_steps_down_the_gradient():
+    # f = a + c on [0, 10]^2 from (5, 0), with zero curvature: c sits at 0
+    # with a positive gradient and is held; the free block [[0]] is
+    # singular, so a has no Newton step and falls toward 0 instead, 10x per
+    # step, until it lands on it.
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return float(x.sum()), np.ones(2), np.zeros((2, 2))
+
+    r = minimize_bounded(f, 10.0, xatol=1e-12, x0=[5.0, 0.0])
+    assert r.converged
+    assert r.x.tolist() == [0.0, 0.0]
+    assert all(x[1] == 0.0 for x in seen)
+    a = [x[0] for x in seen]
+    assert a[:3] == [5.0, 0.5, 0.05]
+
+
 def test_lockstep_problems_step_as_they_do_alone():
     # Five problems, each with its own box and tolerance, in one batched f:
     # an interior minimum, a concave fall onto 0, a flat rise probed to the

@@ -640,6 +640,19 @@ class TestReportIO:
         with pytest.raises(ParseError, match=f"^line {line}: "):
             read_report(io.StringIO(text.replace(old, new)))
 
+    def test_blank_lines_are_skipped(self):
+        report = ExperimentReport(
+            kind="power",
+            rows=(ReportRow(method="betta", alpha=0.05, rate=0.25, mc_se=0.04),
+                  ReportRow(method="regression_on_c", alpha=0.05, rate=0.125, mc_se=0.03)),
+            n_datasets=120,
+            seed=3,
+            config_echo={"seed": 3},
+            estimator_failures=2,
+        )
+        text = write_report(report)
+        assert read_report(io.StringIO("\n" + text.replace("\n", "\n \t\n"))) == report
+
     def test_missing_file_is_an_error_not_an_empty_report(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no such file"):
             read_report(tmp_path / "missing.csv")

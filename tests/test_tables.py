@@ -29,6 +29,7 @@ from betta.estimators import (
 from betta.tables import (
     _RESERVED,
     FrequencyCountTable,
+    RichnessEstimate,
     _parse_column,
     _parse_number,
     chao1,
@@ -276,6 +277,19 @@ class TestChao1:
         e = chao1(FrequencyCountTable(entries=((3, 4),)))
         assert e.estimate == 4.0
         assert e.std_error == 0.0
+
+    @pytest.mark.parametrize(
+        "estimate, std_error, message",
+        [
+            (math.nan, 1.0, "estimate must be finite, got nan"),
+            (-math.inf, 1.0, "estimate must be finite, got -inf"),
+            (10.0, -0.5, "std_error must be finite and >= 0, got -0.5"),
+            (10.0, math.inf, "std_error must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_estimate_is_finite_with_a_nonnegative_std_error(self, estimate, std_error, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RichnessEstimate(estimate=estimate, std_error=std_error, method="chao1")
 
     @given(
         f1=st.integers(min_value=0, max_value=200),
