@@ -3,8 +3,9 @@
 
 import io
 
+from betta.estimators import chao1
 from betta.simulate import parametric_bootstrap_se
-from betta.tables import chao1, read_frequency_table
+from betta.tables import read_frequency_table
 
 TABLE = """\
 abundance,count

@@ -35,12 +35,11 @@ _EXPORTS = {
     ),
     "mixed": ("MixedFit", "fit_betta_random"),
     "tables": (
-        "FrequencyCountTable", "RichnessEstimate", "chao1",
-        "read_frequency_table", "write_frequency_table",
+        "FrequencyCountTable", "read_frequency_table", "write_frequency_table",
         "read_estimates", "write_estimates", "LoadedEstimates",
     ),
     "estimators": (
-        "EstimatorFn", "observed_richness_estimator",
+        "RichnessEstimate", "chao1", "EstimatorFn", "observed_richness_estimator",
         "ExternalCommandEstimator", "resolve_estimator",
     ),
     "simulate": (

@@ -1,11 +1,13 @@
-"""Richness estimators consumable by the resampling experiments.
+"""Richness estimates and the estimators that make them from frequency-count tables.
 
-An estimator is any callable FrequencyCountTable -> RichnessEstimate that
-raises EstimatorFailure when it declines a table. Besides the built-ins
-(chao1, observed richness) an arbitrary external command can be wrapped:
-it receives the frequency table on standard input in the two-column
-format and must print one line "estimate,std_error" of plain ASCII
-numerals; a nonzero exit status means failure for that table.
+A RichnessEstimate holds an estimate and a standard error that a fit can
+use. An estimator is any callable FrequencyCountTable -> RichnessEstimate
+that raises EstimatorFailure when it declines a table. Besides the built-ins
+(chao1, observed richness) an external command can be wrapped: it reads the
+frequency table in the two-column format on standard input and must print
+one line "estimate,std_error" of plain ASCII numerals. A nonzero exit status
+means failure for that table; a pair that RichnessEstimate refuses is a
+protocol error.
 """
 
 from __future__ import annotations
@@ -15,21 +17,61 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EstimatorFailure, EstimatorProtocolError
-from .tables import (
-    FrequencyCountTable,
-    RichnessEstimate,
-    _parse_number,
-    chao1,
-    write_frequency_table,
-)
-
-EstimatorFn = Callable[[FrequencyCountTable], RichnessEstimate]
+from .model import _std_error_refusal, _usable_std_error
+from .tables import FrequencyCountTable, _parse_number, write_frequency_table
 
 CHAO1 = "chao1"
 OBSERVED = "observed"
 COMMAND_PREFIX = "cmd:"
 # Seconds an external estimator may run on one table before it counts as failed.
 COMMAND_TIMEOUT = 60.0
+
+
+@dataclass(frozen=True)
+class RichnessEstimate:
+    """A total-richness estimate with its standard error and method tag."""
+
+    estimate: float
+    std_error: float
+    method: str
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.estimate):
+            raise ValueError(f"estimate must be finite, got {self.estimate!r}")
+        if not _usable_std_error(self.std_error):
+            raise ValueError(_std_error_refusal(self.std_error))
+
+
+EstimatorFn = Callable[[FrequencyCountTable], RichnessEstimate]
+
+
+def chao1(table: FrequencyCountTable) -> RichnessEstimate:
+    """Abundance-based lower-bound richness estimate from f1 and f2.
+
+    With c observed taxa, f1 singletons and f2 doubletons:
+
+        estimate = c + f1^2 / (2 f2)                   if f2 > 0
+        estimate = c + f1 (f1 - 1) / 2                 if f2 = 0 (bias-corrected)
+
+    The f2 > 0 variance is f2 (r^4/4 + r^3 + r^2/2) with r = f1/f2; the
+    f2 = 0, f1 > 0 case uses the matching no-doubleton variance
+    f1(f1-1)/2 + f1(2f1-1)^2/4 - f1^4/(4 estimate), and f1 = 0 gives
+    variance zero. The estimate never falls below c.
+    """
+    c = table.observed_richness
+    f1 = table.singletons
+    f2 = table.doubletons
+    if f2 > 0:
+        estimate = c + f1 * f1 / (2.0 * f2)
+        r = f1 / f2
+        variance = f2 * (r**4 / 4.0 + r**3 + r**2 / 2.0)
+    else:
+        estimate = c + f1 * (f1 - 1) / 2.0
+        if f1 > 0:
+            variance = f1 * (f1 - 1) / 2.0 + f1 * (2 * f1 - 1) ** 2 / 4.0 - f1**4 / (4.0 * estimate)
+        else:
+            variance = 0.0
+    return RichnessEstimate(estimate=float(estimate), std_error=math.sqrt(max(variance, 0.0)), method=CHAO1)
 
 
 def observed_richness_estimator(table: FrequencyCountTable) -> RichnessEstimate:
@@ -72,11 +114,10 @@ class ExternalCommandEstimator:
             raise EstimatorProtocolError(
                 f"external estimator printed fields that are not plain numerals: {line!r}"
             )
-        if not (math.isfinite(estimate) and math.isfinite(std_error) and std_error >= 0.0):
-            raise EstimatorProtocolError(
-                f"external estimator printed out-of-range values: {line!r}"
-            )
-        return RichnessEstimate(estimate=estimate, std_error=std_error, method=f"cmd({self.command})")
+        try:
+            return RichnessEstimate(estimate=estimate, std_error=std_error, method=f"cmd({self.command})")
+        except ValueError as exc:
+            raise EstimatorProtocolError(f"external estimator printed out-of-range values: {line!r}") from exc
 
 
 def resolve_estimator(spec: str) -> EstimatorFn:

@@ -33,6 +33,10 @@ from .errors import (
 from .optimize import minimize_bounded
 
 STD_ERROR_FLOOR_SCALE = 1e-8
+# The square roots of the largest double and of the smallest normal one: the
+# largest standard error with a finite square, and the smallest with a normal one.
+MAX_STD_ERROR = 1.3407807929942596e154
+MIN_NORMAL_STD_ERROR = 1.4916681462400413e-154
 CONDITION_WARN_THRESHOLD = 1e10
 # A variance search stops once no component moves by more than this times U.
 STEP_TOL_SCALE = 1e-10
@@ -151,7 +155,7 @@ class Dataset:
         if labels is not None and len(labels) != m:
             raise ValueError(f"groups must hold one label per id ({m}), got {len(labels)}")
 
-        faulty = ~(np.isfinite(y) & np.isfinite(se) & (se >= 0.0) & np.isfinite(x).all(axis=1))
+        faulty = ~(np.isfinite(y) & _usable_std_error(se) & np.isfinite(x).all(axis=1))
         first = int(np.argmax(faulty)) if faulty.any() else m
         if labels is not None and "" in labels:
             first = min(first, labels.index(""))
@@ -159,8 +163,8 @@ class Dataset:
             name = f"observation {ids[first]!r}"
             if not np.isfinite(y[first]):
                 raise ValueError(f"{name}: estimate must be finite, got {float(y[first])!r}")
-            if not (np.isfinite(se[first]) and se[first] >= 0.0):
-                raise ValueError(f"{name}: std_error must be finite and >= 0, got {float(se[first])!r}")
+            if not _usable_std_error(se[first]):
+                raise ValueError(f"{name}: {_std_error_refusal(float(se[first]))}")
             if not np.isfinite(x[first]).all():
                 raise ValueError(f"{name}: covariates must be finite")
             raise ValueError(f"{name}: a group label must be a non-empty string")
@@ -238,24 +242,40 @@ class BettaFit:
     converged: bool
 
 
+def _usable_std_error(se):
+    """Whether a standard error (a float, or an array elementwise) is one a fit
+    can use: at least 0 and at most MAX_STD_ERROR, so that its square is finite.
+    Written as comparisons, so NaN fails and no square can overflow."""
+    return (0.0 <= se) & (se <= MAX_STD_ERROR)
+
+
+def _std_error_refusal(se: float) -> str:
+    """The message for a standard error that _usable_std_error refuses."""
+    return (f"std_error must be finite and >= 0, got {se!r}; a usable one is also "
+            f"at most {MAX_STD_ERROR!r}, so that its square is finite")
+
+
 def floored_variances(dataset: Dataset) -> np.ndarray:
-    """Squared standard errors with zeros lifted to a small positive floor.
+    """Squared standard errors with the smallest lifted to a small positive floor.
 
     A reported standard error of exactly zero would give that observation
-    infinite weight; it is replaced by 1e-8 * (1 + |estimate|) so the row
-    stays usable while contributing almost no down-weighting of the rest.
+    infinite weight, and one below MIN_NORMAL_STD_ERROR a square that is not
+    a normal double, whose reciprocal overflows. Each is replaced by
+    1e-8 * (1 + |estimate|) so the row stays usable while contributing almost
+    no down-weighting of the rest; larger standard errors are squared as given.
     """
     se = dataset.std_errors()
-    zero = se == 0.0
-    if zero.any():
+    low = se < MIN_NORMAL_STD_ERROR
+    if low.any():
         warnings.warn(
-            f"{int(zero.sum())} observation(s) report a zero standard error; "
+            f"{int(low.sum())} observation(s) report a zero standard error or one below "
+            f"{MIN_NORMAL_STD_ERROR!r}, whose square is not a normal double; "
             "flooring to 1e-8 * (1 + |estimate|)",
             StdErrorFlooredWarning,
             stacklevel=2,
         )
         se = se.copy()
-        se[zero] = STD_ERROR_FLOOR_SCALE * (1.0 + np.abs(dataset.estimates()[zero]))
+        se[low] = STD_ERROR_FLOOR_SCALE * (1.0 + np.abs(dataset.estimates()[low]))
     return se * se
 
 

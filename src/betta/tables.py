@@ -1,9 +1,9 @@
-"""Frequency-count tables, the chao1 estimator, and estimates-table I/O.
+"""Frequency-count tables and estimates tables, read and written.
 
-A frequency-count table summarizes one community sample as rows
-(abundance j, number of taxa observed exactly j times). An estimates
-table is the tidy per-sample input to the regression: id, estimate,
-std_error, covariate columns, and an optional group column.
+A frequency-count table summarizes one community sample as rows (abundance
+j, number of taxa observed exactly j times); ``betta.estimators`` turns one
+into a richness estimate. An estimates table is the tidy per-sample input to
+the regression: id, estimate, std_error, covariates and an optional group.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .errors import EmptyTableError, ParseError
-from .model import Dataset
+from .model import Dataset, _usable_std_error
 
 Source = Union[str, Path, IO]
 
@@ -202,54 +202,6 @@ def write_frequency_table(table: FrequencyCountTable) -> str:
 
 
 @dataclass(frozen=True)
-class RichnessEstimate:
-    """A total-richness estimate with its standard error and method tag."""
-
-    estimate: float
-    std_error: float
-    method: str
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.estimate):
-            raise ValueError(f"estimate must be finite, got {self.estimate!r}")
-        if not math.isfinite(self.std_error) or self.std_error < 0.0:
-            raise ValueError(f"std_error must be finite and >= 0, got {self.std_error!r}")
-
-
-def chao1(table: FrequencyCountTable) -> RichnessEstimate:
-    """Abundance-based lower-bound richness estimate from f1 and f2.
-
-    With c observed taxa, f1 singletons and f2 doubletons:
-
-        estimate = c + f1^2 / (2 f2)                   if f2 > 0
-        estimate = c + f1 (f1 - 1) / 2                 if f2 = 0 (bias-corrected)
-
-    The f2 > 0 variance is f2 (r^4/4 + r^3 + r^2/2) with r = f1/f2; the
-    f2 = 0, f1 > 0 case uses the matching no-doubleton variance
-    f1(f1-1)/2 + f1(2f1-1)^2/4 - f1^4/(4 estimate), and f1 = 0 gives
-    variance zero. The estimate never falls below c.
-    """
-    c = table.observed_richness
-    f1 = table.singletons
-    f2 = table.doubletons
-    if f2 > 0:
-        estimate = c + f1 * f1 / (2.0 * f2)
-        r = f1 / f2
-        variance = f2 * (r**4 / 4.0 + r**3 + r**2 / 2.0)
-    else:
-        estimate = c + f1 * (f1 - 1) / 2.0
-        if f1 > 0:
-            variance = f1 * (f1 - 1) / 2.0 + f1 * (2 * f1 - 1) ** 2 / 4.0 - f1**4 / (4.0 * estimate)
-        else:
-            variance = 0.0
-    return RichnessEstimate(
-        estimate=float(estimate),
-        std_error=math.sqrt(max(variance, 0.0)),
-        method="chao1",
-    )
-
-
-@dataclass(frozen=True)
 class LoadedEstimates:
     """read_estimates output: the dataset plus ingestion bookkeeping."""
 
@@ -270,9 +222,11 @@ def read_estimates(
     selected by the group argument), which supplies every row's group
     label. The group column is none of id, estimate and std_error, and
     not a selected covariate either. Missing cells are "NA" or empty. Rows
-    with a missing or non-finite estimate, std_error, selected covariate, or
-    group label are dropped and counted; so are rows whose estimate or
-    std_error is not a plain ASCII numeral.
+    with a missing or non-finite estimate, selected covariate, or group
+    label are dropped and counted; so are rows whose std_error is missing or
+    one that a fit cannot use (model._usable_std_error: negative, non-finite
+    or above MAX_STD_ERROR, whose square is not finite), and rows whose
+    estimate or std_error is not a plain ASCII numeral.
 
     A covariate column that holds plain ASCII numerals on every row with no
     missing cell is numeric; any other column is categorical and expands to
@@ -333,7 +287,7 @@ def read_estimates(
         responses.append(np.array([_parse_number(t) for t in tokens], dtype=float)
                          if values is None else values)
     y, se = responses
-    usable = np.isfinite(y) & np.isfinite(se) & (se >= 0.0)
+    usable = np.isfinite(y) & _usable_std_error(se)
     ids = columns["id"]
     labels = None if group_col is None else columns[group_col]
     # Each covariate as its tokens, until a numeric one's values replace them.

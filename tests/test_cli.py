@@ -33,9 +33,11 @@ from betta.cli import (
     REPORT_FILE,
     RESULT_FILE,
     SUMMARY_FILE,
+    _json_text,
     build_parser,
     main,
 )
+from betta.errors import NumericalError, StdErrorFlooredWarning
 from betta.inference import DIAGNOSTIC_COLUMNS, residual_diagnostics
 from betta.simulate import (
     ExperimentConfig,
@@ -258,6 +260,32 @@ class TestFit:
         assert main(["fit", "--input", EST, "--out", str(b)]) == EXIT_OK
         for name in (RESULT_FILE, DIAGNOSTICS_FILE, SUMMARY_FILE):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+    @pytest.mark.parametrize("std_error, m, n_dropped", [("1e200", 4, 1), ("1e-170", 5, 0)])
+    def test_std_error_whose_square_is_not_a_normal_double(self, tmp_path, std_error, m, n_dropped):
+        # 1e200 has no finite square, so its row is dropped; 1e-170's square is
+        # subnormal, so it is floored like a zero error; kept as given, either one
+        # makes a statistic non-finite.
+        table = tmp_path / "extreme.csv"
+        table.write_text(Path(EST).read_text().replace("s3,143.25,15.0,", f"s3,143.25,{std_error},"))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StdErrorFlooredWarning)
+            assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        result = result_of(out)
+        assert (result["m"], result["n_dropped"], result["converged"]) == (m, n_dropped, True)
+        p_values = [c["p_value"] for c in result["coefficients"]]
+        p_values += [result["global_test"]["p_value"], result["homogeneity_test"]["p_value"]]
+        assert all(0.0 < p <= 1.0 for p in p_values)
+
+
+def test_json_text_refuses_a_non_finite_value():
+    message = ("cannot write a non-finite value as JSON: "
+               "Out of range float values are not JSON compliant: -inf")
+    with pytest.raises(NumericalError, match=f"^{message}$") as caught:
+        _json_text({"reml": -math.inf})
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
 
 class TestFitRandom:
@@ -659,6 +687,13 @@ class TestEstimate:
         code = main(["estimate", "--input", FREQ, "--estimator", "cmd:echo 1,2,3"])
         assert code == EXIT_ESTIMATOR
         assert "estimate,std_error" in capsys.readouterr().err
+
+    def test_external_estimator_std_error_without_a_finite_square(self, capsys):
+        code = main(["estimate", "--input", FREQ, "--estimator", "cmd:echo 5,1e200"])
+        assert code == EXIT_ESTIMATOR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: external estimator printed out-of-range values: '5,1e200'\n"
 
     def test_failing_external_estimator(self, capsys):
         code = main(["estimate", "--input", FREQ, "--estimator", "cmd:exit 7"])

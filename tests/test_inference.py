@@ -21,6 +21,7 @@ from betta.errors import (
     DesignMatrixError,
     NotApplicableError,
     NumericalError,
+    StdErrorFlooredWarning,
 )
 from betta.inference import TestResult as StatTestResult
 from betta.inference import (
@@ -180,6 +181,14 @@ class TestHomogeneity:
         assert res.dof == 2
         assert res.p_value == pytest.approx(math.exp(-4.0), rel=1e-14)
         assert res.kind == KIND_HOMOGENEITY
+
+    def test_std_error_with_a_subnormal_square_is_floored_like_zero(self):
+        # 1e-160 squared is subnormal; unfloored, its reciprocal overflows and Q is NaN.
+        with pytest.warns(StdErrorFlooredWarning):
+            tiny = homogeneity_test(make_dataset([10.0, 20.0, 15.0], [1e-160, 2.0, 1.0]))
+            zero = homogeneity_test(make_dataset([10.0, 20.0, 15.0], [0.0, 2.0, 1.0]))
+        assert tiny == zero
+        assert math.isfinite(tiny.statistic) and 0.0 < tiny.p_value < 1.0
 
     def test_matches_hand_computed_cochran_value(self):
         # Weights w = 1/se^2 = (1, 1, 1/4, 1/4, 1). The weighted sums are

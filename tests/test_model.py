@@ -8,6 +8,7 @@ recomputed from a dense grid search before being pinned here.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,15 +20,19 @@ from betta import Dataset, fit_betta
 from betta.errors import (
     DesignMatrixError,
     IllConditionedWarning,
+    NumericalError,
     StdErrorFlooredWarning,
     UnidentifiableError,
 )
 from betta.inference import wald_tests
 from betta.model import (
+    MAX_STD_ERROR,
+    MIN_NORMAL_STD_ERROR,
     RichnessObservation,
     _canonical_order,
     _ProfiledObjective,
     _search_upper_bound,
+    _solve_normal_equations,
     floored_variances,
 )
 from conftest import make_dataset, take_rows, with_groups
@@ -290,6 +295,35 @@ class TestErrorsAndWarnings:
         assert np.all(np.isfinite(fit.beta_hat))
         assert math.isfinite(fit.reml_value)
 
+    def test_std_errors_whose_square_is_not_a_normal_double_are_floored(self):
+        # Below MIN_NORMAL_STD_ERROR the square is subnormal or zero, and its
+        # reciprocal overflows; such errors are floored exactly as a zero one.
+        below = math.nextafter(MIN_NORMAL_STD_ERROR, 0.0)
+        ds = make_dataset([10.0, -20.0, 30.0, 40.0, 50.0], [0.0, 1e-300, below, MIN_NORMAL_STD_ERROR, 5.0])
+        with pytest.warns(StdErrorFlooredWarning,
+                          match=r"^3 observation\(s\) report a zero standard error or one below "
+                                r"1\.4916681462400413e-154, whose square is not a normal double; "
+                                r"flooring to 1e-8 \* \(1 \+ \|estimate\|\)$"):
+            variances = floored_variances(ds)
+        floor = 1e-8 * (1.0 + np.array([10.0, 20.0, 30.0]))
+        assert variances.tolist() == [*(floor * floor), MIN_NORMAL_STD_ERROR ** 2, 25.0]
+        assert MIN_NORMAL_STD_ERROR ** 2 >= np.finfo(float).tiny > below ** 2
+
+    def test_extreme_std_errors_fit_without_overflow(self):
+        # Unfloored, the 1e-300 error squares to 0 and the REML is -inf, reported as converged.
+        ds = make_dataset([10.0, 20.0, 15.0, 12.0], [1e-300, 2.0, 1.0, MAX_STD_ERROR])
+        with pytest.warns(StdErrorFlooredWarning):
+            fit = fit_betta(ds)
+        assert fit.converged
+        assert math.isfinite(fit.reml_value) and math.isfinite(fit.sigma_u_sq_hat)
+        assert np.isfinite(fit.beta_cov).all() and np.isfinite(fit.std_residuals).all()
+
+    def test_gram_that_is_not_positive_definite_is_a_numerical_error(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for gram in (indefinite, np.stack([np.eye(2), indefinite])):
+            with pytest.raises(NumericalError, match="^weighted design Gram matrix is not positive definite$"):
+                _solve_normal_equations(gram, np.ones(gram.shape[:-1] + (1,)))
+
     def test_saturated_design_is_unidentifiable(self):
         # m = p + 1 leaves no residual degrees of freedom: the restricted
         # likelihood is flat in sigma_u_sq.
@@ -313,6 +347,16 @@ class TestErrorsAndWarnings:
         with pytest.raises(ValueError):
             Dataset.from_columns(ids=["s"], estimates=[1.0], std_errors=[1.0],
                                  covariates=[[math.inf]], covariate_names=("x",))
+
+    def test_std_error_without_a_finite_square_is_refused_by_row(self):
+        message = ("observation 'b': std_error must be finite and >= 0, got 1e+300; a usable one "
+                   "is also at most 1.3407807929942596e+154, so that its square is finite")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset.from_columns(ids=["a", "b", "c"], estimates=[10.0, 20.0, 15.0],
+                                 std_errors=[1e-300, 1e300, 1.0])
+        ds = Dataset.from_columns(ids=["a", "b"], estimates=[1.0, 2.0],
+                                  std_errors=[MAX_STD_ERROR, 1e-300])
+        assert ds.std_errors().tolist() == [MAX_STD_ERROR, 1e-300]
 
     def test_covariate_layout_is_enforced(self):
         with pytest.raises(ValueError, match="covariates"):

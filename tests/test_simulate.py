@@ -27,6 +27,7 @@ from betta.errors import (
     ParseError,
     StdErrorFlooredWarning,
 )
+from betta.estimators import RichnessEstimate, chao1
 from betta.inference import wald_tests
 from betta.model import Dataset, fit_betta, fit_betta_batch
 from betta.simulate import (
@@ -50,7 +51,7 @@ from betta.simulate import (
     run_experiment,
     write_report,
 )
-from betta.tables import FrequencyCountTable, RichnessEstimate, chao1, read_frequency_table
+from betta.tables import FrequencyCountTable, read_frequency_table
 
 TOY_TABLE_TEXT = "1,20\n2,10\n5,3"
 

@@ -9,6 +9,7 @@ finding on the integrated CDF. The grids deliberately include far tails.
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -280,3 +281,39 @@ def test_student_t_names_a_nan_statistic():
         student_t_two_sided_p(math.nan, 5)
     with pytest.raises(NumericalError, match="regularized_inc_beta: invalid arguments"):
         student_t_two_sided_p(1.0, math.nan)
+
+
+def test_normal_cdf_names_a_nan_argument():
+    with pytest.raises(NumericalError, match="^normal_cdf: NaN argument$"):
+        normal_cdf(math.nan)
+
+
+@pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.5, 1.0), (2.0, -0.5), (math.nan, 1.0), (2.0, math.nan)])
+def test_gamma_q_refuses_invalid_arguments(a, x):
+    message = f"regularized_gamma_q: invalid arguments a={a!r}, x={x!r}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        regularized_gamma_q(a, x)
+
+
+def test_upper_tails_vanish_at_infinity():
+    assert regularized_gamma_q(2.5, math.inf) == 0.0
+    assert chisq_upper_tail(math.inf, 3) == 0.0
+    assert student_t_two_sided_p(math.inf, 4) == student_t_two_sided_p(-math.inf, 4) == 0.0
+
+
+@pytest.mark.parametrize("dof", [0, -2, 1.5])
+def test_chisq_refuses_a_dof_that_is_not_a_positive_integer(dof):
+    message = f"chisq_upper_tail: dof must be a positive integer, got {dof!r}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        chisq_upper_tail(1.0, dof)
+
+
+@pytest.mark.parametrize("x", [-1e-12, -3.0, math.nan])
+def test_chisq_refuses_a_negative_or_nan_statistic(x):
+    message = f"chisq_upper_tail: statistic must be nonnegative, got {x!r}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        chisq_upper_tail(x, 2)
+
+
+def test_inc_beta_is_zero_at_zero():
+    assert regularized_inc_beta(2.0, 3.0, 0.0) == 0.0

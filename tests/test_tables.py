@@ -4,6 +4,7 @@ estimator registry (built-ins plus the external-command hook)."""
 import io
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -23,16 +24,17 @@ from betta.estimators import (
     CHAO1,
     COMMAND_PREFIX,
     ExternalCommandEstimator,
+    RichnessEstimate,
+    chao1,
     observed_richness_estimator,
     resolve_estimator,
 )
+from betta.model import MAX_STD_ERROR
 from betta.tables import (
     _RESERVED,
     FrequencyCountTable,
-    RichnessEstimate,
     _parse_column,
     _parse_number,
-    chao1,
     read_estimates,
     read_frequency_table,
     write_estimates,
@@ -42,6 +44,8 @@ import cell_reader
 from conftest import with_groups
 
 GRP = Path(__file__).parent / "data" / "grp.csv"
+# What every refusal of a standard error adds after the value it got.
+_SE_LIMIT = "; a usable one is also at most 1.3407807929942596e+154, so that its square is finite"
 
 
 def _count_arrays(dtype, low: int, high: int):
@@ -283,13 +287,20 @@ class TestChao1:
         [
             (math.nan, 1.0, "estimate must be finite, got nan"),
             (-math.inf, 1.0, "estimate must be finite, got -inf"),
-            (10.0, -0.5, "std_error must be finite and >= 0, got -0.5"),
-            (10.0, math.inf, "std_error must be finite and >= 0, got inf"),
+            (10.0, -0.5, "std_error must be finite and >= 0, got -0.5" + _SE_LIMIT),
+            (10.0, math.inf, "std_error must be finite and >= 0, got inf" + _SE_LIMIT),
+            (10.0, math.nan, "std_error must be finite and >= 0, got nan" + _SE_LIMIT),
+            (10.0, 1e200, "std_error must be finite and >= 0, got 1e+200" + _SE_LIMIT),
         ],
     )
     def test_estimate_is_finite_with_a_nonnegative_std_error(self, estimate, std_error, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RichnessEstimate(estimate=estimate, std_error=std_error, method="chao1")
+
+    def test_the_largest_std_error_with_a_finite_square_is_usable(self):
+        e = RichnessEstimate(estimate=10.0, std_error=MAX_STD_ERROR, method="chao1")
+        above = math.nextafter(MAX_STD_ERROR, math.inf)
+        assert math.isfinite(e.std_error * e.std_error) and above * above == math.inf
 
     @given(
         f1=st.integers(min_value=0, max_value=200),
@@ -412,6 +423,15 @@ class TestReadEstimates:
         assert loaded.dataset.m == 3
         assert loaded.dataset.ids() == ("a", "b", "d")
         assert loaded.dataset.covariate_matrix()[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("cell", ["-0.5", "inf", "nan", "1e200", "1.3407807929942597e154"])
+    def test_std_error_a_fit_cannot_use_drops_the_row(self, cell):
+        text = (f"id,estimate,std_error\na,1.0,0.5\nb,2.0,{cell}\n"
+                f"c,3.0,{MAX_STD_ERROR!r}\nd,4.0,1e-170\n")
+        loaded = read_estimates(io.StringIO(text))
+        assert loaded.n_dropped == 1
+        assert loaded.dataset.ids() == ("a", "c", "d")
+        assert loaded.dataset.std_errors().tolist() == [0.5, MAX_STD_ERROR, 1e-170]
 
     def test_levels_come_from_the_surviving_rows(self):
         # Level C is only on the row the infinite x drops, so it adds no column.
@@ -699,6 +719,7 @@ class TestEstimatorRegistry:
             "echo 1,2,3",            # wrong field count
             "echo abc,def",          # non-numeric
             "echo 5.0,-1.0",         # negative standard error
+            "echo 5,1e200",          # standard error without a finite square
             "echo nan,1.0",          # non-finite estimate
             "true",                  # no output at all
         ],
