@@ -163,7 +163,7 @@ def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics
     m = dataset.m
     std_resid = np.asarray(fit.std_residuals, dtype=float)
     quantile_of = np.empty(m)
-    quantile_of[np.argsort(std_resid, kind="stable")] = [normal_quantile((k + 0.5) / m) for k in range(m)]
+    quantile_of[np.argsort(std_resid, kind="stable")] = normal_quantile((np.arange(m) + 0.5) / m)
 
     y, se = dataset.estimates(), dataset.std_errors()
     values = np.column_stack([y, se, y - 2.0 * se, y + 2.0 * se, fit.fitted, std_resid, quantile_of])

@@ -309,8 +309,15 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
     in turn, then group label, then id; a stable sort keeps rows that tie
     on all of them in input order. Fitting in this canonical order makes
     every floating-point reduction identical for any permutation of the
-    same rows, so permuting a dataset cannot change the fit.
+    same rows, so permuting a dataset cannot change the fit. When the
+    estimates are pairwise distinct the first key alone decides every
+    position, and one stable argsort of them gives the same permutation.
     """
+    y = dataset.estimates()
+    order = np.argsort(y, kind="stable")
+    ranked = y[order]
+    if (ranked[1:] != ranked[:-1]).all():
+        return order
     # lexsort's last key is the primary one. Object arrays compare labels
     # and ids as Python strings.
     keys = [np.array(dataset.ids(), dtype=object)]
@@ -318,7 +325,7 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
         keys.append(np.array(dataset.groups(), dtype=object))
     x = dataset.covariate_matrix()
     keys += [x[:, j] for j in reversed(range(dataset.p))]
-    keys += [dataset.std_errors(), dataset.estimates()]
+    keys += [dataset.std_errors(), y]
     return np.lexsort(keys)
 
 

@@ -1,7 +1,9 @@
 """Reference-distribution tail functions implemented in double precision.
 
-Everything here is scalar and self-contained so the statistical results of
-the package do not depend on an external statistics runtime. The incomplete
+Everything here is self-contained so the statistical results of the
+package do not depend on an external statistics runtime. The tail
+functions take one float; normal_quantile takes a float or an array and
+gives each element the same bits either way. The incomplete
 gamma function follows the classical split: a power series on the left of
 the a+1 ridge, a Lentz continued fraction on the right. Target accuracy is
 1e-10 absolute or better over the whole real line, including far tails.
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import math
 from itertools import count
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -55,36 +59,54 @@ _ACKLAM_D = (
 )
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse of normal_cdf on (0, 1); returns +-inf at the endpoints."""
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise NumericalError(f"normal_quantile: probability {p!r} outside [0, 1]")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if p > 0.5:
-        # 1 - p is exact for p in [0.5, 1]; working in the lower tail keeps
-        # the refinement residual F(x) - p free of cancellation.
-        return -normal_quantile(1.0 - p)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _ACKLAM_C
-        x = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        a, b, c, d, e, f = _ACKLAM_A
-        x = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / (
-            ((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0
-        )
-    # One Halley step: u = (F(x) - p) / phi(x); x <- x - u / (1 + x*u/2).
-    err = normal_cdf(x) - p
-    u = err * _SQRT2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+# math's own functions, elementwise over float arrays: the array quantile
+# makes the same libm calls, in the same order, as one scalar evaluation.
+_LOG, _EXP, _ERFC = (np.frompyfunc(f, 1, 1) for f in (math.log, math.exp, math.erfc))
+_P_LOW = 0.02425
+
+
+def normal_quantile(p):
+    """Inverse of normal_cdf on [0, 1], for a float or an array of them.
+
+    Returns a float for a float (or any 0-d input) and a float array of p's
+    shape otherwise; -inf at 0 and +inf at 1. Each element takes Acklam's
+    approximation and one Halley step, the same IEEE operations in the same
+    order for every shape, so an element's value does not depend on what
+    else was passed with it. A NaN or a value outside [0, 1] anywhere
+    raises NumericalError naming the first such value.
+    """
+    probs = np.asarray(p, dtype=float)
+    outside = ~((probs >= 0.0) & (probs <= 1.0))  # NaN fails both comparisons
+    if outside.any():
+        raise NumericalError(f"normal_quantile: probability {float(probs[outside][0])!r} outside [0, 1]")
+    # 1 - p is exact for p in [0.5, 1]; working in the lower tail keeps the
+    # refinement residual F(x) - p free of cancellation.
+    upper = probs > 0.5
+    low = np.where(upper, 1.0 - probs, probs)
+    x = np.full(low.shape, -math.inf)
+    tail, central = (low > 0.0) & (low < _P_LOW), low >= _P_LOW
+
+    q = np.sqrt(-2.0 * _LOG(low[tail]).astype(float))
+    a, b, c, d, e, f = _ACKLAM_C
+    x[tail] = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
+        (((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0
+    )
+    q = low[central] - 0.5
+    r = q * q
+    a, b, c, d, e, f = _ACKLAM_A
+    x[central] = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / (
+        ((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0
+    )
+
+    # One Halley step: u = (F(x) - p) / phi(x); x <- x - u / (1 + x*u/2),
+    # with F(x) = normal_cdf(x) written out.
+    inner = low > 0.0
+    xi = x[inner]
+    err = 0.5 * _ERFC(-xi / _SQRT2).astype(float) - low[inner]
+    u = err * _SQRT2PI * _EXP(0.5 * xi * xi).astype(float)
+    x[inner] = xi - u / (1.0 + 0.5 * xi * u)
+    x = np.where(upper, -x, x)
+    return float(x) if x.ndim == 0 else x
 
 
 def _term_budget(size: float) -> int:
@@ -153,6 +175,10 @@ def regularized_gamma_q(a: float, x: float) -> float:
     if math.isinf(x):
         return 0.0
     prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if prefactor == 0.0:
+        # Either side's ratio multiplies a prefactor that has underflowed,
+        # and far out the continued fraction need not converge at all.
+        return 1.0 if x < a + 1.0 else 0.0
     if x < a + 1.0:
         q = 1.0 - prefactor * _lower_gamma_series(a, x)
     else:

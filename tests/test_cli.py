@@ -279,6 +279,18 @@ class TestFit:
         p_values += [result["global_test"]["p_value"], result["homogeneity_test"]["p_value"]]
         assert all(0.0 < p <= 1.0 for p in p_values)
 
+    def test_homogeneity_statistic_far_past_the_chisq_tail(self, tmp_path):
+        # One SE of 1e-150 puts Q near 1.3e274, where the upper tail's gamma
+        # prefactor underflows to 0.0: p is 0 and the fit is written.
+        table = tmp_path / "huge_q.csv"
+        table.write_text("id,estimate,std_error\na,1000,1e-150\nb,2000,1\nc,1500,2\nd,1100,1\n")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        homogeneity = result_of(out)["homogeneity_test"]
+        assert homogeneity["statistic"] == pytest.approx(1.29247e274, rel=1e-5)
+        assert homogeneity["p_value"] == 0.0
+        assert "homogeneity test: Q = 1.29247e+274, dof = 3, p = 0\n" in (out / SUMMARY_FILE).read_text()
+
 
 def test_json_text_refuses_a_non_finite_value():
     message = ("cannot write a non-finite value as JSON: "

@@ -434,6 +434,37 @@ def test_canonical_order_matches_the_tuple_sort(data, m, p):
     assert _canonical_order(ds).tolist() == tuple_sort_order(ds).tolist()
 
 
+def test_canonical_order_of_distinct_estimates_is_their_argsort(monkeypatch):
+    rng = np.random.default_rng(26)
+    m = 10_000
+    y = rng.permutation(np.arange(m, dtype=float)) * 0.25 - 700.0
+    se = rng.choice([1.0, 2.0], m)
+    x = rng.choice([0.0, 1.0], (m, 3))
+    ds = with_groups(make_dataset(y, se, x=x, names=["a", "b", "c"]), rng.choice(["g", "h"], m).tolist())
+    expected = np.lexsort([np.array(ds.ids(), dtype=object), np.array(ds.groups(), dtype=object),
+                           x[:, 2], x[:, 1], x[:, 0], se, y])
+    assert (expected == tuple_sort_order(ds)).all()
+
+    def no_lexsort(keys):
+        raise AssertionError("distinct estimates need no lexsort")
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    assert _canonical_order(ds).tolist() == expected.tolist()
+
+
+def test_canonical_order_breaks_one_tied_estimate_by_the_std_error():
+    rng = np.random.default_rng(27)
+    m = 10_000
+    y = rng.permutation(np.arange(m, dtype=float))
+    y[[17, 4_242]] = 5_000.5
+    se = np.ones(m)
+    se[[17, 4_242]] = [3.0, 2.0]
+    ds = make_dataset(y, se, x=rng.normal(size=(m, 1)), names=["a"])
+    order = _canonical_order(ds)
+    assert order.tolist() == tuple_sort_order(ds).tolist()
+    at = order.tolist().index(4_242)
+    assert order[at + 1] == 17
+
+
 def _rows(spec):
     return tuple(RichnessObservation(**row) for row in spec)
 

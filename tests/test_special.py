@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import acklam
 from betta.errors import NumericalError
 from betta.special import (
     chisq_upper_tail,
@@ -263,6 +265,55 @@ def test_quantile_endpoints_and_domain():
     for bad in (-0.2, 1.5, math.nan):
         with pytest.raises(NumericalError):
             normal_quantile(bad)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_array_quantile_keeps_the_scalar_bits_on_seeded_probabilities():
+    rng = np.random.default_rng(20_160_502)
+    tail = rng.random(20_000) * 0.02425
+    p = np.concatenate([rng.random(100_000), tail, 1.0 - tail, 10.0 ** -rng.uniform(2.0, 300.0, 5_000)])
+    p = p[(p > 0.0) & (p < 1.0)]
+    assert (p < 0.02425).sum() > 20_000 and (1.0 - p < 0.02425).sum() > 20_000
+    expected = [acklam.normal_quantile(v) for v in p.tolist()]
+    assert np.array_equal(_bits(normal_quantile(p)), _bits(expected))
+
+
+@pytest.mark.parametrize("m", [1, 10, 1_000, 10_000])
+def test_array_quantile_keeps_the_scalar_bits_on_the_qq_grid(m):
+    expected = [acklam.normal_quantile((k + 0.5) / m) for k in range(m)]
+    assert np.array_equal(_bits(normal_quantile((np.arange(m) + 0.5) / m)), _bits(expected))
+
+
+def test_quantile_keeps_the_shape_it_is_given():
+    value = normal_quantile(0.3)
+    assert type(value) is float and value == acklam.normal_quantile(0.3)
+    assert type(normal_quantile(np.float64(0.9))) is float
+    empty = normal_quantile(np.empty(0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    grid = normal_quantile(np.array([[0.0, 0.5], [0.975, 1.0]]))
+    assert grid.shape == (2, 2)
+    assert grid[0, 0] == -math.inf and grid[0, 1] == 0.0 and grid[1, 1] == math.inf
+    assert grid[1, 0] == acklam.normal_quantile(0.975)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.2, 1.5])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_array_quantile_refuses_a_bad_probability_anywhere(bad, where):
+    p = np.array([0.0, 0.01, 0.5, 0.99, 1.0])
+    p[where] = bad
+    message = f"normal_quantile: probability {bad!r} outside [0, 1]"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        normal_quantile(p)
+
+
+@pytest.mark.parametrize("x", [1e279, 1.2924697071141056e274])
+def test_chisq_upper_tail_is_zero_where_the_gamma_prefactor_underflows(x):
+    # exp(-x/2 + 1.5 ln(x/2) - lgamma(1.5)) is 0.0 here, while the continued
+    # fraction does not converge within its budget.
+    assert chisq_upper_tail(x, 3) == 0.0
 
 
 @pytest.mark.parametrize(
