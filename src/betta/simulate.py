@@ -90,8 +90,15 @@ class RngStream:
     def child(self, *indices: int) -> "RngStream":
         return RngStream(seed=self.seed, path=self.path + tuple(int(i) for i in indices))
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
+    def generator(self, *indices: int) -> np.random.Generator:
+        """The generator of the descendant at path + indices.
+
+        That is child(*indices).generator() without building the child:
+        default_rng(SeedSequence(seed, spawn_key=path + indices)), the one
+        rule that turns a key into a generator.
+        """
+        key = self.path + tuple(map(int, indices))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
 # ----------------------------------------------------------------------------
@@ -365,14 +372,15 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
 # ----------------------------------------------------------------------------
 
 def _draw_replicate(
-    probabilities: np.ndarray, sizes: SampleSizeDistribution, stream: RngStream
+    probabilities: np.ndarray, sizes: SampleSizeDistribution, rng: np.random.Generator
 ) -> FrequencyCountTable:
-    """One redrawn table, drawn from the generator of stream alone.
+    """One redrawn table, drawn from rng alone.
 
+    rng is the replicate's own generator, RngStream.generator of its key,
+    so the table depends on that key only.
     The sample size is drawn uniformly (with replacement) from the observed
     sizes, then the category counts as one multinomial vector of that size.
     """
-    rng = stream.generator()
     size = sizes.draw(rng)
     return FrequencyCountTable.from_counts(rng.multinomial(size, probabilities))
 
@@ -421,7 +429,7 @@ def _draw_dataset(payload: _Payload, d: int) -> tuple[Dataset, list[float], int]
     for r in range(config.replicates_per_dataset):
         attempt = 0
         while True:
-            table = _draw_replicate(payload.probabilities[r], payload.sizes, stream.child(r, attempt))
+            table = _draw_replicate(payload.probabilities[r], payload.sizes, stream.generator(r, attempt))
             try:
                 est = estimator(table)
                 break
@@ -667,7 +675,7 @@ def parametric_bootstrap_se(
     failures = 0
     for i in range(b):
         try:
-            values.append(estimator_fn(_draw_replicate(probabilities, sizes, stream.child(i))).estimate)
+            values.append(estimator_fn(_draw_replicate(probabilities, sizes, stream.generator(i))).estimate)
         except EstimatorFailure:
             failures += 1
     if failures > 0.2 * b:

@@ -12,6 +12,7 @@ the a+1 ridge, a Lentz continued fraction on the right. Target accuracy is
 from __future__ import annotations
 
 import math
+import sys
 from itertools import count
 
 import numpy as np
@@ -63,6 +64,8 @@ _ACKLAM_D = (
 # makes the same libm calls, in the same order, as one scalar evaluation.
 _LOG, _EXP, _ERFC = (np.frompyfunc(f, 1, 1) for f in (math.log, math.exp, math.erfc))
 _P_LOW = 0.02425
+# The largest argument math.exp takes without OverflowError.
+_EXP_LIMIT = math.log(sys.float_info.max)
 
 
 def normal_quantile(p):
@@ -70,9 +73,10 @@ def normal_quantile(p):
 
     Returns a float for a float (or any 0-d input) and a float array of p's
     shape otherwise; -inf at 0 and +inf at 1. Each element takes Acklam's
-    approximation and one Halley step, the same IEEE operations in the same
-    order for every shape, so an element's value does not depend on what
-    else was passed with it. A NaN or a value outside [0, 1] anywhere
+    approximation and one Halley step (none below p of about 1e-311, where
+    the step would overflow), the same IEEE operations in the same order
+    for every shape, so an element's value does not depend on what else was
+    passed with it. A NaN or a value outside [0, 1] anywhere
     raises NumericalError naming the first such value.
     """
     probs = np.asarray(p, dtype=float)
@@ -99,12 +103,14 @@ def normal_quantile(p):
     )
 
     # One Halley step: u = (F(x) - p) / phi(x); x <- x - u / (1 + x*u/2),
-    # with F(x) = normal_cdf(x) written out.
-    inner = low > 0.0
-    xi = x[inner]
-    err = 0.5 * _ERFC(-xi / _SQRT2).astype(float) - low[inner]
+    # with F(x) = normal_cdf(x) written out. Below p of about 1e-311,
+    # exp(x*x/2) overflows; those elements keep Acklam's value, within
+    # 2e-9 relative down to 5e-324, and every other element takes the step.
+    step = (low > 0.0) & (0.5 * x * x <= _EXP_LIMIT)
+    xi = x[step]
+    err = 0.5 * _ERFC(-xi / _SQRT2).astype(float) - low[step]
     u = err * _SQRT2PI * _EXP(0.5 * xi * xi).astype(float)
-    x[inner] = xi - u / (1.0 + 0.5 * xi * u)
+    x[step] = xi - u / (1.0 + 0.5 * xi * u)
     x = np.where(upper, -x, x)
     return float(x) if x.ndim == 0 else x
 

@@ -70,6 +70,15 @@ class FrequencyCountTable:
         counts is a 1-d integer array or a list of integers. Anything that
         is not 1-d, or not of an integer dtype (floats, booleans, objects),
         is a ValueError rather than being truncated or flattened.
+
+        When the largest count is at most the number of counts, np.bincount
+        counts the abundances in one pass. It allocates one bin per value up
+        to the largest, so that bound is a memory guard, not a tuning knob:
+        above it ([10**15, 1], say) the abundances are collapsed by np.unique
+        instead, which costs a sort but no more memory than the input. Both
+        give the same entries. A redraw meets the bound only when its top
+        taxon's count is at most the number of categories: a flat community
+        at a modest sample size does, a steep one or a large sample does not.
         """
         arr = np.asarray(counts)
         if arr.ndim != 1:
@@ -77,13 +86,26 @@ class FrequencyCountTable:
         # An empty input has no dtype to check: np.asarray([]) is float.
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
-        values, freqs = np.unique(arr, return_counts=True)
-        # values ascend, so zeros and negatives are a prefix; dropping them
-        # here costs less than masking the whole array before the sort.
-        first = int(np.searchsorted(values, 0, side="right"))
-        if first == values.size:
+        top = arr.max() if arr.size else 0
+        if top <= 0:
             raise EmptyTableError("no taxa with positive abundance")
-        return cls(entries=tuple(zip(values[first:].tolist(), freqs[first:].tolist())))
+        if top <= arr.size:
+            # bincount refuses a negative count, which a table ignores, and
+            # a cast to a 32-bit intp could wrap one; so drop them first.
+            if arr.min() < 0:
+                arr = arr[arr > 0]
+            # Every value is now in [0, arr.size], so the cast to intp (which
+            # every NumPy's bincount takes; 1.x refuses uint64) is exact.
+            freqs = np.bincount(arr.astype(np.intp, copy=False))
+            freqs[0] = 0
+            values = freqs.nonzero()[0]
+            freqs = freqs[values]
+        else:
+            values, freqs = np.unique(arr, return_counts=True)
+            # values ascend, so zeros and negatives are a prefix.
+            first = int(np.searchsorted(values, 0, side="right"))
+            values, freqs = values[first:], freqs[first:]
+        return cls(entries=tuple(zip(values.tolist(), freqs.tolist())))
 
     @property
     def singleton_doubleton_ratio(self) -> float:

@@ -88,6 +88,15 @@ class TestRngStream:
         y = RngStream(7).child(2, 5).generator().integers(0, 2**63, 4)
         assert x.tolist() == y.tolist()
 
+    def test_generator_takes_the_path_of_the_descendant(self):
+        states = [stream.bit_generator.state for stream in (
+            RngStream(7).generator(2, 5),
+            RngStream(7).child(2).generator(5),
+            RngStream(7).child(2, 5).generator(),
+        )]
+        assert states[0] == states[1] == states[2]
+        assert states[0] != RngStream(7).generator(5, 2).bit_generator.state
+
     def test_sibling_paths_differ(self):
         x = RngStream(7).child(0).generator().integers(0, 2**63, 4)
         y = RngStream(7).child(1).generator().integers(0, 2**63, 4)
@@ -163,7 +172,7 @@ class TestGradientInjection:
 
 def draw_replicates(probabilities, sizes, replicates, stream):
     """The first attempt of every replicate, as the study runner draws them."""
-    return [_draw_replicate(probabilities, sizes, stream.child(r, 0)) for r in range(replicates)]
+    return [_draw_replicate(probabilities, sizes, stream.generator(r, 0)) for r in range(replicates)]
 
 
 class TestResampling:
@@ -452,7 +461,7 @@ def draw_datasets(pop, sizes, config, indices):
             while True:
                 try:
                     estimates.append(chao1(_draw_replicate(probabilities[k], sizes,
-                                                           stream.child(k, attempt))))
+                                                           stream.generator(k, attempt))))
                     break
                 except EstimatorFailure:
                     attempt += 1

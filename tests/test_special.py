@@ -299,6 +299,29 @@ def test_quantile_keeps_the_shape_it_is_given():
     assert grid[1, 0] == acklam.normal_quantile(0.975)
 
 
+# mpmath at 50 digits, by root finding on ln Phi(x) = ln p. Below p of
+# about 1e-311 the Halley step would overflow, so Acklam's value stands.
+SUBNORMAL_QUANTILES = [
+    (5e-324, -38.467405617144346251),
+    (1e-320, -38.269125343032651018),
+    (1e-315, -37.967300351067357735),
+    (1e-312, -37.785049894419619238),
+    (1e-310, -37.663060331949523732),
+]
+
+
+def test_quantile_is_finite_and_increasing_down_to_the_smallest_subnormal():
+    p = [v for v, _ in SUBNORMAL_QUANTILES]
+    scalars = [normal_quantile(v) for v in p]
+    together = normal_quantile(np.array(p))
+    assert np.array_equal(_bits(together), _bits(scalars))
+    assert np.all(np.isfinite(together)) and np.all(np.diff(together) > 0.0)
+    for value, (_, expected) in zip(scalars, SUBNORMAL_QUANTILES):
+        assert value == pytest.approx(expected, rel=2e-9)
+    # The last one still takes the Halley step, with the bits it had before.
+    assert normal_quantile(1e-310) == -37.663060331949524 == acklam.normal_quantile(1e-310)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -0.2, 1.5])
 @pytest.mark.parametrize("where", [0, 2, 4])
 def test_array_quantile_refuses_a_bad_probability_anywhere(bad, where):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betta import Dataset
@@ -48,18 +48,28 @@ GRP = Path(__file__).parent / "data" / "grp.csv"
 _SE_LIMIT = "; a usable one is also at most 1.3407807929942596e+154, so that its square is finite"
 
 
-def _count_arrays(dtype, low: int, high: int):
-    # Mostly small values, so singletons and doubletons occur, plus a wide tail.
-    values = st.one_of(st.integers(low, 4), st.integers(low, high))
-    return st.lists(values, min_size=1, max_size=60).map(lambda v: np.array(v, dtype=dtype))
+def _count_arrays(dtype):
+    # Mostly small values, so singletons and doubletons occur and the largest
+    # count is often at most the array's length (the bincount side of
+    # from_counts), plus the dtype's whole range (the np.unique side).
+    info = np.iinfo(dtype)
+    values = st.one_of(st.integers(max(int(info.min), -5), 4), st.integers(int(info.min), int(info.max)))
+    return st.lists(values, max_size=60).map(lambda v: np.array(v, dtype=dtype))
 
 
 _COUNTS = st.one_of(
     st.lists(st.integers(min_value=-3, max_value=40), min_size=1, max_size=60),
-    _count_arrays(np.int64, -5, 2**40),
-    _count_arrays(np.int32, -5, 2**31 - 1),
-    _count_arrays(np.uint16, 0, 2**16 - 1),
+    *(_count_arrays(dtype) for dtype in (np.int8, np.int16, np.int32, np.int64,
+                                         np.uint8, np.uint16, np.uint32, np.uint64)),
 )
+
+
+def _unique_entries(counts):
+    """The entries np.unique gives: each positive count with its frequency."""
+    values, freqs = np.unique(np.asarray(counts), return_counts=True)
+    positive = values > 0
+    return tuple(zip(values[positive].tolist(), freqs[positive].tolist()))
+
 
 # Valid tables: strictly increasing abundances from 1 up, each count >= 1.
 _ENTRIES = st.dictionaries(
@@ -126,6 +136,15 @@ class TestFrequencyCountTable:
         assert FrequencyCountTable.from_counts([2, 0, 2]).entries == ((2, 2),)
 
     @given(_COUNTS)
+    # Counts above the array's length, where bincount would allocate one bin
+    # per value up to 2**62; a negative that a 32-bit intp would wrap to 1;
+    # and inputs with nothing positive.
+    @example([10**15, 1])
+    @example(np.array([2**62, 3]))
+    @example(np.array([2**64 - 1, 0, 2, 2], dtype=np.uint64))
+    @example(np.array([-(2**32) + 1, 1], dtype=np.int64))
+    @example(np.array([-3, 0, 0], dtype=np.int8))
+    @example(np.array([], dtype=np.int64))
     def test_from_counts_preserves_totals(self, counts):
         positive = [int(c) for c in counts if c > 0]
         if not positive:
@@ -134,7 +153,7 @@ class TestFrequencyCountTable:
             return
         t = FrequencyCountTable.from_counts(counts)
         expected = tuple(sorted(Counter(positive).items()))
-        assert t.entries == expected
+        assert t.entries == expected == _unique_entries(counts)
         assert all(type(j) is int and type(f) is int for j, f in t.entries)
         assert t == FrequencyCountTable(entries=expected)
         assert t.observed_richness == len(positive)
