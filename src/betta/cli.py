@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=_int_arg, default=0)
     shared.add_argument("--estimator", default=CHAO1, help="chao1 | observed | cmd:<command>")
     shared.add_argument("--workers", type=_int_arg, default=1,
-                        help="parallel workers (never changes the results)")
+                        help="processes that share the datasets, this one included; "
+                             "each takes one contiguous share (never changes the results)")
     shared.add_argument("--dump-pvalues", action="store_true",
                         help="also write per-dataset p-values")
     shared.add_argument("--out", required=True, help="output directory")

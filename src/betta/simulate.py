@@ -16,14 +16,16 @@ Randomness is fully keyed: the generator for dataset d, replicate r,
 attempt a is seeded from (seed, d, r, a) alone, so results do not depend
 on execution order or on how many workers share the datasets.
 
-Datasets are drawn in order and handled in chunks of at most _MAX_CHUNK:
-with one worker the chunks run in turn, and the pool takes chunks of
-ceil(n / (4 * workers)) datasets. A chunk's datasets share one design,
-so the richness regression fits them in one lockstep search, and each
-fit is bit for bit the one fit_betta gives the dataset alone: no p-value
-depends on the chunk. A dataset that fails raises its own error, and the
-first one to fail is the one that raises, as when the datasets are run
-one at a time.
+With k workers, k processes share the datasets, the calling one
+included: the datasets are cut into k contiguous shares, a pool of k - 1
+processes takes every share but the last, and the calling process runs
+the last one itself meanwhile. Each share is drawn in order and handled in
+chunks of at most _MAX_CHUNK, run in turn. A chunk's datasets share one
+design, so the richness regression fits them in one lockstep search, and
+each fit is bit for bit the one fit_betta gives the dataset alone: no
+p-value depends on the chunk or the share. A dataset that fails raises its
+own error, and the first one to fail is the one that raises, as when the
+datasets are run one at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Union
 
@@ -506,6 +509,11 @@ def _run_chunk(payload: _Payload, first: int, stop: int) -> list[tuple[dict, int
     return results
 
 
+def _chunk_bounds(first: int, stop: int) -> list[tuple[int, int]]:
+    """Datasets first, ..., stop - 1 cut into chunks of at most _MAX_CHUNK, in order."""
+    return [(start, min(start + _MAX_CHUNK, stop)) for start in range(first, stop, _MAX_CHUNK)]
+
+
 def _aggregate(
     kind: str,
     payload: _Payload,
@@ -586,8 +594,12 @@ def run_experiment(
 
     The first (r + 1) // 2 replicates form the first category of the
     two-category split, and a single percent always lands on the rest.
-    workers is the number of processes, at least 1; it never changes the
-    report. Only workers > 1 imports the process pool, on its first call.
+    workers is the number of processes, at least 1, this one included;
+    no more run than there are datasets. Each takes one contiguous share
+    of the datasets, and this process takes the last one, so workers - 1
+    processes are started and all have ended when the call returns or
+    raises. workers never changes the report. Only workers > 1 imports the
+    process pool, on its first call.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -612,19 +624,27 @@ def run_experiment(
         config=config,
     )
     n = config.n_datasets
-    # The pool starts all its processes at the first submit, so never more than there is work for.
     workers = min(workers, n)
-    size = min(n if workers == 1 else math.ceil(n / (workers * 4)), _MAX_CHUNK)
-    starts = range(0, n, size)
-    tasks = ([payload] * len(starts), starts, [min(start + size, n) for start in starts])
+    # Share k is datasets k * n // workers up to the next share's first.
+    shares = [(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
+    mine = _chunk_bounds(*shares[-1])
     if workers == 1:
-        chunks = list(map(_run_chunk, *tasks))
+        chunks = [_run_chunk(payload, first, stop) for first, stop in mine]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Each chunk is one task, so the payload travels once per chunk.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk, *tasks))
+        theirs = [bounds for share in shares[:-1] for bounds in _chunk_bounds(*share)]
+        # Each chunk is one task, so the payload travels once per chunk. A fork
+        # pool starts all its processes at the first submit.
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            pending = pool.map(_run_chunk, repeat(payload), *zip(*theirs))
+            try:
+                own = [_run_chunk(payload, first, stop) for first, stop in mine]
+            finally:
+                # An earlier share's error comes first, so collect theirs
+                # even when this process's share has failed.
+                chunks = list(pending)
+        chunks += own
     results = [result for chunk in chunks for result in chunk]
     return _aggregate(kind, payload, percents, results)
 

@@ -9,6 +9,7 @@ the regression: id, estimate, std_error, covariates and an optional group.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from pathlib import Path
@@ -30,9 +31,10 @@ _RESERVED = ("id", "estimate", "std_error")
 class FrequencyCountTable:
     """Entries (j, f_j): f_j taxa were observed exactly j times, j >= 1.
 
-    The summaries are computed once, in the pass that checks the entries:
+    The summaries are computed once, after the entries are checked:
     observed_richness c (taxa seen at least once, sum of f_j), total_reads
-    n (sum of j * f_j), singletons f1 and doubletons f2.
+    n (sum of j * f_j), singletons f1 and doubletons f2. from_counts builds
+    its entries valid, so it skips the check.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -44,7 +46,7 @@ class FrequencyCountTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise EmptyTableError("frequency table has no entries")
-        last = richness = reads = 0
+        last = 0
         for j, f in self.entries:
             if not (isinstance(j, int) and isinstance(f, int)):
                 raise ValueError(f"entries must be integer pairs, got ({j!r}, {f!r})")
@@ -53,13 +55,15 @@ class FrequencyCountTable:
             if f < 1:
                 raise ValueError(f"count for abundance {j} must be >= 1, got {f}")
             last = j
-            richness += f
-            reads += j * f
+        self._summarize(*zip(*self.entries))
+
+    def _summarize(self, js: Sequence[int], fs: Sequence[int]) -> None:
+        """Store the summaries of valid entries, given as their js and their fs."""
         # With j strictly increasing from 1, abundances 1 and 2 can only
         # sit in the first two entries.
         head = dict(self.entries[:2])
-        object.__setattr__(self, "observed_richness", richness)
-        object.__setattr__(self, "total_reads", reads)
+        object.__setattr__(self, "observed_richness", sum(fs))
+        object.__setattr__(self, "total_reads", sum(map(operator.mul, js, fs)))
         object.__setattr__(self, "singletons", head.get(1, 0))
         object.__setattr__(self, "doubletons", head.get(2, 0))
 
@@ -105,7 +109,12 @@ class FrequencyCountTable:
             # values ascend, so zeros and negatives are a prefix.
             first = int(np.searchsorted(values, 0, side="right"))
             values, freqs = values[first:], freqs[first:]
-        return cls(entries=tuple(zip(values.tolist(), freqs.tolist())))
+        # Valid as built: values ascend from 1 and freqs are positive, all Python ints.
+        js, fs = values.tolist(), freqs.tolist()
+        table = object.__new__(cls)
+        object.__setattr__(table, "entries", tuple(zip(js, fs)))
+        table._summarize(js, fs)
+        return table
 
     @property
     def singleton_doubleton_ratio(self) -> float:

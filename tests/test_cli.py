@@ -519,10 +519,12 @@ class TestSimulate:
                         "b9dbf22b3cc8dd240b00e27256a97f54f133c3eab0f9c4cd004e6b61c2cea0c9"),
     }
 
-    # One worker fits the 12 datasets as one batch, three workers in 12 batches of one.
+    # One worker fits the 12 datasets as one batch, k workers as k shares of 12 / k.
     @pytest.mark.parametrize("experiment, workers", [
         pytest.param("power", 1, id="power"),
         pytest.param("homogeneity", 1, id="homogeneity"),
+        pytest.param("power", 2, id="power-workers2"),
+        pytest.param("homogeneity", 2, id="homogeneity-workers2"),
         pytest.param("power", 3, id="power-workers3"),
         pytest.param("homogeneity", 3, id="homogeneity-workers3"),
     ])

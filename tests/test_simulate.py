@@ -10,6 +10,7 @@ as regression pins because the draw paths are part of the seed contract.
 
 import io
 import math
+import multiprocessing
 import warnings
 from dataclasses import replace
 
@@ -307,12 +308,17 @@ class TestSizeExperiment:
         b = write_report(run_experiment(toy_population(), TOY_SIZES, cfg))
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        cfg = toy_config(n_datasets=12)
+    def test_workers_do_not_change_results(self, monkeypatch):
+        # In chunks of at most 5, two workers' shares of 13 datasets take two
+        # chunks each, and three workers' shares one of 4, 4 and 5.
+        cfg = toy_config(n_datasets=13)
         seq = run_experiment(toy_population(), TOY_SIZES, cfg)
-        par = run_experiment(toy_population(), TOY_SIZES, cfg, workers=3)
-        assert write_report(seq) == write_report(par)
-        assert seq.p_values == par.p_values
+        monkeypatch.setattr("betta.simulate._MAX_CHUNK", 5)
+        for workers in (2, 3):
+            par = run_experiment(toy_population(), TOY_SIZES, cfg, workers=workers)
+            assert write_report(seq) == write_report(par)
+            assert seq.p_values == par.p_values
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_fewer_than_one_worker_is_refused(self, workers):
@@ -320,7 +326,9 @@ class TestSizeExperiment:
             run_experiment(toy_population(), TOY_SIZES, toy_config(), workers=workers)
 
     def test_pool_never_outnumbers_the_datasets(self, monkeypatch):
-        # A fork pool starts every worker at the first submit; this one runs in-process.
+        # A fork pool starts every worker at the first submit; this one runs
+        # in-process. The calling process is one of the workers, so the pool
+        # has one process fewer, and none for a single dataset.
         opened = []
 
         class InProcessPool:
@@ -337,7 +345,7 @@ class TestSizeExperiment:
                 return map(fn, *iterables)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-        for n_datasets, pools in ((3, [3]), (1, [])):
+        for n_datasets, pools in ((3, [2]), (2, [1]), (1, [])):
             opened.clear()
             cfg = toy_config(n_datasets=n_datasets)
             report = run_experiment(toy_population(), TOY_SIZES, cfg, workers=64)
@@ -587,6 +595,37 @@ class TestStudyErrors:
         self.fail_from_dataset_3(monkeypatch)
         with pytest.raises(EstimatorFailure, match=r"1000 consecutive redraws \(dataset 3, replicate 0\)"):
             run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=6))
+
+    # Six datasets: two workers share them as 0-2 (the pool) and 3-5 (the
+    # calling process), three as 0-1 and 2-3 (the pool) and 4-5. A share
+    # stops at its first failing dataset; fitted are the pool's datasets
+    # fitted before the study raises.
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the fakes reach the pool's processes only by fork")
+    @pytest.mark.parametrize("workers, failing, raised, fitted", [
+        (2, {1, 4}, 1, range(2)),
+        (2, {4}, 4, range(3)),
+        (3, {3, 5}, 3, range(4)),
+        (3, {1, 3}, 1, range(4)),
+        (3, {5}, 5, range(4)),
+    ])
+    def test_the_first_failing_dataset_raises_across_processes(self, monkeypatch, tmp_path,
+                                                               workers, failing, raised, fitted):
+        # A forked child shares no Python object with this process, so each
+        # fit fails by its dataset's id and leaves a file to show it ran.
+        def fit_or_fail(dataset):
+            d = int(dataset.ids()[0][1:].partition("r")[0])
+            (tmp_path / f"fitted{d}").touch()
+            if d in failing:
+                raise NumericalError(f"dataset {d} cannot be fitted")
+            return fit_betta(dataset)
+
+        monkeypatch.setattr("betta.simulate.fit_betta", fit_or_fail)
+        monkeypatch.setattr("betta.simulate.fit_betta_batch", lambda datasets: list(map(fit_or_fail, datasets)))
+        with pytest.raises(NumericalError, match=f"dataset {raised} cannot"):
+            run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=6), workers=workers)
+        assert {f"fitted{d}" for d in fitted} <= {path.name for path in tmp_path.iterdir()}
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("error, refits", [(NumericalError, 6), (TypeError, 0)])
     def test_an_error_of_the_batch_alone_is_raised(self, monkeypatch, error, refits):

@@ -155,7 +155,12 @@ class TestFrequencyCountTable:
         expected = tuple(sorted(Counter(positive).items()))
         assert t.entries == expected == _unique_entries(counts)
         assert all(type(j) is int and type(f) is int for j, f in t.entries)
-        assert t == FrequencyCountTable(entries=expected)
+        # from_counts skips the constructor's checks; its table is the one
+        # the checked constructor builds, summaries and their types included.
+        built = FrequencyCountTable(entries=expected)
+        assert t == built
+        for name in ("observed_richness", "total_reads", "singletons", "doubletons"):
+            assert type(getattr(t, name)) is int and getattr(t, name) == getattr(built, name)
         assert t.observed_richness == len(positive)
         assert t.total_reads == sum(positive)
         assert_summaries_are_sums_over_entries(t)
