@@ -3,9 +3,9 @@
 Wald tests compare each coefficient to its estimated standard error
 against a standard normal reference. The joint covariate test (the Wald
 form over all slopes) and the heterogeneity (dispersion) test use
-chi-squared references; the dispersion test is Cochran's Q and reads the
-dataset, not a fit. Reference tail probabilities come from the
-in-package implementations in ``betta.special``.
+chi-squared references; the dispersion test is Cochran's Q, read from the
+fit's objective at sigma_u_sq = 0, not from a fit. Reference tail
+probabilities come from the in-package implementations in ``betta.special``.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegreesOfFreedomError, NotApplicableError, NumericalError
-from .model import (
-    INTERCEPT_NAME,
-    BettaFit,
-    Dataset,
-    _check_full_rank,
-    _weighted_least_squares,
-    floored_variances,
-)
+from .model import BettaFit, Dataset, _ProfiledObjective
 from .special import chisq_upper_tail, normal_quantile, normal_two_sided_p
 
 KIND_WALD = "wald"
@@ -110,26 +103,18 @@ def homogeneity_test(dataset: Dataset) -> TestResult:
     chi-squared with m - p - 1 degrees of freedom, where beta~ is the
     fixed-effect weighted least squares, with weights 1 / std_error_i^2
     (the fit's coefficients at sigma_u_sq = 0). beta~ minimizes that sum, so Q is
-    exactly chi-squared under the known-SE normal null, and it reads the
-    dataset alone: no fit, no variance search, the same Q for labelled and
-    unlabelled rows. Zero standard errors are floored as in the fit.
+    exactly chi-squared under the known-SE normal null. Q is read from the
+    fit's own objective at sigma_u_sq = 0, with no search: its design check,
+    floored errors and canonical row order, so no row order changes Q's
+    bits. Groups are ignored: labelled rows get the unlabelled Q.
     """
     dof = dataset.m - dataset.p - 1
     if dof < 1:
-        raise DegreesOfFreedomError(
-            f"homogeneity test undefined: m - p - 1 = {dof} degrees of freedom"
-        )
-    x, y = dataset.design_matrix(), dataset.estimates()
-    _check_full_rank(x, (INTERCEPT_NAME,) + dataset.covariate_names)
-    variances = floored_variances(dataset)
-    resid = y - x @ _weighted_least_squares(x, y, variances)
-    statistic = float(np.sum(resid * resid / variances))
-    return TestResult(
-        statistic=statistic,
-        dof=dof,
-        p_value=chisq_upper_tail(statistic, dof),
-        kind=KIND_HOMOGENEITY,
-    )
+        raise DegreesOfFreedomError(f"homogeneity test undefined: m - p - 1 = {dof} degrees of freedom")
+    resid, w = _ProfiledObjective(dataset).components(0.0)[3:5]
+    statistic = float(np.sum(resid * resid * w))
+    return TestResult(statistic=statistic, dof=dof, p_value=chisq_upper_tail(statistic, dof),
+                      kind=KIND_HOMOGENEITY)
 
 
 # The per-observation columns of ResidualDiagnostics.values, in order. lower

@@ -12,7 +12,8 @@ The variance component is estimated by restricted maximum likelihood with
 the boundary constraint sigma_u_sq >= 0. For a fixed sigma_u_sq the
 coefficient vector has a closed weighted-least-squares form, so the fit
 reduces to a one-dimensional bounded Newton search over sigma_u_sq. The
-same objective, with its score and information, serves ``betta.mixed``.
+same objective, with its score and information, serves ``betta.mixed``,
+and at sigma_u_sq = 0 it gives Cochran's Q in ``betta.inference``.
 """
 
 from __future__ import annotations
@@ -311,10 +312,10 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
     every floating-point reduction identical for any permutation of the
     same rows, so permuting a dataset cannot change the fit. When the
     estimates are pairwise distinct the first key alone decides every
-    position, and one stable argsort of them gives the same permutation.
+    position, and one argsort of them, of any kind, gives the same permutation.
     """
     y = dataset.estimates()
-    order = np.argsort(y, kind="stable")
+    order = np.argsort(y)
     ranked = y[order]
     if (ranked[1:] != ranked[:-1]).all():
         return order
@@ -340,12 +341,6 @@ def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
     beta = np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
     logdet = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     return beta, gram, logdet
-
-
-def _weighted_least_squares(x: np.ndarray, y: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """The beta minimizing sum_i (y_i - x_i . beta)^2 / variances_i."""
-    xw = x * (1.0 / variances)[:, None]
-    return _solve_normal_equations(xw.T @ x, xw.T @ y)[0]
 
 
 def _search_upper_bound(sample_var, variances: np.ndarray):
@@ -430,7 +425,7 @@ class _ProfiledObjective:
         self._flat = (orders + m * np.arange(n)[:, None]).ravel()
         self.order = orders[0] if single else orders
         shape = self.order.shape
-        self.x = x_full[self.order]
+        self.x = x_full.take(self.order, axis=0)
         self.y = np.concatenate([ds.estimates() for ds in stack])[self._flat].reshape(shape)
         self.variances = np.concatenate([floored_variances(ds) for ds in stack])[self._flat].reshape(shape)
         self.codes = None

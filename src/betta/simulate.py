@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -62,6 +63,7 @@ NO_COVARIATE = "none"
 METHOD_BETTA = "betta"
 METHOD_REGRESSION = "regression_on_c"
 METHOD_HOMOGENEITY = "homogeneity_q"
+_REPORT_HEADER = "method,alpha,rate,mc_se,n_datasets,seed"
 
 _MAX_REDRAW_ATTEMPTS = 1000
 # The most datasets in one chunk, all drawn before they are fitted. A batched
@@ -257,6 +259,11 @@ class ExperimentConfig:
         # Checks the name and the seed only: a 'cmd:' command does not run here.
         resolve_estimator(self.estimator)
         RngStream(self.seed)
+        # Held as Python numbers, which a report writes as plain numerals.
+        for name in ("replicates_per_dataset", "n_datasets", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("grid", "alpha_levels", "percents"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -305,7 +312,7 @@ def write_report(report: ExperimentReport) -> str:
         f"# kind: {report.kind}",
         f"# config: {json.dumps(report.config_echo, sort_keys=True)}",
         f"# estimator_failures: {report.estimator_failures}",
-        "method,alpha,rate,mc_se,n_datasets,seed",
+        _REPORT_HEADER,
     ]
     for row in report.rows:
         lines.append(
@@ -325,8 +332,10 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
     """Parse a serialized report back from a path or a stream (p_values are
     not round-tripped).
 
-    Counts and rates are plain ASCII numerals; anything else, or a row
-    without exactly six fields, is a ParseError naming its line.
+    The first line that is not a comment must be write_report's header, the
+    config a JSON object, every row six fields with the first row's n_datasets
+    and seed, and counts and rates plain ASCII numerals. Anything else is a
+    ParseError naming its line.
     """
     text = _read_source(source)
     kind = "unknown"
@@ -345,11 +354,18 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
             if body.startswith("kind:"):
                 kind = body[len("kind:"):].strip()
             elif body.startswith("config:"):
-                config_echo = json.loads(body[len("config:"):].strip())
+                try:
+                    config_echo = json.loads(body[len("config:"):])
+                except json.JSONDecodeError:
+                    config_echo = None
+                if not isinstance(config_echo, dict):
+                    raise ParseError(f"config is not a JSON object: {body!r}", line_number)
             elif body.startswith("estimator_failures:"):
                 failures = _report_number(body[len("estimator_failures:"):], int, line_number)
             continue
         if not saw_header:
+            if line != _REPORT_HEADER:
+                raise ParseError(f"expected the header {_REPORT_HEADER!r}, got {line!r}", line_number)
             saw_header = True
             continue
         fields = line.split(",")
@@ -357,9 +373,12 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
             raise ParseError(f"expected 6 fields, got {len(fields)}", line_number)
         method, alpha, rate, mc_se, nd, sd = fields
         alpha, rate, mc_se = (_report_number(t, float, line_number) for t in (alpha, rate, mc_se))
+        counts = (_report_number(nd, int, line_number), _report_number(sd, int, line_number))
+        if rows and counts != (n_datasets, seed):
+            raise ParseError(f"n_datasets and seed {counts} differ from the first row's "
+                             f"{(n_datasets, seed)}", line_number)
         rows.append(ReportRow(method=method, alpha=alpha, rate=rate, mc_se=mc_se))
-        n_datasets = _report_number(nd, int, line_number)
-        seed = _report_number(sd, int, line_number)
+        n_datasets, seed = counts
     return ExperimentReport(
         kind=kind,
         rows=tuple(rows),
@@ -605,14 +624,14 @@ def run_experiment(
         raise ValueError(f"workers must be >= 1, got {workers}")
     r = config.replicates_per_dataset
     if config.covariate_kind == CONTINUOUS_GRID:
-        covariate = tuple(map(float, config.grid))
-        percents = tuple(map(float, config.percents)) or (0.0,) * r
+        covariate = config.grid
+        percents = config.percents or (0.0,) * r
     else:
         n_a = (r + 1) // 2
         split = (0.0,) * n_a + (1.0,) * (r - n_a)
         covariate = split if config.covariate_kind == TWO_CATEGORY else None
         # Selected, not multiplied: inf * 0 is nan, and injection names the contrast.
-        contrast = float(config.percents[0]) if config.percents else 0.0
+        contrast = config.percents[0] if config.percents else 0.0
         percents = tuple(contrast if s else 0.0 for s in split)
     kind = "homogeneity" if covariate is None else "power" if config.percents else "size"
 

@@ -261,6 +261,26 @@ class TestFit:
         for name in (RESULT_FILE, DIAGNOSTICS_FILE, SUMMARY_FILE):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_permuted_rows_give_byte_identical_results(self, tmp_path):
+        # The fit and Cochran's Q both sum in the canonical row order, so the
+        # order of a table's rows cannot reach result.json or summary.txt.
+        # diagnostics.csv keeps the input order, so it is permuted with it.
+        rng = np.random.default_rng(30)
+        for k in range(5):
+            m = int(rng.integers(20, 61))
+            x = rng.normal(size=(m, 2))
+            se = rng.uniform(5.0, 30.0, m)
+            y = 200.0 + x @ [10.0, -5.0] + rng.normal(0.0, 20.0, m) + rng.normal(0.0, se)
+            rows = [f"s{i},{','.join(map(repr, row))}\n"
+                    for i, row in enumerate(np.column_stack([y, se, x]).tolist())]
+            bundles = []
+            for n, order in enumerate((range(m), rng.permutation(m))):
+                table, out = tmp_path / f"t{k}_{n}.csv", tmp_path / f"o{k}_{n}"
+                table.write_text("id,estimate,std_error,a,b\n" + "".join(rows[i] for i in order))
+                assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_OK
+                bundles.append([(out / name).read_bytes() for name in (RESULT_FILE, SUMMARY_FILE)])
+            assert bundles[0] == bundles[1]
+
 
     @pytest.mark.parametrize("std_error, m, n_dropped", [("1e200", 4, 1), ("1e-170", 5, 0)])
     def test_std_error_whose_square_is_not_a_normal_double(self, tmp_path, std_error, m, n_dropped):
@@ -511,12 +531,15 @@ class TestSimulate:
     # most 2.5e-7 relative, each fit's REML value held, report.csv held. They
     # were re-pinned again when Brent's search gave way to Newton steps to
     # 1e-10 * U: 9 of 24 moved by at most 2.1e-7 relative, no fit's REML fell
-    # by more than 3.2e-16 relative, report.csv held.
+    # by more than 3.2e-16 relative, report.csv held. The homogeneity p-values
+    # were re-pinned when Q came to be summed from the fit's objective in the
+    # canonical row order, not by a separate least squares in input order: 7
+    # of 12 moved by at most 1.8e-15 relative, report.csv held.
     LARGE_TABLE_DIGESTS = {
         "power": ("3527cb8c9daf746bd0a1ebbdf78d904ffbc3bd21651fa285bd1f210ca8e529a2",
                   "010bb7539465b7546a86403633f15e5c839693960446fcba0cd81026178c78e0"),
         "homogeneity": ("08e669cf970214876bbe727c670b782039961ca932df3168591ceac7c0c744ba",
-                        "b9dbf22b3cc8dd240b00e27256a97f54f133c3eab0f9c4cd004e6b61c2cea0c9"),
+                        "a122174eabb50a39e09a6c3c2916a73a61f53f1226340e0095c36a4732639c9f"),
     }
 
     # One worker fits the 12 datasets as one batch, k workers as k shares of 12 / k.

@@ -659,6 +659,23 @@ class TestReportIO:
         assert back.estimator_failures == report.estimator_failures
         assert back.p_values is None  # not serialized
 
+    def test_numpy_scalars_in_the_config_round_trip(self):
+        # A config given NumPy scalars holds Python numbers, so its report
+        # writes plain numerals and reads back as the report of plain ones.
+        config = toy_config(n_datasets=4, percents=(5.0,) * 6)
+        plain = run_experiment(toy_population(), TOY_SIZES, config)
+        numpy = toy_config(
+            replicates_per_dataset=np.int64(6), n_datasets=np.int64(4), seed=np.int64(5),
+            grid=tuple(np.arange(1.0, 7.0)), alpha_levels=tuple(np.array([0.01, 0.05, 0.10, 0.5])),
+            percents=tuple(np.full(6, 5.0)),
+        )
+        assert numpy == config
+        assert all(type(v) is float for v in numpy.grid + numpy.alpha_levels + numpy.percents)
+        assert type(numpy.seed) is int
+        text = write_report(run_experiment(toy_population(), TOY_SIZES, numpy))
+        assert text == write_report(plain)
+        assert read_report(io.StringIO(text)) == plain
+
     def test_file_round_trip(self, tmp_path):
         report = run_experiment(toy_population(), TOY_SIZES, toy_config(n_datasets=5))
         p = tmp_path / "report.csv"
@@ -673,6 +690,12 @@ class TestReportIO:
             ("betta,0.05,0.05,", "betta,0.05,0.0_5,", 6),
             (",100,12", ",1_00,12", 6),
             (",100,12", ",100,12,7", 6),       # a seventh field
+            ("method,alpha,rate,mc_se,n_datasets,seed\n", "", 5),   # no header: the row is not one
+            ("method,alpha,", "method,level,", 5),
+            ("# config: {}", "# config: {", 3),
+            ("# config: {}", "# config: [1]", 3),
+            (",100,12\n", ",100,12\nbetta,0.1,0.1,0.01,100,13\n", 7),   # rows disagree on the seed
+            (",100,12\n", ",100,12\nbetta,0.1,0.1,0.01,99,12\n", 7),    # and on n_datasets
         ],
     )
     def test_malformed_lines_are_parse_errors(self, old, new, line):
