@@ -331,16 +331,23 @@ def _canonical_order(dataset: Dataset) -> np.ndarray:
 
 
 def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray):
-    """Solve gram @ beta = rhs by Cholesky, for one system or a stack of them;
-    return (beta, symmetrized gram, log det gram)."""
-    gram = 0.5 * (gram + gram.swapaxes(-1, -2))
+    """(beta, L, ln det gram) of gram @ beta = rhs, L the Cholesky factor; one system or a stack."""
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(0.5 * (gram + gram.swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("weighted design Gram matrix is not positive definite") from exc
     beta = np.linalg.solve(chol.swapaxes(-1, -2), np.linalg.solve(chol, rhs))
-    logdet = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-    return beta, gram, logdet
+    return beta, chol, 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _gram_inverse(chol: np.ndarray, step: str) -> np.ndarray:
+    """G^-1 = L^-T L^-1 from G's Cholesky factor L, or a NumericalError naming step if not finite."""
+    with np.errstate(all="ignore"):      # L^T has a positive diagonal: its LU never pivots or fails
+        upper = np.linalg.solve(chol.swapaxes(-1, -2), np.eye(chol.shape[-1]))   # L^-T
+        ginv = upper @ upper.swapaxes(-1, -2)      # A @ A^T is one syrk: symmetric by construction
+    if not np.isfinite(ginv).all():
+        raise NumericalError(f"weighted design Gram matrix cannot be inverted in {step}")
+    return ginv
 
 
 def _search_upper_bound(sample_var, variances: np.ndarray):
@@ -385,8 +392,10 @@ class _ProfiledObjective:
     sequence of datasets, each array gains a leading axis of length D, and
     the searches run in lockstep. The flat terms are written over that
     leading axis, and each dataset's rows pass through the same per-matrix
-    kernels (``@``, Cholesky, solve, inverse) with or without it, so a
-    dataset's values do not depend on D or on the datasets beside it.
+    kernels (``@``, Cholesky, solve) with or without it, so a dataset's values
+    do not depend on D or on the datasets beside it. An evaluation factors
+    G = X^T V^-1 X = L L^T once; L gives beta, ln det G, G^-1 and the
+    condition check's tr G tr G^-1 = ||L||_F^2 ||L^-1||_F^2.
 
     The marginal covariance is block diagonal by group, each block
     diag(v) + sigma_g_sq * 1 1^T with v_i = std_error_i^2 + sigma_u_sq.
@@ -452,8 +461,8 @@ class _ProfiledObjective:
         return sums.reshape((self.n_groups,) + block.shape[1:])
 
     def components(self, sigma_u_sq, sigma_g_sq=0.0):
-        """(REML, beta, symmetrized X^T V^-1 X, r, w = 1/v, X * w) at the
-        variances; for a stack, at one sigma_u_sq per dataset or a shared one."""
+        """(REML, beta, L, r, w = 1/v, X * w) at the variances, L the Cholesky factor of
+        G = X^T V^-1 X; for a stack, at one sigma_u_sq per dataset or a shared one."""
         v = self.variances + np.asarray(sigma_u_sq)[..., None]
         w = 1.0 / v
         xw = self.x * w[..., None]
@@ -470,7 +479,7 @@ class _ProfiledObjective:
         else:
             xt = xw.swapaxes(-1, -2)
             gram, rhs = xt @ self.x, xt @ self.y[..., None]
-        beta, gram, logdet = _solve_normal_equations(gram, rhs)
+        beta, chol, logdet = _solve_normal_equations(gram, rhs)
         beta = beta[..., 0]
         resid = dev_r = self.y - (self.x @ beta[..., None])[..., 0]
         if grouped:                       # ln det V and r^T V^-1 r by the same split
@@ -478,15 +487,15 @@ class _ProfiledObjective:
             dev_r = resid - r_means[self.codes]
             logdet += float(np.sum(np.log1p(sigma_g_sq * w_sums)) + between @ (r_means * r_means))
         total = (np.log(v) + dev_r * dev_r * w).sum(axis=-1) + logdet
-        return -0.5 * total, beta, gram, resid, w, xw
+        return -0.5 * total, beta, chol, resid, w, xw
 
     def value(self, sigma_u_sq, sigma_g_sq=0.0):
         return self.components(sigma_u_sq, sigma_g_sq)[0]
 
-    def score_and_information(self, sigma_g_sq: float, gram, resid, w, xw, free: slice):
+    def score_and_information(self, sigma_g_sq: float, chol, resid, w, xw, free: slice):
         """Grouped REML score and average information in the free variances.
 
-        gram, resid, w and xw are ``components`` at (sigma_u_sq, sigma_g_sq).
+        chol, resid, w and xw are ``components`` at (sigma_u_sq, sigma_g_sq).
         With dV_k = I and Z Z^T (Z the group indicators) and u = (P y, Z Z^T P y),
         the score is (y^T P dV_k P y - tr(P dV_k)) / 2 and AI_kl = u_k^T P u_l / 2
         (Gilmour, Thompson & Cullis 1995). Products with V^-1 use the block
@@ -501,7 +510,7 @@ class _ProfiledObjective:
         wc = w * c[self.codes]
         a = xw - wc[:, None] * xw_sums[self.codes]               # V^-1 X
         py = w * resid - wc * wr_sums[self.codes]                # P y = V^-1 r
-        ginv = np.linalg.inv(gram)
+        ginv = _gram_inverse(chol, "the average information")
         trace_p = float(w.sum() - wc @ w - (ginv * (a.T @ a)).sum())
         trace_pzz = float(w_sums @ shrink - (ginv * (b.T @ b)).sum())
         score = 0.5 * np.array([py @ py - trace_p, z_py @ z_py - trace_pzz])
@@ -525,11 +534,11 @@ class _ProfiledObjective:
         A = G^-1 X^T W^2 X, tr P = sum(w) - tr A and
         tr(PP) = sum(w^2) - 2 tr(G^-1 X^T W^3 X) + tr(A^2).
         """
-        value, _, gram, resid, w, xw = self.components(theta[..., 0], theta[..., 1])
+        value, _, chol, resid, w, xw = self.components(theta[..., 0], theta[..., 1])
         if self.codes is not None and (free != _SIGMA_U or theta[1] > 0.0):
-            return (value, *self.score_and_information(theta[1], gram, resid, w, xw, free))
+            return (value, *self.score_and_information(theta[1], chol, resid, w, xw, free))
         py = w * resid
-        ginv = np.linalg.inv(gram)
+        ginv = _gram_inverse(chol, "the variance search's curvature")
         xt = xw.swapaxes(-1, -2)
         a = ginv @ (xt @ xw)
         z = xt @ py[..., None]
@@ -570,18 +579,18 @@ class _ProfiledObjective:
     def fit_result(self, cls, sigma_u_sq, sigma_g_sq, converged, **extra):
         """Build a ``cls`` (BettaFit or a subclass) at the fitted variances; for
         a stack, a list of one per dataset, from one sigma_u_sq and converged
-        flag per dataset."""
-        value, beta, gram, resid = self.components(sigma_u_sq, sigma_g_sq)[:4]
-        for cond in np.ravel(np.linalg.cond(gram)).tolist():
+        flag per dataset. Warns if tr G tr G^-1 = ||L||_F^2 ||L^-1||_F^2 exceeds 1e10:
+        it lies between cond_2 G and k^2 cond_2 G, and squares no entry."""
+        value, beta, chol, resid = self.components(sigma_u_sq, sigma_g_sq)[:4]
+        beta_cov = _gram_inverse(chol, "the coefficient covariance")
+        for cond in (_total(chol * chol) * beta_cov.trace(axis1=-2, axis2=-1)).ravel().tolist():
             if cond > CONDITION_WARN_THRESHOLD:
                 warnings.warn(
-                    f"weighted design Gram matrix condition number {cond:.3g} exceeds 1e10; "
-                    "coefficient covariance may be unreliable",
+                    f"weighted design Gram matrix condition number bound tr(G) tr(G^-1) = {cond:.3g} "
+                    "exceeds 1e10; coefficient covariance may be unreliable",
                     IllConditionedWarning,
                     stacklevel=3,
                 )
-        beta_cov = np.linalg.inv(gram)
-        beta_cov = 0.5 * (beta_cov + beta_cov.swapaxes(-1, -2))
 
         fitted = np.empty(self.y.size)
         std_residuals = np.empty(self.y.size)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -224,6 +225,16 @@ class ExperimentConfig:
     percents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.percents, tuple):
+            raise ValueError(f"percents must be a tuple of percent values, got {self.percents!r}")
+        # Held as Python floats, which a report writes as plain numerals. A
+        # bool is refused: True is not a grid point, an alpha or a percent.
+        for name in ("grid", "alpha_levels", "percents"):
+            values = tuple(getattr(self, name))
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{name} must hold numbers, got {v!r}")
+            object.__setattr__(self, name, tuple(map(float, values)))
         if self.replicates_per_dataset < 3:
             raise ValueError(f"replicates_per_dataset must be >= 3, got {self.replicates_per_dataset}")
         if self.n_datasets < 1:
@@ -249,8 +260,6 @@ class ExperimentConfig:
                 raise ValueError("grid must contain at least two distinct covariate values")
         elif self.grid:
             raise ValueError(f"grid is only meaningful for {CONTINUOUS_GRID!r}")
-        if not isinstance(self.percents, tuple):
-            raise ValueError(f"percents must be a tuple of percent values, got {self.percents!r}")
         if self.percents:
             count = self.replicates_per_dataset if self.covariate_kind == CONTINUOUS_GRID else 1
             if len(self.percents) != count:
@@ -259,11 +268,8 @@ class ExperimentConfig:
         # Checks the name and the seed only: a 'cmd:' command does not run here.
         resolve_estimator(self.estimator)
         RngStream(self.seed)
-        # Held as Python numbers, which a report writes as plain numerals.
-        for name in ("replicates_per_dataset", "n_datasets", "seed"):
+        for name in ("replicates_per_dataset", "n_datasets", "seed"):    # Python ints likewise
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        for name in ("grid", "alpha_levels", "percents"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -332,20 +338,20 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
     """Parse a serialized report back from a path or a stream (p_values are
     not round-tripped).
 
-    The first line that is not a comment must be write_report's header, the
-    config a JSON object, every row six fields with the first row's n_datasets
-    and seed, and counts and rates plain ASCII numerals. Anything else is a
-    ParseError naming its line.
+    The first line that is not a comment must be write_report's header,
+    after the '# kind:', '# config:' and '# estimator_failures:' lines; the
+    config must be a JSON object, every row six fields with the first row's
+    n_datasets and seed and a (method, alpha) of its own, and counts and rates
+    plain ASCII numerals. Anything else is a ParseError naming its line, or
+    the line after the last for a text that ends before its header.
     """
-    text = _read_source(source)
-    kind = "unknown"
-    config_echo: dict = {}
-    failures = 0
+    lines = _read_source(source).splitlines()
+    kind = config_echo = failures = None
     rows: list[ReportRow] = []
     n_datasets = 0
     seed = 0
     saw_header = False
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -366,6 +372,9 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
         if not saw_header:
             if line != _REPORT_HEADER:
                 raise ParseError(f"expected the header {_REPORT_HEADER!r}, got {line!r}", line_number)
+            for name, value in (("kind", kind), ("config", config_echo), ("estimator_failures", failures)):
+                if value is None:
+                    raise ParseError(f"no '# {name}:' line before the header", line_number)
             saw_header = True
             continue
         fields = line.split(",")
@@ -374,11 +383,16 @@ def read_report(source: Union[str, Path, IO]) -> ExperimentReport:
         method, alpha, rate, mc_se, nd, sd = fields
         alpha, rate, mc_se = (_report_number(t, float, line_number) for t in (alpha, rate, mc_se))
         counts = (_report_number(nd, int, line_number), _report_number(sd, int, line_number))
+        if any(row.method == method and row.alpha == alpha for row in rows):
+            raise ParseError(f"a second row for method {method!r} at alpha {alpha!r}", line_number)
         if rows and counts != (n_datasets, seed):
             raise ParseError(f"n_datasets and seed {counts} differ from the first row's "
                              f"{(n_datasets, seed)}", line_number)
         rows.append(ReportRow(method=method, alpha=alpha, rate=rate, mc_se=mc_se))
         n_datasets, seed = counts
+    if not saw_header:
+        raise ParseError(f"expected the header {_REPORT_HEADER!r}, got the end of the text",
+                         len(lines) + 1)
     return ExperimentReport(
         kind=kind,
         rows=tuple(rows),
@@ -500,7 +514,7 @@ def _test_datasets(payload: _Payload, drawn: list) -> list[tuple[dict, int]]:
         batch_error = None
         try:
             fits = fit_betta_batch(datasets)
-        except (BettaError, np.linalg.LinAlgError) as exc:
+        except BettaError as exc:
             batch_error, fits = exc, map(fit_betta, datasets)
         x = np.asarray(covariate, dtype=float)
         results = [({METHOD_BETTA: wald_tests(fit)[1].p_value,

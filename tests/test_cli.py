@@ -49,6 +49,7 @@ from betta.simulate import (
 )
 from betta.tables import read_estimates, read_frequency_table, write_estimates
 from test_mixed import random_grouped_problem
+from test_model import TABLE_E
 
 DATA = Path(__file__).parent / "data"
 EST = str(DATA / "est.csv")
@@ -59,7 +60,7 @@ FREQ = str(DATA / "freq.csv")
 # while the file was still formatted row by row; like TestSimulate.LARGE_TABLE_DIGESTS,
 # any change to the fits, the diagnostics or the writer moves them.
 DIAGNOSTICS_DIGESTS = {
-    "fit": "3e0997cafd83c0a39fc1769fc959a26435525d0671f20f181d3e20697c599c7d",
+    "fit": "dee69a998f4edfcef619a374caff51b2fffc13150298b0747b20450f337b16d7",
     "fit-random": "7fe2eac36a61b61edeec7b9386dea5ec523a4dcbaca59fb3f36cc46ffbab47e4",
 }
 
@@ -299,6 +300,21 @@ class TestFit:
         p_values += [result["global_test"]["p_value"], result["homogeneity_test"]["p_value"]]
         assert all(0.0 < p <= 1.0 for p in p_values)
 
+    def test_a_gram_singular_to_working_precision_exits_4(self, tmp_path, capsys):
+        # It used to print NumPy's "Singular matrix" and exit 2, the code for
+        # parse errors, because LinAlgError is a ValueError.
+        table = tmp_path / "e.csv"
+        table.write_text(TABLE_E)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_NOT_IDENTIFIED
+        # Which step refuses the Gram matrix, the factorisation or the inverse,
+        # may differ between LAPACK builds; either is a NumericalError.
+        assert capsys.readouterr().err.startswith("error: weighted design Gram matrix ")
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_homogeneity_statistic_far_past_the_chisq_tail(self, tmp_path):
         # One SE of 1e-150 puts Q near 1.3e274, where the upper tail's gamma
         # prefactor underflows to 0.0: p is 0 and the fit is written.
@@ -534,10 +550,13 @@ class TestSimulate:
     # by more than 3.2e-16 relative, report.csv held. The homogeneity p-values
     # were re-pinned when Q came to be summed from the fit's objective in the
     # canonical row order, not by a separate least squares in input order: 7
-    # of 12 moved by at most 1.8e-15 relative, report.csv held.
+    # of 12 moved by at most 1.8e-15 relative, report.csv held. The power
+    # p-values were re-pinned when G^-1 came to be formed from the Cholesky
+    # factor of the Gram matrix, not by inverting G: 11 of 24 moved by at most
+    # 5.1e-13 relative, report.csv held.
     LARGE_TABLE_DIGESTS = {
         "power": ("3527cb8c9daf746bd0a1ebbdf78d904ffbc3bd21651fa285bd1f210ca8e529a2",
-                  "010bb7539465b7546a86403633f15e5c839693960446fcba0cd81026178c78e0"),
+                  "82f0c7c9181d49e644cacaa46f2f46c6ba619985449289a2a68e87799db43adc"),
         "homogeneity": ("08e669cf970214876bbe727c670b782039961ca932df3168591ceac7c0c744ba",
                         "a122174eabb50a39e09a6c3c2916a73a61f53f1226340e0095c36a4732639c9f"),
     }

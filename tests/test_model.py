@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betta import Dataset, fit_betta
+from betta import Dataset, fit_betta, fit_betta_batch
 from betta.errors import (
     DesignMatrixError,
     IllConditionedWarning,
@@ -30,12 +30,39 @@ from betta.model import (
     MIN_NORMAL_STD_ERROR,
     RichnessObservation,
     _canonical_order,
+    _gram_inverse,
     _ProfiledObjective,
     _search_upper_bound,
     _solve_normal_equations,
     floored_variances,
 )
 from conftest import make_dataset, take_rows, with_groups
+
+
+# Eight rows whose SEs run from 2.4e11 to 1.3e154: the weighted Gram matrix
+# of the x0 design has eigenvalues some 1e17 apart, so it is singular to
+# working precision, and whether a factorisation accepts it turns on rounding.
+TABLE_E = """id,estimate,std_error,x0
+s0,-6.983297558053205e+25,1.3e+154,-0.2580478530617938
+s1,-1.27326793240581e-255,241555121975.66663,-0.6083369235965659
+s2,2.0227381883218512e-39,1.6747989783898896e+78,1.6907292533235931
+s3,-5.633031513985909e-72,1.3e+154,0.9772767339883668
+s4,3.588027131437709e-190,1.3e+154,0.03842805812790614
+s5,-1.181582070974076e-169,1.3e+154,0.6024592179120775
+s6,1.790391678650966e+40,2.514892586617035e+138,-0.5002162471872174
+s7,-1.0709696144959711e-43,2.5656867429766362e+122,1.2249693341728225
+"""
+
+
+def table_e_dataset(estimates=None, std_errors=None):
+    """TABLE_E as a Dataset, optionally with other estimates or SEs on its design."""
+    rows = [line.split(",") for line in TABLE_E.splitlines()[1:]]
+    columns = np.array([[float(v) for v in row[1:]] for row in rows])
+    return Dataset.from_columns(
+        [row[0] for row in rows],
+        columns[:, 0] if estimates is None else estimates,
+        columns[:, 1] if std_errors is None else std_errors,
+        covariates=columns[:, 2:], covariate_names=("x0",))
 
 
 def reference_reml(dataset, beta, sigma_u_sq):
@@ -324,6 +351,34 @@ class TestErrorsAndWarnings:
             with pytest.raises(NumericalError, match="^weighted design Gram matrix is not positive definite$"):
                 _solve_normal_equations(gram, np.ones(gram.shape[:-1] + (1,)))
 
+    def test_a_gram_singular_to_working_precision_fails_its_batch(self):
+        # Inverting the Gram matrix at the search's start used to raise
+        # NumPy's "Singular matrix"; now the one Cholesky factor per evaluation
+        # decides, and the fit and any batch holding the table raise NumericalError.
+        table_e = table_e_dataset()
+        benign = table_e_dataset(estimates=np.arange(100.0, 180.0, 10.0), std_errors=np.full(8, 5.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for fit, data in [(fit_betta, table_e), (fit_betta_batch, [table_e]),
+                              (fit_betta_batch, [benign, table_e]), (fit_betta_batch, [table_e, benign])]:
+                with pytest.raises(NumericalError, match="^weighted design Gram matrix "):
+                    fit(data)
+            fit_betta(benign)
+        assert caught == []
+
+    def test_a_gram_inverse_that_is_not_finite_is_a_numerical_error(self):
+        # G^-1 = L^-T L^-1 overflows for both factors; neither may warn.
+        overflowing = np.diag([1e-200, 1.0])
+        cancelling = np.array([[1e-200, 0.0], [1.0, 1e-200]])
+        chol = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (overflowing, cancelling, np.stack([chol, overflowing])):
+                with pytest.raises(NumericalError, match="^weighted design Gram matrix cannot be inverted in the test$"):
+                    _gram_inverse(bad, "the test")
+            inverse = _gram_inverse(np.stack([chol, chol]), "the test")
+        assert np.allclose(inverse, np.linalg.inv(np.array([[4.0, 2.0], [2.0, 3.0]])), rtol=1e-15, atol=0.0)
+
     def test_saturated_design_is_unidentifiable(self):
         # m = p + 1 leaves no residual degrees of freedom: the restricted
         # likelihood is flat in sigma_u_sq.
@@ -337,6 +392,18 @@ class TestErrorsAndWarnings:
         x = [[1.0, 1.0 + 1e-5], [2.0, 2.0], [3.0, 3.0 + 2e-5], [4.0, 4.0]]
         ds = make_dataset([1.0, 2.0, 3.0, 4.5], [1.0] * 4, x=x, names=("a", "b"))
         with pytest.warns(IllConditionedWarning):
+            fit_betta(ds)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e120])
+    def test_a_large_scale_leaves_the_condition_check_silent(self, scale):
+        # G ~ scale^-2 and G^-1 ~ scale^2: a check that squared their entries
+        # would overflow and warn of a condition number of inf.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(12, 1))
+        ds = make_dataset(list((100.0 + 5.0 * x[:, 0] + rng.normal(0.0, 3.0, 12)) * scale),
+                          list(rng.uniform(1.0, 4.0, 12) * scale), x=x.tolist(), names=("x",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit_betta(ds)
 
     def test_nonfinite_inputs_are_rejected(self):

@@ -400,6 +400,21 @@ class TestPowerExperiment:
         with pytest.raises(ValueError, match="percents must be a tuple of percent values, got 10.0"):
             toy_config(covariate_kind=TWO_CATEGORY, grid=(), percents=10.0)
 
+    @pytest.mark.parametrize("field, values", [
+        ("grid", (1.0, 2.0, "3", 4.0, 5.0, 6.0)),
+        ("grid", (1.0, 2.0, 3.0, 4.0, 5.0, None)),
+        ("alpha_levels", ("0.05",)),
+        ("alpha_levels", (0.01, True)),
+        ("percents", ("5",)),
+        ("percents", (5.0, 5.0, 5.0, False, 5.0, 5.0)),
+        ("percents", (np.bool_(True),) * 6),
+    ])
+    def test_a_value_that_is_not_a_number_is_refused(self, field, values):
+        # '5' used to pass as a percent of 5.0, and a string in the grid raised
+        # TypeError; a bool is refused as well, not read as 1.0 or 0.0.
+        with pytest.raises(ValueError, match=f"^{field} must hold numbers, got "):
+            toy_config(**{field: values})
+
 
 class TestHomogeneityExperiment:
     def test_frozen_null_and_alternative(self):
@@ -488,10 +503,10 @@ def fit_outcome(fit):
 
 
 class TestBatchedFits:
-    # Datasets 0-61 of the toy size study hold zero reported SEs (floored
-    # in the fit) and, at 15 and 31, searches whose held-component probe
-    # fires; at 290 and 375 the search ends above 0 and the zero probe wins.
-    TOY_DATASETS = (*range(62), 290, 375)
+    # Datasets 0-60 of the toy size study hold zero reported SEs (floored
+    # in the fit); at 259 the search's held-component probe fires; at 290
+    # and 375 the search ends above 0 and the zero probe wins.
+    TOY_DATASETS = (*range(61), 259, 290, 375)
 
     def test_fits_do_not_depend_on_the_batch(self, monkeypatch):
         datasets = draw_datasets(toy_population(), TOY_SIZES, toy_config(), self.TOY_DATASETS)
@@ -527,7 +542,7 @@ class TestBatchedFits:
             return any(x == min(earlier + xatol, upper) for i, x in enumerate(xs) for earlier in xs[:i])
 
         assert any((ds.std_errors() == 0.0).any() for ds in datasets)
-        assert [i for i, (points, _, xatol, upper) in enumerate(searches) if probed(points, xatol, upper)] == [15, 31]
+        assert [i for i, (points, _, xatol, upper) in enumerate(searches) if probed(points, xatol, upper)] == [61]
         assert [i for i, ((_, result, _, _), fit) in enumerate(zip(searches, alone))
                 if result.x[0] > 0.0 and fit.sigma_u_sq_hat == 0.0] == [62, 63]
 
@@ -696,6 +711,11 @@ class TestReportIO:
             ("# config: {}", "# config: [1]", 3),
             (",100,12\n", ",100,12\nbetta,0.1,0.1,0.01,100,13\n", 7),   # rows disagree on the seed
             (",100,12\n", ",100,12\nbetta,0.1,0.1,0.01,99,12\n", 7),    # and on n_datasets
+            (",100,12\n", ",100,12\nbetta,0.05,0.5,0.01,100,12\n", 7),  # a second (betta, 0.05)
+            ("# kind: size\n", "", 4),            # without one of these three lines, the header
+            ("# config: {}\n", "", 4),            # (now line 4) is refused
+            ("# estimator_failures: 10\n", "", 4),
+            ("method,alpha,rate,mc_se,n_datasets,seed\nbetta,0.05,0.05,0.01,100,12\n", "", 5),   # ends there
         ],
     )
     def test_malformed_lines_are_parse_errors(self, old, new, line):
@@ -711,6 +731,11 @@ class TestReportIO:
         assert old in text
         with pytest.raises(ParseError, match=f"^line {line}: "):
             read_report(io.StringIO(text.replace(old, new)))
+
+    @pytest.mark.parametrize("text, line", [("# just a comment\n", 2), ("", 1)])
+    def test_a_text_that_ends_before_its_header_is_a_parse_error(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: expected the header .*, got the end of the text$"):
+            read_report(io.StringIO(text))
 
     def test_blank_lines_are_skipped(self):
         report = ExperimentReport(
