@@ -52,6 +52,8 @@ print(f"homogeneity:     Q {q.statistic:.2f} on {q.dof} dof, p {q.p_value:.4f}")
 
 print("\nper-sample diagnostics (std residual, then the +-2se interval):")
 diag = residual_diagnostics(fit, ds)
-cols = [DIAGNOSTIC_COLUMNS.index(c) for c in ("std_residual", "lower", "upper")]
-for sample_id, (resid, lower, upper) in zip(diag.ids, diag.values[:, cols]):
-    print(f"  {sample_id}: resid {resid:6.2f}   [{lower:7.1f}, {upper:7.1f}]")
+resids = diag.values[:, DIAGNOSTIC_COLUMNS.index("std_residual")]
+# The error bars are the dataset's own columns; diag keeps its rows and ids.
+lower, upper = ds.estimates() - 2.0 * ds.std_errors(), ds.estimates() + 2.0 * ds.std_errors()
+for sample_id, resid, lo, hi in zip(diag.ids, resids, lower, upper):
+    print(f"  {sample_id}: resid {resid:6.2f}   [{lo:7.1f}, {hi:7.1f}]")

@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--estimator", default=CHAO1, help="chao1 | observed | cmd:<command>")
     shared.add_argument("--workers", type=_int_arg, default=1,
                         help="processes that share the datasets, this one included; "
-                             "each takes one contiguous share (never changes the results)")
+                             "each takes one contiguous share (never changes the results); "
+                             "the others are forked wherever the platform has fork")
     shared.add_argument("--dump-pvalues", action="store_true",
                         help="also write per-dataset p-values")
     shared.add_argument("--out", required=True, help="output directory")

@@ -117,11 +117,9 @@ def homogeneity_test(dataset: Dataset) -> TestResult:
                       kind=KIND_HOMOGENEITY)
 
 
-# The per-observation columns of ResidualDiagnostics.values, in order. lower
-# and upper are estimate -/+ 2 * std_error (the error-bar view).
-DIAGNOSTIC_COLUMNS = (
-    "estimate", "std_error", "lower", "upper", "fitted", "std_residual", "normal_quantile",
-)
+# The per-observation columns of ResidualDiagnostics.values, in order: only
+# what the fit computed. Error bars come from the input table, joined by id.
+DIAGNOSTIC_COLUMNS = ("fitted", "std_residual", "normal_quantile")
 
 
 @dataclass(frozen=True)
@@ -139,19 +137,20 @@ class ResidualDiagnostics:
 
 
 def residual_diagnostics(fit: BettaFit, dataset: Dataset) -> ResidualDiagnostics:
-    """Assemble error-bar columns and qq-plot pairs for a fitted dataset.
+    """The fitted values, standardized residuals and qq-plot pairs of a fit.
 
     The matched normal quantile for an observation of rank k (0-based,
     residuals ascending) is the standard normal quantile at (k + 0.5) / m.
-    Rows keep the dataset's observation order.
+    Rows keep the dataset's observation order. The dataset gives the ids
+    and m only: error bars, estimate -/+ 2 * std_error, are read from the
+    dataset's own columns under the same ids.
     """
     m = dataset.m
     std_resid = np.asarray(fit.std_residuals, dtype=float)
     quantile_of = np.empty(m)
     quantile_of[np.argsort(std_resid, kind="stable")] = normal_quantile((np.arange(m) + 0.5) / m)
 
-    y, se = dataset.estimates(), dataset.std_errors()
-    values = np.column_stack([y, se, y - 2.0 * se, y + 2.0 * se, fit.fitted, std_resid, quantile_of])
+    values = np.column_stack([fit.fitted, std_resid, quantile_of])
     values.flags.writeable = False
     return ResidualDiagnostics(ids=dataset.ids(), values=values)
 

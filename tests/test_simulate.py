@@ -211,8 +211,32 @@ class TestResampling:
         draw = SampleSizeDistribution(observed_sizes=(7, 9)).draw(np.random.default_rng(0))
         assert draw in (7, 9)
 
+    def test_sample_sizes_are_python_ints_a_draw_can_take(self):
+        # A size is a whole number up to 2^63 - 1, the multinomial's int64 count.
+        largest = 2 ** 63 - 1
+        sizes = SampleSizeDistribution(observed_sizes=(2.0, np.int64(5), largest))
+        assert sizes.observed_sizes == (2, 5, largest)
+        assert {type(s) for s in sizes.observed_sizes} == {int}
+        assert sum(np.random.default_rng(0).multinomial(largest, [0.5, 0.5])) == largest
+        for bad in (True, 2.5, float("inf"), float("nan"), "5", None):
+            with pytest.raises(ValueError, match=r"a sample size must be a whole number, got"):
+                SampleSizeDistribution(observed_sizes=(100, bad))
+        with pytest.raises(ValueError, match=f"must lie in \\[1, {largest}\\], got {largest + 1}"):
+            SampleSizeDistribution(observed_sizes=(largest + 1,))
+
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["replicates_per_dataset", "n_datasets", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, "6", None])
+    def test_counts_and_seed_must_be_whole_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got {value!r}"):
+            toy_config(**{name: value})
+
+    def test_counts_and_seed_are_held_as_python_ints(self):
+        cfg = toy_config(replicates_per_dataset=6.0, n_datasets=np.int64(3), seed=np.uint8(5))
+        assert (cfg.replicates_per_dataset, cfg.n_datasets, cfg.seed) == (6, 3, 5)
+        assert {type(v) for v in (cfg.replicates_per_dataset, cfg.n_datasets, cfg.seed)} == {int}
+
     def test_bounds(self):
         with pytest.raises(ValueError, match="replicates"):
             toy_config(replicates_per_dataset=2, grid=(1.0, 2.0))
@@ -332,7 +356,7 @@ class TestSizeExperiment:
         opened = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 opened.append(max_workers)
 
             def __enter__(self):
@@ -615,7 +639,7 @@ class TestStudyErrors:
     # calling process), three as 0-1 and 2-3 (the pool) and 4-5. A share
     # stops at its first failing dataset; fitted are the pool's datasets
     # fitted before the study raises.
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the fakes reach the pool's processes only by fork")
     @pytest.mark.parametrize("workers, failing, raised, fitted", [
         (2, {1, 4}, 1, range(2)),
